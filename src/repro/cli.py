@@ -117,7 +117,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                            sanitize_every=args.sanitize_every or None,
                            check_invariants=args.check_invariants,
                            telemetry=True if args.hist else None,
-                           batched=args.batched or None,
                            profile=args.profile_attrib,
                            timeline=_timeline_epoch(args))
     result = outcome.result
@@ -491,7 +490,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return bench_main(quick=args.quick, out=args.out,
                       check_equivalence=not args.no_equivalence,
                       baseline=args.baseline,
-                      scalar_out=args.scalar_out,
                       profile_attrib=args.profile_attrib)
 
 
@@ -706,10 +704,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--hist", action="store_true",
                        help="collect histogram telemetry and print the "
                             "percentile digests")
-    run_p.add_argument("--batched", action="store_true",
-                       help="use the batched fast-path driver "
-                            "(bit-identical stats; REPRO_BATCHED=1 is "
-                            "the env equivalent)")
     _add_profile_flag(run_p)
     _add_timeline_flags(run_p)
     _add_checking_flags(run_p)
@@ -782,12 +776,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="output JSON path (default BENCH_<date>.json "
                               "in the current directory)")
     bench_p.add_argument("--no-equivalence", action="store_true",
-                         help="skip the optimized-vs-reference stats "
+                         help="skip the batched-vs-reference stats "
                               "equivalence gate (timing only)")
-    bench_p.add_argument("--scalar-out", default="", metavar="PATH",
-                         help="also write a scalar-headline view of the "
-                              "report (headline ips from the scalar "
-                              "driver) for separate comparison")
     bench_p.add_argument("--baseline", default="", metavar="FILE|auto",
                          help="after benching, diff the fresh report "
                               "against this baseline (exit 3 on "
@@ -920,8 +910,7 @@ def _add_profile_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile-attrib", action="store_true",
                         help="attribute batched-driver slow-tail wall "
                              "time to verify-spec transition classes "
-                             "(implies the batched driver; stats stay "
-                             "bit-identical)")
+                             "(stats stay bit-identical)")
 
 
 def _add_timeline_flags(parser: argparse.ArgumentParser) -> None:

@@ -110,10 +110,6 @@ def run_cache_key(workload: str, config_name: str, instructions: int,
     return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
-#: backward-compatible alias (tests and older callers)
-_cache_key = run_cache_key
-
-
 def run_record_path(workload: str, config_name: str, instructions: int,
                     seed: int, warmup: int) -> Path:
     return runs_dir() / (
@@ -144,10 +140,6 @@ def atomic_write_json(path: Path, payload: dict) -> None:
         except OSError:
             pass
         raise
-
-
-#: backward-compatible alias
-_atomic_write_json = atomic_write_json
 
 
 def reap_orphan_tmp(directory: Optional[Path] = None,

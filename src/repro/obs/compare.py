@@ -262,13 +262,13 @@ def compare_bench(baseline: Mapping[str, object],
                 if b > 0 and abs(c - b) / b >= 0.25:
                     report.add(Delta(f"phase.{phase}.{name}", b, c, NOTE,
                                      "phase wall-time shifted"))
-        # The equivalence gate is intra-run (optimized driver vs the
-        # reference generator on the *same* machine), so a broken flag
+        # The equivalence gate is intra-run (batched driver vs the
+        # reference loop on the *same* machine), so a broken flag
         # regresses even across modes.
         if cand.get("equivalent") is False:
             report.add(Delta(f"equivalence.{name}", 1.0, 0.0, REGRESSION,
-                             "optimized driver diverged from the reference "
-                             "generator"))
+                             "batched driver diverged from the reference "
+                             "loop"))
     base_geo = float(baseline.get("geomean_ips", 0.0))  # type: ignore[arg-type]
     cand_geo = float(candidate.get("geomean_ips", 0.0))  # type: ignore[arg-type]
     severity, why = _ips_severity(base_geo, cand_geo, thresholds)

@@ -43,6 +43,7 @@ from repro.serve import handlers
 from repro.serve.coalesce import Coalescer
 from repro.serve.queue import Job, JobCell, JobQueue, make_job
 from repro.serve.telemetry import Span, SpanRing, StageTimer, new_trace_id
+from repro.sim.parallel import RunFailure
 
 #: concurrent job-runner tasks (simulation parallelism lives below
 #: this, in each job's process pool)
@@ -245,6 +246,8 @@ class ServeApp:
                 loop.call_soon_threadsafe(self._record_landed, job, cells,
                                           item.key, record)
 
+            failures: List[RunFailure] = []
+            crash = ""
             with StageTimer() as sim_t:
                 try:
                     failures = await loop.run_in_executor(
@@ -254,23 +257,28 @@ class ServeApp:
                             jsonl_path=str(self.cache_root
                                            / "progress.jsonl"),
                             on_record=on_record, trace=job.trace))
+                except Exception as exc:
+                    crash = f"{type(exc).__name__}: {exc}"
+                    raise
                 finally:
                     shutil.rmtree(hb_dir, ignore_errors=True)
+                    for failure in failures:
+                        for item in owned:
+                            if (item.spec.workload == failure.workload
+                                    and item.spec.config.name
+                                    == failure.config):
+                                failures_by_key[item.key] = failure.summary()
                     # Any owned key not resolved by on_record (failed run,
                     # or execute_plan itself blew up) must release its
-                    # waiters.
+                    # waiters, with the owner's error as their reason.
                     for item in owned:
                         self.coalescer.fail(
-                            item.key, f"run {item.spec.workload} on "
-                                      f"{item.spec.config.name} did not "
-                                      f"complete")
+                            item.key, failures_by_key.get(item.key)
+                            or crash
+                            or f"run {item.spec.workload} on "
+                               f"{item.spec.config.name} did not complete")
             self._span(job, "simulate", sim_t.ts, sim_t.dur_s,
                        owned=len(owned))
-            for failure in failures:
-                for item in owned:
-                    if (item.spec.workload == failure.workload
-                            and item.spec.config.name == failure.config):
-                        failures_by_key[item.key] = failure.summary()
 
         if waited:
             with StageTimer() as wait_t:

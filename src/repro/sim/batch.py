@@ -76,17 +76,14 @@ def _chunks_from_scalar(workload: Any, total: int, seed: int,
                                                       List[int]]]:
     """Generic chunker over a workload without :meth:`generate_batch`.
 
-    Consumes ``generate_fast`` (or ``generate``) and repacks the stream
-    into the same ``(cores, kinds, vaddrs)`` tuples — each access is
-    read before the iterator advances, so mutated-shell generators are
-    safe.
+    Drains ``generate`` and repacks the stream into the same
+    ``(cores, kinds, vaddrs)`` tuples.
     """
-    generate = getattr(workload, "generate_fast", workload.generate)
     kind_code = KIND_CODE
     cores: List[int] = []
     kinds: List[int] = []
     vaddrs: List[int] = []
-    for acc in generate(total, seed):
+    for acc in workload.generate(total, seed):
         cores.append(acc.core)
         kinds.append(kind_code[acc.kind])
         vaddrs.append(acc.vaddr)

@@ -9,19 +9,17 @@ wall split (workload generation vs hierarchy access vs stats
 summarization), and the whole report lands in a machine-readable
 ``BENCH_<date>.json`` with an environment fingerprint.
 
-The benchmark doubles as a correctness gate for the optimized driver
-paths: every cell is also run once through the *reference* generator
-(:meth:`SyntheticWorkload.generate`, by hiding ``generate_fast`` behind
-an adapter) and once through the *batched* driver
-(:mod:`repro.sim.batch`), and all three runs' full statistics —
-flattened stat counters, latency buckets, per-core totals, and model
-cycles — must be bit-identical.  Any divergence fails the run with a
-nonzero exit, which is what CI's bench-smoke job keys on.
+The benchmark doubles as a correctness gate for the production path:
+every cell is run once through the *reference* loop
+(``Simulator.run`` over :meth:`SyntheticWorkload.generate`) and once
+through the *batched* driver (:mod:`repro.sim.batch`), and the two
+runs' full statistics — flattened stat counters, latency buckets,
+per-core totals, and model cycles — must be bit-identical.  Any
+divergence fails the run with a nonzero exit, which is what CI's
+bench-smoke job keys on.
 
-Each cell's headline ``ips`` measures the batched driver (the default
-production path for sweeps); the optimized scalar loop's timings land
-in the cell's ``scalar`` sub-dict so the batched-vs-scalar split stays
-visible in every report.
+Each cell's ``ips`` measures the batched driver, the path every
+``repro run``, sweep and serve job takes.
 
 Timing uses ``time.process_time`` (CPU time; robust against noisy
 co-tenants) with a best-of-``repetitions`` policy per cell.
@@ -35,7 +33,7 @@ import platform
 import subprocess
 import sys
 import time
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.common.params import SystemConfig, all_configs
 from repro.core.hierarchy import build_hierarchy
@@ -80,27 +78,6 @@ SEED_BASELINE: Dict[str, object] = {
 }
 
 
-class ReferenceWorkload:
-    """Adapter exposing only ``generate``/``translate``.
-
-    The simulator picks up ``generate_fast`` by duck typing; wrapping a
-    workload in this adapter hides it, forcing the reference generator
-    — which is how the equivalence gate exercises both paths.
-    """
-
-    __slots__ = ("_inner",)
-
-    def __init__(self, inner: Any) -> None:
-        self._inner = inner
-
-    def generate(self, n_instructions: int,
-                 seed: int = 0) -> Iterator[Any]:
-        return self._inner.generate(n_instructions, seed)
-
-    def translate(self, core: int, vaddr: int) -> int:
-        return self._inner.translate(core, vaddr)
-
-
 def result_snapshot(result: SimResult, cycles: float) -> Dict[str, object]:
     """Everything a run reports, as one JSON-comparable dict."""
     return {
@@ -126,14 +103,11 @@ def result_snapshot(result: SimResult, cycles: float) -> Dict[str, object]:
 
 
 def _run_once(config: SystemConfig, workload_name: str, instructions: int,
-              warmup: int, reference: bool = False,
-              batched: bool = False) -> Dict[str, object]:
+              warmup: int, batched: bool = False) -> Dict[str, object]:
     """One fresh simulation; returns its :func:`result_snapshot`."""
     hierarchy = build_hierarchy(config)
     workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                              seed=BENCH_SEED)
-    if reference:
-        workload = ReferenceWorkload(workload)
     simulator = Simulator(hierarchy, check_values=False)
     result = simulator.run(workload, instructions, seed=BENCH_SEED,
                            warmup=warmup, batched=batched)
@@ -142,15 +116,13 @@ def _run_once(config: SystemConfig, workload_name: str, instructions: int,
 
 
 def _time_cell(config: SystemConfig, workload_name: str, instructions: int,
-               warmup: int, repetitions: int,
-               batched: bool = False) -> Dict[str, float]:
-    """Best-of-``repetitions`` phase timings for one matrix cell.
+               warmup: int, repetitions: int) -> Dict[str, float]:
+    """Best-of-``repetitions`` batched-driver phase timings for one cell.
 
     Phases:
 
-    * ``generate`` — draining the workload's access stream alone (the
-      chunked :meth:`generate_batch` stream when timing the batched
-      driver, since that is what it consumes);
+    * ``generate`` — draining the chunked :meth:`generate_batch` stream
+      alone (what the batched driver consumes);
     * ``hierarchy`` — the simulation loop minus the generate share
       (translation, protocol/hierarchy access, MSHR, recording);
     * ``stats`` — flattening counters and the perf-model summary.
@@ -161,23 +133,15 @@ def _time_cell(config: SystemConfig, workload_name: str, instructions: int,
         hierarchy = build_hierarchy(config)
         workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                                  seed=BENCH_SEED)
-        gen_batch = getattr(workload, "generate_batch", None)
-        if batched and gen_batch is not None:
-            t0 = time.process_time()
-            for _chunk in gen_batch(total, BENCH_SEED):
-                pass
-            t_generate = time.process_time() - t0
-        else:
-            generate = getattr(workload, "generate_fast", workload.generate)
-            t0 = time.process_time()
-            for _acc in generate(total, BENCH_SEED):
-                pass
-            t_generate = time.process_time() - t0
+        t0 = time.process_time()
+        for _chunk in workload.generate_batch(total, BENCH_SEED):
+            pass
+        t_generate = time.process_time() - t0
 
         simulator = Simulator(hierarchy, check_values=False)
         t0 = time.process_time()
         result = simulator.run(workload, instructions, seed=BENCH_SEED,
-                               warmup=warmup, batched=batched)
+                               warmup=warmup, batched=True)
         t_simulate = time.process_time() - t0
 
         t0 = time.process_time()
@@ -232,9 +196,8 @@ def run_bench(quick: bool = False,
               check_equivalence: bool = True) -> Dict[str, object]:
     """Run the pinned matrix; returns the full report dict.
 
-    ``report["equivalence_ok"]`` is False when any cell's optimized
-    scalar run diverged from its reference-generator run, or its
-    batched run diverged from the scalar one.
+    ``report["equivalence_ok"]`` is False when any cell's batched run
+    diverged from its reference-loop run.
     """
     if quick:
         instructions, warmup = QUICK_INSTRUCTIONS, QUICK_WARMUP
@@ -251,29 +214,18 @@ def run_bench(quick: bool = False,
             cell_name = f"{config_name}/{workload_name}"
             equivalent: Optional[bool] = None
             if check_equivalence:
-                optimized = _run_once(config, workload_name, instructions,
-                                      warmup)
                 reference = _run_once(config, workload_name, instructions,
-                                      warmup, reference=True)
+                                      warmup)
                 batched = _run_once(config, workload_name, instructions,
                                     warmup, batched=True)
-                scalar_ok = optimized == reference
-                batched_ok = optimized == batched
-                equivalent = scalar_ok and batched_ok
-                if not scalar_ok:
-                    equivalence_ok = False
-                    print(f"bench: DIVERGENCE in {cell_name}: optimized "
-                          "driver does not match the reference generator",
-                          file=sys.stderr)
-                if not batched_ok:
+                equivalent = batched == reference
+                if not equivalent:
                     equivalence_ok = False
                     print(f"bench: DIVERGENCE in {cell_name}: batched "
-                          "driver does not match the scalar driver",
+                          "driver does not match the reference loop",
                           file=sys.stderr)
             timing = _time_cell(config, workload_name, instructions, warmup,
-                                repetitions, batched=True)
-            scalar_timing = _time_cell(config, workload_name, instructions,
-                                       warmup, repetitions)
+                                repetitions)
             cell: Dict[str, object] = {
                 "config": config_name,
                 "workload": workload_name,
@@ -284,21 +236,11 @@ def run_bench(quick: bool = False,
                     "stats": round(timing["stats_s"], 6),
                 },
                 "simulate_s": round(timing["simulate_s"], 6),
-                "scalar": {
-                    "ips": round(scalar_timing["ips"], 1),
-                    "phases_s": {
-                        "generate": round(scalar_timing["generate_s"], 6),
-                        "hierarchy": round(scalar_timing["hierarchy_s"], 6),
-                        "stats": round(scalar_timing["stats_s"], 6),
-                    },
-                    "simulate_s": round(scalar_timing["simulate_s"], 6),
-                },
             }
             if equivalent is not None:
                 cell["equivalent"] = equivalent
             cells.append(cell)
-            print(f"bench: {cell_name}: {cell['ips']:.0f} instr/s batched, "
-                  f"{cell['scalar']['ips']:.0f} scalar"  # type: ignore[index]
+            print(f"bench: {cell_name}: {cell['ips']:.0f} instr/s"
                   + ("" if equivalent is None
                      else f" (equivalence {'ok' if equivalent else 'FAIL'})"))
     geomean_ips = _geomean(float(c["ips"]) for c in cells)
@@ -346,42 +288,6 @@ def write_report(report: Dict[str, object], path: str) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-def scalar_view(report: Dict[str, object]) -> Dict[str, object]:
-    """Derive a report whose headline numbers are the scalar driver's.
-
-    Bench cells headline the batched driver and carry the optimized
-    scalar loop in a ``scalar`` sub-dict; the regression sentinel
-    (``repro compare``) reads only headline fields.  This swaps each
-    cell's headline for its scalar sub-report (the batched split moves
-    to a ``batched`` sub-dict) so the scalar driver can be gated
-    through the exact same comparison.  Cells without a ``scalar``
-    sub-dict — reports from before the batched core — pass through
-    unchanged.
-    """
-    import copy
-
-    view = copy.deepcopy(report)
-    cells = view["cells"]
-    assert isinstance(cells, list)
-    for cell in cells:
-        scalar = cell.pop("scalar", None)
-        if scalar is None:
-            continue
-        cell["batched"] = {key: cell[key]
-                           for key in ("ips", "phases_s", "simulate_s")}
-        cell.update(scalar)
-    geomean = _geomean(float(c["ips"]) for c in cells)
-    view["geomean_ips"] = round(geomean, 1)
-    view["driver"] = "scalar"
-    baseline = view.get("baseline")
-    if isinstance(baseline, dict):
-        baseline_geomean = float(baseline.get("geomean_ips", 0.0))
-        if baseline_geomean > 0:
-            view["speedup_vs_baseline"] = round(
-                geomean / baseline_geomean, 2)
-    return view
 
 
 def compare_against_baseline(report: Dict[str, object],
@@ -478,8 +384,12 @@ def profile_bench(quick: bool = False) -> Dict[str, object]:
 
 def main(quick: bool = False, out: str = "",
          check_equivalence: bool = True, baseline: str = "",
-         scalar_out: str = "", profile_attrib: bool = False) -> int:
-    """Entry point shared by ``repro bench`` and ``tools/bench_repro.py``."""
+         profile_attrib: bool = False) -> int:
+    """Entry point of ``repro bench``.
+
+    From a checkout without installing the package, run it as
+    ``PYTHONPATH=src python -m repro bench [--quick] [--out PATH]``.
+    """
     report = run_bench(quick=quick, check_equivalence=check_equivalence)
     if profile_attrib:
         from repro.obs.profile import profile_text
@@ -490,9 +400,6 @@ def main(quick: bool = False, out: str = "",
     path = out or default_output_path()
     write_report(report, path)
     print(f"bench: report written to {path}")
-    if scalar_out:
-        write_report(scalar_view(report), scalar_out)
-        print(f"bench: scalar-headline view written to {scalar_out}")
     if not report["equivalence_ok"]:
         return 1
     if baseline:

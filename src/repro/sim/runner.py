@@ -46,11 +46,6 @@ def telemetry_default() -> bool:
     return os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")
 
 
-def batched_default() -> bool:
-    """Whether REPRO_BATCHED asks for the batched driver by default."""
-    return os.environ.get("REPRO_BATCHED", "") not in ("", "0")
-
-
 def sanitize_every_default() -> int:
     """Full-walk sampling period from REPRO_SANITIZE_EVERY (0 = off)."""
     value = os.environ.get("REPRO_SANITIZE_EVERY", "")
@@ -71,8 +66,7 @@ class RunSpec:
     sanitize_every: int = 0       # full-walk sampling period (0 = off)
     check_invariants: bool = False  # full invariant walk on the final state
     telemetry: bool = False       # collect histogram telemetry (obs package)
-    batched: bool = False         # batched fast-path driver (repro.sim.batch)
-    profile: bool = False         # slow-tail attribution (implies batched)
+    profile: bool = False         # slow-tail attribution (obs package)
     trace: str = ""               # serve-layer correlation id ("" = none)
     timeline: int = 0             # epoch length for interval sampling (0 = off)
 
@@ -189,7 +183,7 @@ def run_workload(config: SystemConfig, workload_name: str,
                  telemetry: Optional[bool] = None,
                  tracer: Optional[object] = None,
                  heartbeat: Optional[object] = None,
-                 batched: Optional[bool] = None,
+                 batched: bool = True,
                  profile: bool = False,
                  trace: str = "",
                  timeline: int = 0) -> RunOutcome:
@@ -212,9 +206,9 @@ def run_workload(config: SystemConfig, workload_name: str,
     ``heartbeat`` is a sweep-progress :class:`~repro.obs.progress.Heartbeat`
     driven once per simulated access.
 
-    ``batched=None`` defaults from ``REPRO_BATCHED``; when on, the run
-    uses the batched fast-path driver (:mod:`repro.sim.batch`), whose
-    statistics are bit-identical to the scalar loop.
+    The run uses the batched driver (:mod:`repro.sim.batch`);
+    ``batched=False`` selects the reference loop instead, whose
+    statistics are bit-identical.
 
     ``profile`` attaches the slow-tail attribution profiler
     (:mod:`repro.obs.profile`) and forces the batched driver — the
@@ -233,9 +227,7 @@ def run_workload(config: SystemConfig, workload_name: str,
     roi_warmup = warmup if warmup is not None else warmup_budget(budget)
     do_sanitize = sanitize if sanitize is not None else sanitize_default()
     do_telemetry = telemetry if telemetry is not None else telemetry_default()
-    do_batched = batched if batched is not None else batched_default()
-    if profile:
-        do_batched = True
+    do_batched = batched or profile
     every = (sanitize_every if sanitize_every is not None
              else sanitize_every_default())
     hierarchy = build_hierarchy(config)
@@ -312,8 +304,8 @@ def run_workload(config: SystemConfig, workload_name: str,
         spec=RunSpec(config, workload_name, budget, seed, check_values,
                      roi_warmup, sanitize=do_sanitize, sanitize_every=every,
                      check_invariants=check_invariants,
-                     telemetry=do_telemetry, batched=do_batched,
-                     profile=profile, trace=trace, timeline=timeline),
+                     telemetry=do_telemetry, profile=profile, trace=trace,
+                     timeline=timeline),
         result=result,
         perf=perf,
         hierarchy=hierarchy,
@@ -346,7 +338,6 @@ def run_spec(spec: RunSpec) -> RunOutcome:
                         check_invariants=spec.check_invariants,
                         telemetry=spec.telemetry or None,
                         heartbeat=heartbeat,
-                        batched=spec.batched or None,
                         profile=spec.profile,
                         trace=spec.trace,
                         timeline=spec.timeline)

@@ -17,7 +17,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.common.errors import TraceError
 from repro.common.stats import StatGroup
-from repro.common.types import AccessKind, AccessResult, HitLevel
+from repro.common.types import Access, AccessKind, AccessResult, HitLevel
 from repro.mem.mainmem import VersionOracle
 
 
@@ -128,26 +128,25 @@ class Simulator:
             warmup: int = 0, batched: bool = False) -> SimResult:
         """Simulate ``n_instructions`` of ``workload``.
 
-        The workload yields :class:`Access` objects and provides
-        ``translate(core, vaddr)``; an IFETCH marks an instruction
-        boundary for the per-core clocks and the msgs/KI metrics.
+        The workload's ``generate`` yields :class:`Access` objects and
+        its ``translate(core, vaddr)`` maps them to physical addresses;
+        an IFETCH marks an instruction boundary for the per-core clocks
+        and the msgs/KI metrics.
 
         ``warmup`` instructions run first with full protocol behaviour
         (and value checking) but are excluded from every reported metric,
         emulating the paper's region-of-interest measurement.
 
-        When the workload offers ``generate_fast`` (an allocation-free
-        variant yielding the identical stream, e.g.
-        :meth:`SyntheticWorkload.generate_fast`), the driver uses it;
-        the loop never retains a yielded access, which is that method's
-        one requirement.
+        The default is the *reference* loop: every access goes through
+        the hierarchy's full ``access`` in trace order, with no fast
+        paths and no hand-tuning.  It is the oracle the production path
+        is checked against, so it is kept deliberately plain.
 
-        ``batched=True`` dispatches to the batched driver
-        (:func:`repro.sim.batch.run_batched`), which precompiles the
-        stream into flat chunk arrays and resolves L1 fast paths
-        inline.  Its statistics are bit-identical to this scalar loop
-        (the ``repro bench`` equivalence gate enforces it); this loop
-        remains the oracle.
+        ``batched=True`` is the production path: the batched driver
+        (:func:`repro.sim.batch.run_batched`) precompiles the stream
+        into flat chunk arrays and resolves L1 fast paths inline.  Its
+        statistics are bit-identical to this loop's (the ``repro bench``
+        equivalence gate enforces it).
         """
         # Neither driver creates reference cycles, so the cyclic
         # collector's gen-0 scans are pure overhead in these
@@ -169,65 +168,31 @@ class Simulator:
             from repro.sim.batch import run_batched
             return run_batched(self, workload, n_instructions, seed=seed,
                                warmup=warmup)
+        hierarchy = self.hierarchy
         result = SimResult(
-            name=self.hierarchy.config.name,
+            name=hierarchy.config.name,
             instructions=0,
             accesses=0,
-            stats=self.hierarchy.stats,
+            stats=hierarchy.stats,
             buckets={},
         )
-        # This loop runs once per simulated access: every per-access
-        # attribute lookup is hoisted into a local and the per-access
-        # bookkeeping (clock advance, warm-up/ROI boundary, latency
-        # recording) is inlined rather than dispatched through helper
-        # methods.  The MSHR transform stays a method (`_apply_mshr`);
-        # its semantics are documented and unit-tested there.
-        generate = getattr(workload, "generate_fast", workload.generate)
-        translate = workload.translate
-        line_of = self.hierarchy.amap.line_of
-        # D2MHierarchy.access is pure delegation to its protocol; dispatch
-        # straight to the protocol to skip one call frame per access.
-        machine = getattr(self.hierarchy, "protocol", self.hierarchy)
-        hierarchy_access = machine.access
-        check_values = self.check_values
-        on_store = self.oracle.on_store
-        check_load = self.oracle.check_load
-        apply_mshr = self._apply_mshr
-        core_time = self._core_time
-        issue_interval = self._issue_interval
-        ifetch = AccessKind.IFETCH
-        store = AccessKind.STORE
-        hit_l1 = HitLevel.L1
-        hit_late = HitLevel.LATE
-        buckets = result.buckets
-        core_instructions = result.core_instructions
-        instr_miss_latency = result.core_instr_miss_latency
-        data_miss_latency = result.core_data_miss_latency
+        telemetry = self.telemetry
+        timeline = self.timeline
+        epoch_left = 0
+        if timeline is not None:
+            timeline.bind(hierarchy, result)
+            epoch_left = timeline.epoch
         # Warm-up/ROI state lives in these locals and nowhere else — the
         # batched driver keeps its own copies with the same semantics,
         # and _apply_mshr receives ``recording`` explicitly.
         recording = warmup == 0
         warmup_left = warmup
         roi_pending = False
-        instructions = 0
-        accesses = 0
-        telemetry = self.telemetry
-        tele_tick = telemetry.tick if telemetry is not None else None
-        tele_access = telemetry.on_access if telemetry is not None else None
-        timeline = self.timeline
-        tl_snapshot = None
-        tl_every = tl_left = 0
-        if timeline is not None:
-            timeline.bind(self.hierarchy, result)
-            tl_snapshot = timeline.snapshot
-            tl_every = tl_left = timeline.epoch
-        for acc in generate(warmup + n_instructions, seed):
-            core = acc.core
-            kind = acc.kind
-            paddr = translate(core, acc.vaddr)
+        for acc in workload.generate(warmup + n_instructions, seed):
+            paddr = workload.translate(acc.core, acc.vaddr)
             if paddr < 0:
                 raise TraceError(f"negative physical address for {acc}")
-            line = line_of(paddr)
+            line = hierarchy.amap.line_of(paddr)
 
             # -- per-core clock + warm-up/ROI accounting.
             if roi_pending:
@@ -236,75 +201,76 @@ class Simulator:
                 # the final warm-up access belongs entirely to the
                 # warm-up (it is neither counted nor recorded, and its
                 # stats are reset away below).
-                self.hierarchy.stats.reset()
-                self.hierarchy.network.reset()
-                self.hierarchy.energy.reset()
+                hierarchy.stats.reset()
+                hierarchy.network.reset()
+                hierarchy.energy.reset()
                 recording = True
                 roi_pending = False
                 if timeline is not None:
                     timeline.mark_roi()
-            now = core_time.get(core, 0.0)
-            if kind is ifetch:
-                now += issue_interval
-                core_time[core] = now
+            now = self._core_time.get(acc.core, 0.0)
+            if acc.kind is AccessKind.IFETCH:
+                now += self._issue_interval
+                self._core_time[acc.core] = now
                 if recording:
-                    instructions += 1
-                    core_instructions[core] = (
-                        core_instructions.get(core, 0) + 1
-                    )
+                    result.instructions += 1
+                    result.core_instructions[acc.core] = (
+                        result.core_instructions.get(acc.core, 0) + 1)
                 elif warmup_left > 0:
                     warmup_left -= 1
                     if warmup_left == 0:
                         roi_pending = True
             if recording:
-                accesses += 1
-            if tele_tick is not None:
-                tele_tick()
+                result.accesses += 1
+            if telemetry is not None:
+                telemetry.tick()
 
-            if kind is store:
-                version = on_store(line) if check_values else 1
-                outcome = hierarchy_access(acc, paddr, version)
+            if acc.kind is AccessKind.STORE:
+                version = (self.oracle.on_store(line) if self.check_values
+                           else 1)
+                outcome = hierarchy.access(acc, paddr, version)
             else:
-                outcome = hierarchy_access(acc, paddr)
-                if check_values:
-                    check_load(line, outcome.version)
+                outcome = hierarchy.access(acc, paddr)
+                if self.check_values:
+                    self.oracle.check_load(line, outcome.version)
 
-            outcome = apply_mshr(core, line, now, outcome, recording)
-
+            outcome = self._apply_mshr(acc.core, line, now, outcome,
+                                       recording)
             if recording:
-                # -- latency buckets + per-core stall totals.
-                level = outcome.level
-                latency = outcome.latency
-                instr = kind is ifetch
-                key = (instr, level)
-                bucket = buckets.get(key)
-                if bucket is None:
-                    bucket = LatencyBucket()
-                    buckets[key] = bucket
-                bucket.count += 1
-                bucket.total_latency += latency
-                if tele_access is not None:
-                    tele_access(level, latency)
-                if level is not hit_l1 and level is not hit_late:
-                    lat = instr_miss_latency if instr else data_miss_latency
-                    lat[core] = lat.get(core, 0) + latency
+                self._record(result, acc, outcome)
 
             # -- epoch boundary: the batched driver snapshots at the
             # same stream positions via epoch-sized chunk flushes.
-            if tl_snapshot is not None:
-                tl_left -= 1
-                if tl_left == 0:
-                    tl_left = tl_every
-                    tl_snapshot(instructions, accesses)
+            if timeline is not None:
+                epoch_left -= 1
+                if epoch_left == 0:
+                    epoch_left = timeline.epoch
+                    timeline.snapshot(result.instructions, result.accesses)
         if timeline is not None:
-            timeline.finalize(instructions, accesses,
-                              partial=tl_left != tl_every)
-        result.instructions = instructions
-        result.accesses = accesses
-        self.hierarchy.finalize()
+            timeline.finalize(result.instructions, result.accesses,
+                              partial=epoch_left != timeline.epoch)
+        hierarchy.finalize()
         return result
 
     # ------------------------------------------------------------------ internals
+
+    def _record(self, result: SimResult, acc: Access,
+                outcome: AccessResult) -> None:
+        """Account one region-of-interest access: its latency bucket and,
+        for an access that left the L1, the core's stall total."""
+        instr = acc.kind is AccessKind.IFETCH
+        key = (instr, outcome.level)
+        bucket = result.buckets.get(key)
+        if bucket is None:
+            bucket = result.buckets[key] = LatencyBucket()
+        bucket.add(outcome.latency)
+        if self.telemetry is not None:
+            self.telemetry.on_access(outcome.level, outcome.latency)
+        if outcome.level is not HitLevel.L1 \
+                and outcome.level is not HitLevel.LATE:
+            stalls = (result.core_instr_miss_latency if instr
+                      else result.core_data_miss_latency)
+            stalls[acc.core] = stalls.get(acc.core, 0) + outcome.latency
 
     #: sweep the MSHR map for completed entries every this many inserts
     _MSHR_PRUNE_PERIOD = 8192

@@ -196,71 +196,6 @@ class SyntheticWorkload:
                 yield Access(core, kind, vaddr)
             core = (core + 1) % self.nodes
 
-    def generate_fast(self, n_instructions: int,
-                      seed: int = 0) -> Iterator[Access]:
-        """``generate``'s exact stream, minus the allocation churn.
-
-        Yields the same ``(core, kind, vaddr)`` sequence as
-        :meth:`generate` — it draws the same values from the same
-        per-core RNGs, replacing each ``rng.choices(streams, weights)``
-        call with the single ``rng.random()`` + ``bisect`` that call
-        performs internally — but **reuses one Access object per
-        (core, kind)**, mutating its ``vaddr`` in place between yields.
-
-        Callers must therefore consume each yielded access before
-        advancing the iterator and must not retain references
-        (``list(...)`` would alias a handful of mutated objects).  The
-        simulator's driver loop qualifies and picks this method up when
-        present; anything that materializes the stream should stay on
-        :meth:`generate`.
-        """
-        rngs = [random.Random((seed or self._seed) * 1_000_003 + core)
-                for core in range(self.nodes)]
-        code = [self.spec.code.build(core, rngs[core])
-                for core in range(self.nodes)]
-        mixes = [self.spec.data.build(core, self.nodes, rngs[core])
-                 for core in range(self.nodes)]
-        # Per-core choice tables, mirroring random.choices internals:
-        # cumulative weights, float total, and the bisect upper bound.
-        choice_tables = []
-        for weights, streams in mixes:
-            cum = list(accumulate(weights))
-            choice_tables.append(
-                (streams, cum, cum[-1] + 0.0, len(streams) - 1))
-        # One reusable frozen-Access shell per (core, kind); validated
-        # once here, then mutated via object.__setattr__ on the hot path.
-        ifetch_shells = [Access(core, AccessKind.IFETCH, 0)
-                         for core in range(self.nodes)]
-        load_shells = [Access(core, AccessKind.LOAD, 0)
-                       for core in range(self.nodes)]
-        store_shells = [Access(core, AccessKind.STORE, 0)
-                        for core in range(self.nodes)]
-        debt = [0.0] * self.nodes
-        mem_ratio = self.spec.mem_ratio
-        nodes = self.nodes
-        mutate = object.__setattr__
-
-        issued = 0
-        core = 0
-        while issued < n_instructions:
-            rng = rngs[core]
-            acc = ifetch_shells[core]
-            mutate(acc, "vaddr", code[core].next_pc(rng))
-            yield acc
-            issued += 1
-            owed = debt[core] + mem_ratio
-            if owed >= 1.0:
-                streams, cum, total, hi = choice_tables[core]
-                while owed >= 1.0:
-                    owed -= 1.0
-                    stream = streams[bisect(cum, rng.random() * total, 0, hi)]
-                    vaddr, is_write = stream.next_op(rng)
-                    acc = store_shells[core] if is_write else load_shells[core]
-                    mutate(acc, "vaddr", vaddr)
-                    yield acc
-            debt[core] = owed
-            core = (core + 1) % nodes
-
     def generate_batch(self, n_instructions: int, seed: int = 0,
                        chunk: int = 4096
                        ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
@@ -268,8 +203,10 @@ class SyntheticWorkload:
 
         Yields ``(cores, kinds, vaddrs)`` tuples of equal-length lists
         covering consecutive slices of the *identical* access sequence
-        :meth:`generate`/:meth:`generate_fast` produce (same per-core
-        RNGs, same draws).  ``kinds`` holds the compact codes from
+        :meth:`generate` produces: same per-core RNGs, same draws, with
+        each ``rng.choices(streams, weights)`` call replaced by the
+        single ``rng.random()`` + ``bisect`` that call performs
+        internally.  ``kinds`` holds the compact codes from
         :mod:`repro.common.types` (``IFETCH_CODE``/``LOAD_CODE``/
         ``STORE_CODE``).  Chunk boundaries always fall between the data
         ops of one instruction and the next IFETCH, but consumers must

@@ -6,7 +6,7 @@ import pytest
 
 import repro.experiments.runner as runner
 from repro.common.params import base_2l, d2m_fs
-from repro.experiments.runner import SweepError, _cache_key, get_matrix
+from repro.experiments.runner import SweepError, get_matrix, run_cache_key
 
 
 @pytest.fixture
@@ -27,7 +27,7 @@ class TestCacheKey:
                 instructions=1_000, seed=5, warmup=500)
 
     def key(self, **overrides):
-        return _cache_key(**{**self.BASE, **overrides})
+        return run_cache_key(**{**self.BASE, **overrides})
 
     def test_stable(self):
         assert self.key() == self.key()

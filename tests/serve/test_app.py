@@ -258,6 +258,28 @@ class TestCoalescing:
             assert states.count("simulated") == 1
             assert len(list((cache / "runs").glob("*.json"))) == 1
 
+    def test_waiter_sees_the_owner_failure(self, cache, monkeypatch):
+        import repro.experiments.runner as runner
+
+        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
+            def exploding(spec):
+                # hold the owned run until the second job has coalesced
+                # onto it, so that job is a waiter, not a second owner
+                deadline = time.monotonic() + DEADLINE_S
+                while (daemon.app.coalescer.hits_total < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+                raise RuntimeError(f"owner run exploded on {spec.workload}")
+
+            monkeypatch.setattr(runner, "_simulate_record", exploding)
+            ids = [daemon.submit()[0], daemon.submit()[0]]
+            settled = [daemon.wait_done(job_id) for job_id in ids]
+            assert daemon.app.coalescer.hits_total == 1
+            for payload in settled:
+                assert payload["state"] == "failed"
+                assert "owner run exploded on water" in payload["error"], \
+                    payload["error"]
+
 
 class TestEndpointLabels:
     def test_labels_stay_low_cardinality(self):

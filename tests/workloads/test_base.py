@@ -2,7 +2,6 @@
 
 import itertools
 
-from repro.common.types import AccessKind
 from repro.mem.address import AddressMap
 from repro.workloads.base import CodeModel, DataMix, SyntheticWorkload
 from repro.workloads.registry import get_spec, make_workload
@@ -73,38 +72,3 @@ class TestSyntheticWorkload:
     def test_separate_spaces_for_server(self):
         workload = make_workload("mix1", 2, AddressMap(), seed=9)
         assert workload.translate(0, 0x5000) != workload.translate(1, 0x5000)
-
-
-class TestGenerateFast:
-    """The allocation-free generator must replay ``generate`` exactly."""
-
-    @staticmethod
-    def _tuples(stream):
-        # materialize values, not Access objects: generate_fast mutates
-        # and reuses its yielded shells
-        return [(a.core, a.kind, a.vaddr) for a in stream]
-
-    def test_matches_reference_stream(self):
-        for name in ("water", "tpcc", "mix1"):
-            amap = AddressMap()
-            ref = self._tuples(
-                make_workload(name, 4, amap, seed=9).generate(1500, seed=9))
-            fast = self._tuples(
-                make_workload(name, 4, amap, seed=9).generate_fast(
-                    1500, seed=9))
-            assert fast == ref, name
-
-    def test_matches_with_default_seed(self):
-        amap = AddressMap()
-        ref = self._tuples(make_workload("water", 2, amap,
-                                         seed=5).generate(800))
-        fast = self._tuples(make_workload("water", 2, amap,
-                                          seed=5).generate_fast(800))
-        assert fast == ref
-
-    def test_shells_are_reused(self):
-        workload = make_workload("water", 2, AddressMap(), seed=9)
-        ids = {(a.core, a.kind, id(a))
-               for a in workload.generate_fast(400, seed=9)}
-        # one object per (core, kind), not one per yielded access
-        assert len(ids) <= 2 * len(AccessKind)
