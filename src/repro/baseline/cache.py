@@ -91,20 +91,6 @@ class NodeCaches:
         """L1 lookup for an access (updates recency)."""
         return self._l1_for(kind).lookup(line)
 
-    def fastpath_views(self):
-        """``(l1i_view, l1d_view, state)`` for the batched driver.
-
-        The views are the L1 stores'
-        :meth:`~repro.mem.sram.SetAssocStore.fastpath_view`; ``state``
-        is the per-line MESI dict.  A fast-path read needs a valid
-        state, a fast-path write a writable one — the write's mutation
-        cluster is delegated to :meth:`write_hit` so the L1-I shootdown
-        and L2 version sync can never drift from the scalar path.
-        """
-        return (self.l1i.store.fastpath_view(),
-                self.l1d.store.fastpath_view(),
-                self.state)
-
     def l2_hit(self, line: int) -> Optional[LineCopy]:
         if self.l2 is None:
             return None

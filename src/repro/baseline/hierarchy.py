@@ -12,7 +12,7 @@ removes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.common.params import SystemConfig, SystemKind
@@ -23,6 +23,7 @@ from repro.baseline.directory import Directory
 from repro.energy.model import EnergyAccountant, sram_structure
 from repro.mem.address import AddressMap
 from repro.mem.mainmem import MainMemory
+from repro.mem.replacement import lru_orders
 from repro.mem.sram import SetAssocStore
 from repro.mem.tlb import TwoLevelTLB
 from repro.noc.messages import MessageKind
@@ -43,6 +44,111 @@ class LLCLine:
 
     version: int = 0
     dirty: bool = False
+
+
+#: MESI states the fast-path probe compares against, hoisted
+_MODIFIED = CoherenceState.MODIFIED
+_EXCLUSIVE = CoherenceState.EXCLUSIVE
+_SHARED = CoherenceState.SHARED
+
+
+class BaselineFastPath:
+    """The batched driver's fast-path probe for a :class:`BaselineHierarchy`.
+
+    An access is fast-path eligible iff the core's L1 TLB hits the vpage
+    (keyed by the hierarchy's page bits), the kind-side L1 holds the
+    line, and the MESI state is valid (writable for stores).
+    :meth:`hit` classifies with pure reads; an eligible access replays
+    :meth:`BaselineHierarchy.access`'s L1-hit prefix exactly: TLB and L1
+    policy touches, the load's value check, and — for stores —
+    :meth:`NodeCaches.write_hit`, so the L1-I shootdown and L2 version
+    sync can never drift from the scalar path; its latency is ``l1``.
+    The matching TLB ``accesses``/``l1_hits`` and ``l1.{i,d}.accesses``
+    / ``l1.{i,d}.hits`` stats and the tlb1 + l1 energy charges are
+    counted per core and kind and folded in by :meth:`flush`.  Anything
+    else returns False with nothing touched; the driver then hands the
+    access to :meth:`BaselineHierarchy.access`, whose own TLB and L1
+    lookups replay the touches.
+    """
+
+    def __init__(self, hierarchy: "BaselineHierarchy",
+                 tlb_orders: List[List[List[int]]],
+                 l1i_orders: List[List[List[int]]],
+                 l1d_orders: List[List[List[int]]],
+                 check_load: Optional[Callable[[int, int], None]]) -> None:
+        nodes = hierarchy.nodes
+        self.key_bits = hierarchy._page_bits
+        self.latency = hierarchy._lat.l1
+        self._tlb_maps = [t.fastpath_view()[0] for t in hierarchy.tlbs]
+        self._tlb_orders = tlb_orders
+        self._tlb_stats = [t.stats for t in hierarchy.tlbs]
+        self._l1i_maps = [n.l1i.store.fastpath_view()[0] for n in nodes]
+        self._l1d_maps = [n.l1d.store.fastpath_view()[0] for n in nodes]
+        self._l1i_orders = l1i_orders
+        self._l1d_orders = l1d_orders
+        self._states = [n.state for n in nodes]
+        self._write_hits = [n.write_hit for n in nodes]
+        self._check_load = check_load
+        self._stats = hierarchy.stats
+        self._energy = hierarchy.energy
+        #: deferred fast hits per core and kind code (ifetch, load, store)
+        self._counts = [[0, 0, 0] for _ in nodes]
+
+    def hit(self, core: int, kcode: int, vpage: int, line: int,
+            version: int) -> bool:
+        # -- classification: pure reads, no mutation before eligibility.
+        lloc = (self._l1d_maps if kcode else self._l1i_maps)[core].get(line)
+        if lloc is None:
+            return False
+        state = self._states[core].get(line)
+        if not (state is _MODIFIED or state is _EXCLUSIVE
+                or (state is _SHARED and kcode != 2)):
+            return False
+        tloc = self._tlb_maps[core].get(vpage)
+        if tloc is None:
+            return False
+        # -- commit: the scalar L1-hit prefix.
+        order = self._tlb_orders[core][tloc[0]]
+        w = tloc[1]
+        if order[-1] != w:
+            order.remove(w)
+            order.append(w)
+        order = (self._l1d_orders if kcode else self._l1i_orders)[core][lloc[0]]
+        w = lloc[1]
+        if order[-1] != w:
+            order.remove(w)
+            order.append(w)
+        if kcode == 2:
+            self._write_hits[core](line, version)
+        elif self._check_load is not None:
+            self._check_load(line, lloc[2].payload.version)
+        self._counts[core][kcode] += 1
+        return True
+
+    def flush(self) -> None:
+        counts = self._counts
+        n_i = sum(c[0] for c in counts)
+        n_d = sum(c[1] + c[2] for c in counts)
+        if not (n_i or n_d):
+            return
+        stats = self._stats
+        if n_i:
+            stats.add("l1.i.accesses", float(n_i))
+            stats.add("l1.i.hits", float(n_i))
+        if n_d:
+            stats.add("l1.d.accesses", float(n_d))
+            stats.add("l1.d.hits", float(n_d))
+        self._energy.charge_read("tlb1", float(n_i + n_d))
+        self._energy.charge_read("l1", float(n_i + n_d))
+        for group, per_kind in zip(self._tlb_stats, counts):
+            n = sum(per_kind)
+            if n:
+                group.add("accesses", float(n))
+                group.add("l1_hits", float(n))
+        self.discard()
+
+    def discard(self) -> None:
+        self._counts = [[0, 0, 0] for _ in self._counts]
 
 
 class BaselineHierarchy:
@@ -118,28 +224,24 @@ class BaselineHierarchy:
 
     # ------------------------------------------------------------------ access
 
-    def fastpath_handles(self):
-        """Classification contract for the batched driver (sim.batch).
+    def fastpath_probe(self, check_load: Optional[Callable[[int, int], None]] = None
+                       ) -> Optional["BaselineFastPath"]:
+        """This machine's probe for the batched driver (``sim.batch``).
 
-        An access is fast-path eligible iff the core's L1 TLB hits the
-        vpage, the kind-side L1 holds the line, and the MESI state is
-        valid (writable for stores).  The eligible effect set replays
-        :meth:`access`'s L1-hit prefix exactly: TLB stats + policy
-        touch, tlb1 + l1 read energy, ``l1.{i,d}.accesses`` /
-        ``l1.{i,d}.hits`` stats, L1 policy touch, and — for stores —
-        :meth:`NodeCaches.write_hit`; latency is ``l1``.  Everything
-        else is delegated, untouched, to :meth:`access` (whose own L1
-        probe replays the touch identically).
+        ``check_load(line, version)`` is the driver's value check for a
+        fast load, None when values are not checked.  Returns None when
+        no fast path is allowed: an L1-TLB or L1 store with a non-LRU
+        policy.
         """
-        return {
-            "kind": "baseline",
-            "tlbs": [t.fastpath_view() for t in self.tlbs],
-            "tlb_stats": [t.stats for t in self.tlbs],
-            "nodes": [n.fastpath_views() for n in self.nodes],
-            "write_hits": [n.write_hit for n in self.nodes],
-            "lat_fast": self._lat.l1,
-            "line_bits": self._line_bits,
-        }
+        tlb_orders = lru_orders(t.fastpath_view()[1] for t in self.tlbs)
+        l1i_orders = lru_orders(n.l1i.store.fastpath_view()[1]
+                                for n in self.nodes)
+        l1d_orders = lru_orders(n.l1d.store.fastpath_view()[1]
+                                for n in self.nodes)
+        if tlb_orders is None or l1i_orders is None or l1d_orders is None:
+            return None
+        return BaselineFastPath(self, tlb_orders, l1i_orders, l1d_orders,
+                                check_load)
 
     def access(self, acc: Access, paddr: int, store_version: int = 0) -> AccessResult:
         """Run one memory reference through the hierarchy.

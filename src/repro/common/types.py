@@ -32,6 +32,30 @@ class EventTracer(Protocol):
     def end_access(self) -> None: ...
 
 
+class FastPathProbe(Protocol):
+    """A machine's fast-path probe for the batched driver (repro.sim.batch).
+
+    Built by the machine's ``fastpath_probe()`` next to the ``access``
+    it replays.  The driver passes each access's ``vaddr >> key_bits``
+    as ``vkey``; :meth:`hit` classifies with pure reads and, only when
+    the access is eligible, commits the machine's exact hit-path
+    effects and returns True (latency :attr:`latency`).  Per-access
+    stat and energy counts are deferred inside the probe:
+    :meth:`flush` folds them in at each chunk end and :meth:`discard`
+    drops them at the warm-up/ROI reset.
+    """
+
+    key_bits: int
+    latency: int
+
+    def hit(self, core: int, kcode: int, vkey: int, line: int,
+            version: int) -> bool: ...
+
+    def flush(self) -> None: ...
+
+    def discard(self) -> None: ...
+
+
 class AccessKind(enum.Enum):
     """The three kinds of memory references the simulator models."""
 

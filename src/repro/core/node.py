@@ -76,21 +76,6 @@ class D2MNode:
     def l1(self, instr: bool) -> DataArray:
         return self.l1i if instr else self.l1d
 
-    def fastpath_views(self):
-        """Per-node handle bundle for the batched driver's fast path.
-
-        Returns ``(md1i_view, md1d_view, l1i_view, l1d_view)`` — the
-        :meth:`~repro.mem.sram.SetAssocStore.fastpath_view` of both MD1
-        stores and the
-        :meth:`~repro.core.datastore.DataArray.fastpath_view` of both L1
-        arrays.  The driver's MD1 probe replays :meth:`lookup`'s
-        primary-store hit exactly (access-side store keyed by vregion,
-        policy touch on hit); a cross-side or missing entry is never
-        fast-pathed.
-        """
-        return (self.md1i.fastpath_view(), self.md1d.fastpath_view(),
-                self.l1i.fastpath_view(), self.l1d.fastpath_view())
-
     def arrays(self) -> List[DataArray]:
         out = [self.l1i, self.l1d]
         if self.l2 is not None:

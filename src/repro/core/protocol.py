@@ -39,7 +39,7 @@ choice below is exercised by tests and recorded in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.params import LLCPlacement, SystemConfig, SystemKind
@@ -51,7 +51,7 @@ from repro.common.types import (
     EventTracer,
     HitLevel,
 )
-from repro.core.datastore import DataArray, DataLine, LineRole
+from repro.core.datastore import _SCRAMBLE_SPREAD, DataArray, DataLine, LineRole
 from repro.core.li import LI, LIKind
 from repro.core.llc import (
     BaseLLC,
@@ -66,6 +66,7 @@ from repro.core.regions import ActiveSite, MD2Entry, MD3Entry, RegionClass
 from repro.energy.model import EnergyAccountant, sram_structure
 from repro.mem.address import AddressMap
 from repro.mem.mainmem import MainMemory
+from repro.mem.replacement import lru_orders
 from repro.mem.sram import SetAssocStore
 from repro.noc.messages import MessageKind
 from repro.noc.network import Network
@@ -82,6 +83,123 @@ _KEY_NS_REMOTE = {True: "ns.i.remote_hits", False: "ns.d.remote_hits"}
 def holder_of(protocol: "D2MProtocol", node_id: int, pregion: int):
     """The node's active metadata holder (bypass bookkeeping helper)."""
     return protocol.nodes[node_id].active_holder(pregion)
+
+
+#: enum members the fast-path probe compares against, hoisted
+_LI_L1 = LIKind.L1
+_MASTER = LineRole.MASTER
+
+
+class D2MFastPath:
+    """The batched driver's fast-path probe for a :class:`D2MProtocol`.
+
+    An access is fast-path eligible iff the access-side MD1 primary
+    store hits the vregion, the region's ``LI[idx]`` points at an L1
+    way whose slot holds the line, and — for stores — the region is
+    private and the slot is the master copy.  :meth:`hit` classifies
+    with pure reads; an eligible access commits exactly what
+    :meth:`D2MProtocol.access` performs on an MD1-hit L1 hit: MD1
+    policy touch, L1 LRU touch, the store's version and dirty bit (or
+    the load's value check), a bypass rehit bump and the near-side
+    pressure tick; its latency is ``md1 + l1``.  The matching
+    ``l1.{i,d}.accesses`` / ``l1.{i,d}.hits`` / ``md.md1_hits`` stats
+    and the md1 + l1_data energy charges are counted per kind and
+    folded in by :meth:`flush`.  Anything else returns False with
+    nothing touched; the driver then hands the access to
+    :meth:`D2MProtocol.access`, whose own lookups replay the touches.
+    """
+
+    def __init__(self, protocol: "D2MProtocol",
+                 mi_orders: List[List[List[int]]],
+                 md_orders: List[List[List[int]]],
+                 check_load: Optional[Callable[[int, int], None]]) -> None:
+        nodes = protocol.nodes
+        self.key_bits = protocol._region_bits
+        self.latency = protocol._lat.md1 + protocol._lat.l1
+        self._mi_maps = [n.md1i.fastpath_view()[0] for n in nodes]
+        self._md_maps = [n.md1d.fastpath_view()[0] for n in nodes]
+        self._mi_orders = mi_orders
+        self._md_orders = md_orders
+        self._l1i = [n.l1i.fastpath_view() for n in nodes]
+        self._l1d = [n.l1d.fastpath_view() for n in nodes]
+        self._idx_mask = protocol._idx_mask
+        self._check_load = check_load
+        self._bypass = protocol._bypass_enabled
+        self._ns = protocol._ns_llc
+        self._ns_window = (self._ns.pressure_window if self._ns is not None
+                           else 0)
+        self._tick_pressure = protocol._tick_pressure
+        self._stats = protocol.stats
+        self._energy = protocol.energy
+        #: deferred fast hits per kind code (ifetch, load, store)
+        self._counts = [0, 0, 0]
+
+    def hit(self, core: int, kcode: int, vregion: int, line: int,
+            version: int) -> bool:
+        # -- classification: pure reads, no mutation before eligibility.
+        loc = (self._md_maps if kcode else self._mi_maps)[core].get(vregion)
+        if loc is None:
+            return False
+        entry = loc[2].payload
+        li = entry.li[line & self._idx_mask]
+        if li.kind is not _LI_L1 or (kcode == 2 and not entry.private):
+            return False
+        way = li.way
+        slots, lru, set_mask = (self._l1i if li.instr else self._l1d)[core]
+        set_idx = (line ^ entry.scramble * _SCRAMBLE_SPREAD) & set_mask
+        slot = slots[set_idx][way]
+        if (slot is None or slot.line != line
+                or (kcode == 2 and slot.role is not _MASTER)):
+            return False
+        # -- commit: the scalar hit path's effects.
+        order = (self._md_orders if kcode else self._mi_orders)[core][loc[0]]
+        w = loc[1]
+        if order[-1] != w:
+            order.remove(w)
+            order.append(w)
+        order = lru[set_idx]
+        if order[-1] != way:
+            order.remove(way)
+            order.append(way)
+        if kcode == 2:
+            slot.version = version
+            slot.dirty = True
+        elif self._check_load is not None:
+            self._check_load(line, slot.version)
+        self._counts[kcode] += 1
+        if self._bypass:
+            entry.rehits += 1
+        ns = self._ns
+        if ns is not None:
+            count = ns._accesses_since_share + 1
+            if count < self._ns_window:
+                ns._accesses_since_share = count
+            else:
+                self._tick_pressure()
+        return True
+
+    def flush(self) -> None:
+        n_i, n_ld, n_st = self._counts
+        if not (n_i or n_ld or n_st):
+            return
+        stats = self._stats
+        if n_i:
+            stats.add("l1.i.accesses", float(n_i))
+            stats.add("l1.i.hits", float(n_i))
+        if n_ld or n_st:
+            stats.add("l1.d.accesses", float(n_ld + n_st))
+            stats.add("l1.d.hits", float(n_ld + n_st))
+        n = n_i + n_ld + n_st
+        stats.add("md.md1_hits", float(n))
+        self._energy.charge_read("md1", float(n))
+        if n_i or n_ld:
+            self._energy.charge_read("l1_data", float(n_i + n_ld))
+        if n_st:
+            self._energy.charge_write("l1_data", float(n_st))
+        self.discard()
+
+    def discard(self) -> None:
+        self._counts = [0, 0, 0]
 
 
 class D2MProtocol:
@@ -174,33 +292,19 @@ class D2MProtocol:
 
     # ------------------------------------------------------------------ access
 
-    def fastpath_handles(self):
-        """Classification contract for the batched driver (sim.batch).
+    def fastpath_probe(self, check_load: Optional[Callable[[int, int], None]] = None
+                       ) -> Optional["D2MFastPath"]:
+        """This machine's probe for the batched driver (``sim.batch``).
 
-        The returned dict hands the driver everything its inlined D2M
-        fast path needs.  The contract (see DESIGN.md): an access is
-        fast-path eligible iff the access-side MD1 primary store hits
-        the vregion, the region's ``LI[idx]`` points at an L1 way whose
-        slot holds the line, and — for stores — the region is private
-        and the slot is the master copy.  An eligible access's effect
-        set is exactly what :meth:`access` performs on an MD1-hit L1
-        hit: MD1 policy touch, L1 LRU touch, ``l1.{i,d}.accesses`` /
-        ``md.md1_hits`` / ``l1.{i,d}.hits`` stats, one md1 read + one
-        l1_data read (or write) energy charge, a bypass rehit bump, the
-        near-side pressure tick, and latency ``md1 + l1``.  Anything
-        else must be delegated, untouched, to :meth:`access`.
+        ``check_load(line, version)`` is the driver's value check for a
+        fast load, None when values are not checked.  Returns None when
+        no fast path is allowed: an MD1 store with a non-LRU policy.
         """
-        return {
-            "kind": "d2m",
-            "nodes": [n.fastpath_views() for n in self.nodes],
-            "lat_fast": self._lat.md1 + self._lat.l1,
-            "idx_mask": self._idx_mask,
-            "region_bits": self._region_bits,
-            "line_bits": self._line_bits,
-            "bypass": self._bypass_enabled,
-            "ns_llc": self._ns_llc,
-            "tick_pressure": self._tick_pressure,
-        }
+        mi_orders = lru_orders(n.md1i.fastpath_view()[1] for n in self.nodes)
+        md_orders = lru_orders(n.md1d.fastpath_view()[1] for n in self.nodes)
+        if mi_orders is None or md_orders is None:
+            return None
+        return D2MFastPath(self, mi_orders, md_orders, check_load)
 
     def access(self, acc: Access, paddr: int, store_version: int = 0) -> AccessResult:
         """Run one memory reference through the D2M machine."""

@@ -8,7 +8,7 @@ drive them hard in the property tests.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 
 class ReplacementPolicy:
@@ -65,6 +65,24 @@ class LRUPolicy(ReplacementPolicy):
     def lru_order(self) -> List[int]:
         """Ways ordered least- to most-recently used (for tests)."""
         return list(self._order)
+
+
+def lru_orders(stores: Iterable[Sequence[ReplacementPolicy]]
+               ) -> Optional[List[List[List[int]]]]:
+    """Per-store, per-set ``_order`` lists when every policy is plain LRU.
+
+    Returns None if any store has another policy.  The batched driver's
+    fast-path probes inline the LRU touch (MRU early-out +
+    remove/append); a store with any other policy is simply not
+    fast-pathed, keeping the inlined touch exactly equivalent to
+    :meth:`LRUPolicy.touch`.
+    """
+    orders: List[List[List[int]]] = []
+    for policies in stores:
+        if not all(type(p) is LRUPolicy for p in policies):
+            return None
+        orders.append([p._order for p in policies])  # type: ignore[attr-defined]
+    return orders
 
 
 class PseudoLRUPolicy(ReplacementPolicy):

@@ -285,7 +285,9 @@ D2M_SPEC = ProtocolSpec(
             tid="d2m.md.md1_hit", state="MD1 has region", event="l1 miss",
             guard="primary MD1 entry valid",
             actions=("LI lookup from MD1",), next_state="unchanged",
-            evidence=(_ev(_P, f"{_DP}._metadata", "stat:md.md1_hits"),),
+            evidence=(_ev(_P, f"{_DP}._metadata", "stat:md.md1_hits"),
+                      # the batched driver's fast path, counted per chunk
+                      _ev(_P, "D2MFastPath.flush", "stat:md.md1_hits")),
             coverage=("stat:md.md1_hits",), model=False,
         ),
         Transition(

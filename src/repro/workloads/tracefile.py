@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Iterator, List, Tuple, Union
 
 from repro.common.errors import TraceError
-from repro.common.types import Access, AccessKind, KIND_CODE
+from repro.common.types import Access, AccessKind
 from repro.mem.address import AddressMap, AddressSpace, PageAllocator
 
 _KIND_CODES = {
@@ -119,31 +119,6 @@ class TraceFileWorkload:
             elif issued == 0:
                 continue  # data before the first instruction window
             yield access
-
-    def generate_batch(self, n_instructions: int, seed: int = 0,
-                       chunk: int = 4096
-                       ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
-        """:meth:`generate`'s stream as chunked flat parallel arrays.
-
-        Same contract as :meth:`SyntheticWorkload.generate_batch`:
-        ``(cores, kinds, vaddrs)`` int-list tuples with ``kinds`` using
-        the compact codes from :mod:`repro.common.types`.
-        """
-        kind_code = KIND_CODE
-        cores: List[int] = []
-        kinds: List[int] = []
-        vaddrs: List[int] = []
-        for access in self.generate(n_instructions, seed):
-            cores.append(access.core)
-            kinds.append(kind_code[access.kind])
-            vaddrs.append(access.vaddr)
-            if len(cores) >= chunk:
-                yield cores, kinds, vaddrs
-                cores = []
-                kinds = []
-                vaddrs = []
-        if cores:
-            yield cores, kinds, vaddrs
 
 
 def record_trace(workload, n_instructions: int, path: Union[str, Path],

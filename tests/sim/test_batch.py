@@ -12,6 +12,8 @@ import pytest
 from repro.common.params import all_configs, base_2l, d2m_fs, d2m_ns_r
 from repro.core.hierarchy import build_hierarchy
 from repro.obs.telemetry import Telemetry
+from repro.sim import batch
+from repro.sim.batch import run_batched
 from repro.sim.bench import BENCH_CONFIGS, BENCH_WORKLOADS, result_snapshot
 from repro.sim.perf import PerfModel
 from repro.sim.simulator import Simulator
@@ -24,7 +26,7 @@ def _config(name):
 
 def _simulate(config, workload_name, batched, *, instructions=900,
               warmup=300, telemetry=False, sanitize=False, tracer=None,
-              check_values=True, nodes=None, seed=3):
+              check_values=True, nodes=None, seed=3, chunk=None):
     hierarchy = build_hierarchy(config)
     if sanitize:
         from repro.analysis.sanitizer import attach_sanitizer
@@ -37,8 +39,12 @@ def _simulate(config, workload_name, batched, *, instructions=900,
                           telemetry=tele)
     workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                              seed=seed)
-    result = simulator.run(workload, instructions, seed=seed, warmup=warmup,
-                           batched=batched)
+    if chunk is not None:
+        result = run_batched(simulator, workload, instructions, seed=seed,
+                             warmup=warmup, chunk=chunk)
+    else:
+        result = simulator.run(workload, instructions, seed=seed,
+                               warmup=warmup, batched=batched)
     perf = PerfModel(config.ooo).summarize(result)
     snap = result_snapshot(result, perf.cycles)
     if tele is not None:
@@ -53,6 +59,22 @@ class TestPinnedMatrixEquivalence:
         config = _config(config_name)
         scalar = _simulate(config, workload_name, False)
         batched = _simulate(config, workload_name, True)
+        assert scalar == batched
+
+    @pytest.mark.parametrize("config_name", BENCH_CONFIGS)
+    @pytest.mark.parametrize("variant", ["chunk97", "no-numpy"])
+    def test_bit_identical_across_chunking(self, config_name, variant,
+                                           monkeypatch):
+        # chunk=97 forces many chunk flushes and puts the ROI boundary
+        # (after 300 warm-up instructions) inside a later chunk; both
+        # variants take the list-comprehension path instead of numpy
+        config = _config(config_name)
+        scalar = _simulate(config, "mix1", False)
+        if variant == "no-numpy":
+            monkeypatch.setattr(batch, "_np", None)
+            batched = _simulate(config, "mix1", True)
+        else:
+            batched = _simulate(config, "mix1", True, chunk=97)
         assert scalar == batched
 
     def test_bit_identical_with_telemetry(self):
@@ -175,26 +197,72 @@ class TestFallbacks:
                       _chunks_from_scalar(workload, total, seed, 128)]
         assert via_batch == via_scalar
 
-    def test_hierarchy_without_handles_falls_back_to_scalar(self):
-        # a machine with no fastpath_handles contract must still run
-        # (through the scalar loop) when batched=True is requested
-        config = base_2l(2)
-        hierarchy = build_hierarchy(config)
-
-        class NoHandles:
-            """Hides fastpath_handles, delegates everything else."""
+    @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-NS-R"])
+    def test_machine_without_probe_runs_all_slow(self, config_name):
+        # a machine with no fastpath_probe runs the same batched loop
+        # with every access through its access(), bit-identical to the
+        # reference loop
+        class NoProbe:
+            """Hides fastpath_probe, counts access(), delegates the rest."""
 
             def __init__(self, inner):
                 self._inner = inner
+                self.calls = 0
 
             def __getattr__(self, name):
-                if name == "fastpath_handles":
+                if name == "fastpath_probe":
                     raise AttributeError(name)
                 return getattr(self._inner, name)
 
-        wrapped = NoHandles(hierarchy)
-        simulator = Simulator(wrapped)
-        workload = make_workload("tpcc", config.nodes, hierarchy.amap,
-                                 seed=3)
-        result = simulator.run(workload, 400, seed=3, batched=True)
-        assert result.instructions == 400
+            def access(self, *args):
+                self.calls += 1
+                return self._inner.access(*args)
+
+        config = _config(config_name)
+        snaps, calls = [], []
+        for batched in (False, True):
+            hierarchy = build_hierarchy(config)
+            if hasattr(hierarchy, "protocol"):
+                machine = hierarchy.protocol = NoProbe(hierarchy.protocol)
+            else:
+                machine = hierarchy = NoProbe(hierarchy)
+            simulator = Simulator(hierarchy)
+            workload = make_workload("tpcc", config.nodes, hierarchy.amap,
+                                     seed=3)
+            result = simulator.run(workload, 400, seed=3, warmup=100,
+                                   batched=batched)
+            perf = PerfModel(config.ooo).summarize(result)
+            snaps.append(result_snapshot(result, perf.cycles))
+            calls.append(machine.calls)
+        assert snaps[0] == snaps[1]
+        assert calls[0] == calls[1] > snaps[0]["accesses"]
+
+    @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-FS"])
+    def test_non_lru_store_means_no_probe(self, config_name):
+        # the probes inline the LRU touch, so one store with another
+        # policy withdraws the probe; the run then goes all-slow and
+        # stays bit-identical to the reference loop
+        from repro.mem.replacement import PseudoLRUPolicy
+
+        def pseudo_lru(hierarchy):
+            machine = getattr(hierarchy, "protocol", hierarchy)
+            assert machine.fastpath_probe() is not None
+            store = (machine.tlbs[0] if config_name == "Base-2L"
+                     else machine.nodes[1].md1d)
+            policies = store.fastpath_view()[1]
+            policies[:] = [PseudoLRUPolicy(p.ways) for p in policies]
+            assert machine.fastpath_probe() is None
+            return hierarchy
+
+        config = _config(config_name)
+        snaps = []
+        for batched in (False, True):
+            hierarchy = pseudo_lru(build_hierarchy(config))
+            simulator = Simulator(hierarchy)
+            workload = make_workload("mix1", config.nodes, hierarchy.amap,
+                                     seed=3)
+            result = simulator.run(workload, 600, seed=3, warmup=200,
+                                   batched=batched)
+            perf = PerfModel(config.ooo).summarize(result)
+            snaps.append(result_snapshot(result, perf.cycles))
+        assert snaps[0] == snaps[1]

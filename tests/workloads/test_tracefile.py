@@ -54,16 +54,18 @@ class TestRecordReplay:
         # per-core totals, cycles, and telemetry histogram digests.
         # 'water' uses a shared address space (threads of one process),
         # 'mix1' per-process spaces — both conventions must survive the
-        # round trip.
+        # round trip, through the reference loop and through the batched
+        # driver (which chunks the trace with its generic chunker).
         from repro.obs.telemetry import Telemetry
         from repro.sim.bench import result_snapshot
         from repro.sim.perf import PerfModel
 
-        def simulate(workload, config):
+        def simulate(workload, config, batched):
             hierarchy = build_hierarchy(config)
             tele = Telemetry(sample_every=32).attach(hierarchy)
             simulator = Simulator(hierarchy, telemetry=tele)
-            result = simulator.run(workload, 400, seed=3, warmup=120)
+            result = simulator.run(workload, 400, seed=3, warmup=120,
+                                   batched=batched)
             perf = PerfModel(config.ooo).summarize(result)
             snap = result_snapshot(result, perf.cycles)
             snap["hists"] = tele.hists.summaries()
@@ -76,13 +78,15 @@ class TestRecordReplay:
         # the run consumes warmup + instructions = 520 windows
         record_trace(source, 520, path, seed=3)
         for factory in (base_2l, d2m_fs):
-            original = simulate(make_workload(wl_name, 2, amap, seed=3),
-                                factory(2))
-            replayed = simulate(
-                TraceFileWorkload(path, nodes=2, amap=amap,
-                                  shared_space=shared),
-                factory(2))
-            assert original == replayed, (wl_name, factory.__name__)
+            for batched in (False, True):
+                original = simulate(make_workload(wl_name, 2, amap, seed=3),
+                                    factory(2), batched)
+                replayed = simulate(
+                    TraceFileWorkload(path, nodes=2, amap=amap,
+                                      shared_space=shared),
+                    factory(2), batched)
+                assert original == replayed, (wl_name, factory.__name__,
+                                              batched)
 
     def test_comments_and_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.trace"

@@ -6,9 +6,8 @@ Every counter name passed as a string literal to a ``StatGroup`` method
 ``repro.common.stats.STAT_KEYS``.  A typo'd key would otherwise create a
 dead counter silently — reads return 0.0 and writes land in a counter
 nobody reports.  Bound-method aliases are tracked too: after
-``stats_add = stats.add`` (the batched fast path hoists the lookup out
-of its hot loop), calls through the alias are linted like the method
-itself.
+``stats_add = stats.add`` (a hot loop may hoist the lookup), calls
+through the alias are linted like the method itself.
 
 Accepted key expressions:
 
