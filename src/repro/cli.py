@@ -113,10 +113,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     outcome = run_workload(config, args.workload,
                            instructions=args.instructions, seed=args.seed,
                            check_values=args.check,
-                           sanitize=args.sanitize or None,
-                           sanitize_every=args.sanitize_every or None,
+                           sanitize=args.sanitize,
+                           sanitize_every=args.sanitize_every,
                            check_invariants=args.check_invariants,
-                           telemetry=True if args.hist else None,
+                           telemetry=args.hist,
                            profile=args.profile_attrib,
                            timeline=_timeline_epoch(args))
     result = outcome.result
@@ -926,8 +926,7 @@ def _add_timeline_flags(parser: argparse.ArgumentParser) -> None:
 def _add_checking_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sanitize", action="store_true",
                         help="attach the coherence sanitizer (incremental "
-                             "invariant checks after every access; "
-                             "REPRO_SANITIZE=1 is the env equivalent)")
+                             "invariant checks after every access)")
     parser.add_argument("--sanitize-every", type=int, default=0,
                         metavar="K",
                         help="with --sanitize, also run a whole-machine "

@@ -8,8 +8,7 @@ near its ceiling at 1x.
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List
+from typing import Dict
 
 from repro.common.params import base_2l, d2m_ns_r
 from repro.experiments.records import record_from_outcome
@@ -18,19 +17,12 @@ from repro.sim.runner import run_workload
 from repro.workloads.registry import get_spec
 
 #: representative slice of the sweep (one per suite) to keep the
-#: ablation affordable; REPRO_ABLATION_WORKLOADS overrides.
+#: ablation affordable
 DEFAULT_WORKLOADS = ("bodytrack", "lu", "amazon", "mix2", "tpcc")
 
 
-def ablation_workloads() -> List[str]:
-    selection = os.environ.get("REPRO_ABLATION_WORKLOADS", "")
-    if selection:
-        return [w.strip() for w in selection.split(",") if w.strip()]
-    return list(DEFAULT_WORKLOADS)
-
-
 def run(instructions: int = 0, seed: int = 1) -> Dict[int, Dict[str, float]]:
-    workloads = ablation_workloads()
+    workloads = DEFAULT_WORKLOADS
     baseline_cycles = {}
     for workload in workloads:
         outcome = run_workload(base_2l(), workload, instructions, seed)

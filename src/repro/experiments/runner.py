@@ -2,9 +2,9 @@
 
 Every figure and table consumes the same (workload x system) matrix.
 Each finished run is persisted as its own record file under
-``.repro_cache/runs/<key>.json`` — keyed by workload, config name,
-instruction budget, seed, warm-up budget, and the record format version
-— and the matrix is assembled from those files on load.  A partial or
+``.repro_cache/runs/<key>.json`` — keyed by workload, config name, node
+count, instruction budget, seed, warm-up budget, and the record format
+version — and the matrix is assembled from those files on load.  A partial or
 interrupted sweep therefore reuses every completed run, and adding one
 workload re-simulates only the new runs.  Writes are atomic
 (``tempfile`` + ``os.replace``) and an unreadable or truncated entry is
@@ -93,8 +93,11 @@ def runs_dir() -> Path:
 
 
 def run_cache_key(workload: str, config_name: str, instructions: int,
-                  seed: int, warmup: int) -> str:
+                  seed: int, warmup: int, nodes: int = 8) -> str:
     """Key of one run record: every input that determines its numbers.
+
+    ``nodes`` is hashed alongside the config name: the serving layer
+    builds same-named configs at other node counts.
 
     The key doubles as the record's content address on disk and as the
     serving layer's ETag / coalescing identity.
@@ -105,6 +108,7 @@ def run_cache_key(workload: str, config_name: str, instructions: int,
         "instructions": instructions,
         "seed": seed,
         "warmup": warmup,
+        "nodes": nodes,
         "format": RUN_FORMAT,
     }, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:24]
@@ -254,7 +258,8 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     for workload in workload_list:
         get_spec(workload)  # unknown workloads fail before any simulation
         for config in config_list:
-            key = run_cache_key(workload, config.name, budget, seed, warmup)
+            key = run_cache_key(workload, config.name, budget, seed, warmup,
+                                nodes=config.nodes)
             path = runs_dir() / (key + ".json")
             record = None if fresh else _load_record(path)
             if record is not None and ((sanitize and not record.sanitized) or
@@ -287,11 +292,10 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
     """Simulate a plan's pending runs, persisting each as it lands.
 
     Fills ``plan.matrix`` in place and returns the failures (empty on a
-    clean sweep).  ``heartbeat_dir`` is threaded explicitly through
-    :func:`~repro.sim.parallel.execute_runs` into the workers — never
-    via process-global environment mutation — so concurrent
-    ``execute_plan`` calls in one process keep separate heartbeat
-    directories.  When ``None``, a throwaway directory under the cache
+    clean sweep).  ``heartbeat_dir`` is stamped onto every pending spec
+    (``RunSpec.progress_dir``), so each run beats into its own plan's
+    directory and concurrent ``execute_plan`` calls in one process
+    never cross.  When ``None``, a throwaway directory under the cache
     is created and cleaned up.  ``on_record`` fires in the calling
     process after each record is written (the daemon resolves coalesced
     waiters from it).  ``trace`` is the serving layer's correlation id;
@@ -305,8 +309,13 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
                 cached=plan.cached, workloads=len(plan.workloads),
                 configs=len(plan.configs), **log_extra)
     pending = list(plan.pending)
-    if trace:
-        for item in pending:
+    owns_heartbeat_dir = heartbeat_dir is None
+    if heartbeat_dir is None:
+        heartbeat_dir = tempfile.mkdtemp(prefix="progress-",
+                                         dir=str(cache_dir()))
+    for item in pending:
+        item.spec.progress_dir = heartbeat_dir
+        if trace:
             item.spec.trace = trace
     specs = [item.spec for item in pending]
 
@@ -318,10 +327,6 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
         if on_record is not None:
             on_record(item, record)
 
-    owns_heartbeat_dir = heartbeat_dir is None
-    if owns_heartbeat_dir:
-        heartbeat_dir = tempfile.mkdtemp(prefix="progress-",
-                                         dir=str(cache_dir()))
     sweep_progress = SweepProgress(
         total=len(pending),
         stream=io.StringIO() if quiet else None,
@@ -338,10 +343,9 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
     try:
         with sweep_progress:
             _, failures = execute_runs(specs, _simulate_record, jobs=jobs,
-                                       progress=report, on_result=persist,
-                                       heartbeat_dir=heartbeat_dir)
+                                       progress=report, on_result=persist)
     finally:
-        if owns_heartbeat_dir and heartbeat_dir:
+        if owns_heartbeat_dir:
             shutil.rmtree(heartbeat_dir, ignore_errors=True)
     runlog.emit("sweep.end", pending=len(pending), failures=len(failures),
                 **log_extra)

@@ -253,8 +253,8 @@ def merge_summaries(summaries: Iterable[Mapping[str, Mapping[str, float]]]
 def validate_digest(digest: object) -> List[str]:
     """Schema-check one percentile digest; returns problem strings.
 
-    The contract (enforced by ``tools/lint_repro.py --digest-schema`` on
-    cached run records): an empty digest is exactly ``{"count": 0.0}``;
+    The contract (enforced by ``tools/lint_repro.py --schema`` on cached
+    run records): an empty digest is exactly ``{"count": 0.0}``;
     a non-empty digest carries every :data:`DIGEST_KEYS` member as a
     non-negative number with ``p50 <= p90 <= p99 <= max`` and
     ``mean <= max``, and nothing else.

@@ -1,13 +1,14 @@
 """Live sweep progress: worker heartbeats + an in-place progress line.
 
 Sweep workers run in other processes, so mid-run progress needs a
-channel.  The parent creates a heartbeat directory and exports it as
-``REPRO_PROGRESS_DIR``; each worker's :class:`Heartbeat` (driven by the
-run's :class:`~repro.obs.telemetry.Telemetry` tick) periodically rewrites
-one small JSON file — ``hb-<pid>.json`` — with the run it is on, accesses
-completed, and its simulation rate.  Heartbeat writes are rate-limited
-(wall clock) and atomic-enough (single small ``write``) that the parent
-tolerates torn reads by treating unparsable files as absent.
+channel.  The parent creates a heartbeat directory and names it on each
+run's spec (``RunSpec.progress_dir``); each worker's :class:`Heartbeat`
+(driven by the run's :class:`~repro.obs.telemetry.Telemetry` tick)
+periodically rewrites one small JSON file — ``hb-<pid>.json`` — with
+the run it is on, accesses completed, and its simulation rate.
+Heartbeat writes are rate-limited (wall clock) and atomic-enough
+(single small ``write``) that the parent tolerates torn reads by
+treating unparsable files as absent.
 
 The parent's :class:`SweepProgress` folds per-run completions and the
 live heartbeats into
@@ -20,61 +21,19 @@ live heartbeats into
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional
-
-#: env var naming the heartbeat directory workers write into
-PROGRESS_DIR_ENV = "REPRO_PROGRESS_DIR"
-
-#: env var capping ``progress.jsonl`` before rotation (bytes)
-PROGRESS_MAX_BYTES_ENV = "REPRO_PROGRESS_MAX_BYTES"
+from typing import IO, Dict, List, Optional
 
 #: default ``progress.jsonl`` rotation threshold (bytes)
 PROGRESS_JSONL_MAX_BYTES = 4 * 1024 * 1024
 
 #: minimum seconds between two heartbeat writes of one worker
 HEARTBEAT_INTERVAL_S = 0.5
-
-# Thread-local heartbeat-dir override.  Concurrent sweeps in one process
-# (e.g. two daemon jobs draining at once) each thread their own
-# directory through here instead of racing on the process-global
-# environment variable; the env var stays the *outermost* default for
-# worker processes, which inherit it at fork/spawn.
-_LOCAL = threading.local()
-
-
-@contextlib.contextmanager
-def heartbeat_dir_override(directory: Optional[str]) -> Iterator[None]:
-    """Scope a heartbeat directory to the current thread.
-
-    Within the context, :func:`resolve_heartbeat_dir` (and therefore
-    :meth:`Heartbeat.from_env`) prefers ``directory`` over
-    ``REPRO_PROGRESS_DIR``.  ``None`` is a no-op context so callers can
-    wrap unconditionally.
-    """
-    if directory is None:
-        yield
-        return
-    previous = getattr(_LOCAL, "directory", None)
-    _LOCAL.directory = directory
-    try:
-        yield
-    finally:
-        _LOCAL.directory = previous
-
-
-def resolve_heartbeat_dir() -> str:
-    """The heartbeat directory for this thread: override, else env."""
-    override = getattr(_LOCAL, "directory", None)
-    if override:
-        return str(override)
-    return os.environ.get(PROGRESS_DIR_ENV, "")
 
 #: a heartbeat file untouched this long is stale even if its PID lives
 #: (a wedged worker holds its PID but stops beating)
@@ -114,14 +73,10 @@ class Heartbeat:
         self._min_interval = min_interval_s
 
     @staticmethod
-    def from_env(label: str, trace: str = "") -> Optional["Heartbeat"]:
-        """A heartbeat when a progress directory is configured, else None.
-
-        The thread-local override installed by
-        :func:`heartbeat_dir_override` wins over ``REPRO_PROGRESS_DIR``,
-        so concurrent in-process sweeps stay in their own directories.
-        """
-        directory = resolve_heartbeat_dir()
+    def in_directory(directory: str, label: str,
+                     trace: str = "") -> Optional["Heartbeat"]:
+        """This process's heartbeat in ``directory``; None when unset or
+        missing (the run then beats nowhere)."""
         if not directory or not os.path.isdir(directory):
             return None
         path = os.path.join(directory, f"hb-{os.getpid()}.json")
@@ -203,13 +158,12 @@ class SweepProgress:
                  heartbeat_dir: Optional[str] = None,
                  inplace: Optional[bool] = None,
                  refresh_s: float = 1.0,
-                 jsonl_max_bytes: Optional[int] = None) -> None:
+                 jsonl_max_bytes: int = PROGRESS_JSONL_MAX_BYTES) -> None:
         self.total = total
         self.done = 0
         self.stream = stream if stream is not None else sys.stderr
         self.jsonl_path = jsonl_path
-        self.jsonl_max_bytes = (jsonl_max_bytes if jsonl_max_bytes is not None
-                                else progress_jsonl_max_bytes())
+        self.jsonl_max_bytes = jsonl_max_bytes
         self.heartbeat_dir = heartbeat_dir
         if inplace is None:
             inplace = bool(getattr(self.stream, "isatty", lambda: False)())
@@ -361,17 +315,6 @@ class SweepProgress:
                 fh.write(json.dumps(record) + "\n")
         except OSError:
             pass
-
-
-def progress_jsonl_max_bytes() -> int:
-    """Rotation cap for ``progress.jsonl`` (env-overridable, 0 = off)."""
-    value = os.environ.get(PROGRESS_MAX_BYTES_ENV, "")
-    if value:
-        try:
-            return max(0, int(value))
-        except ValueError:
-            pass
-    return PROGRESS_JSONL_MAX_BYTES
 
 
 def rotate_jsonl(path: str, max_bytes: int) -> bool:

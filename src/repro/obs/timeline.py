@@ -37,7 +37,7 @@ The series summary rides inside run records (format v9)::
 A sampled-but-empty timeline is exactly ``{"epochs": 0}`` (matching the
 empty-digest ``{"count": 0.0}`` convention); an absent/empty dict means
 sampling was off.  :func:`validate_timeline` is the machine-checkable
-schema (``tools/lint_repro.py --timeline-schema``).
+schema (``tools/lint_repro.py --schema``).
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ class TimelineStreamWriter:
 def validate_timeline(timeline: object) -> List[str]:
     """Schema-check one timeline summary; returns problem strings.
 
-    The contract (enforced by ``tools/lint_repro.py --timeline-schema``
-    and folded into ``--digest-schema`` for run records): an absent or
+    The contract (enforced by ``tools/lint_repro.py --schema`` on bare
+    timelines and on run records' ``timeline`` field): an absent or
     empty dict means sampling was off and is valid; a sampled-but-empty
     timeline is exactly ``{"epochs": 0}``; a non-empty one carries
     ``epochs``/``epoch_accesses``/``roi_epoch`` plus a ``series`` table

@@ -8,7 +8,7 @@ stamped with the access index it occurred under (the trace's time axis).
 Two export formats:
 
 * **JSONL** — one event per line, schema-validated by
-  ``python -m tools.lint_repro --trace-schema`` (and by CI);
+  ``python -m tools.lint_repro --schema`` (and by CI);
 * **Chrome ``trace_event`` JSON** — loadable in Perfetto / chrome://
   tracing: one track per node plus MD3 / LLC / memory / NoC tracks,
   instant events for LI/ownership transitions, and flow arrows for

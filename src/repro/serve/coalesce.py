@@ -1,7 +1,7 @@
 """Request coalescing: one simulation per in-flight run cache key.
 
-Two jobs asking for the same ``(workload, config, instructions, seed,
-warmup)`` cell share one cache key (see
+Two jobs asking for the same ``(workload, config, nodes, instructions,
+seed, warmup)`` cell share one cache key (see
 :func:`repro.experiments.runner.run_cache_key`).  The first job to
 claim a key *owns* it and simulates; every later claimant gets the
 owner's future and just awaits.  The owner resolves (or fails) the

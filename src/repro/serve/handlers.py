@@ -133,7 +133,7 @@ def build_cells(request: Dict[str, object],
     warmup = int(request["warmup"])  # type: ignore[arg-type]
     return [JobCell(workload=workload, config=config.name,
                     key=run_cache_key(workload, config.name, instructions,
-                                      seed, warmup))
+                                      seed, warmup, nodes=config.nodes))
             for workload in request["workloads"]  # type: ignore[union-attr]
             for config in configs]
 

@@ -1,6 +1,7 @@
 """Response-payload schemas of the serving API (documented contract).
 
-Every JSON body the daemon emits belongs to one of five kinds:
+Every JSON body the daemon emits belongs to one of five kinds, and a
+sixth covers the bare epoch time-series documents the CLI writes:
 
 * ``health`` — ``GET /healthz``: ``ok``, ``version``, per-state job
   counts, queue depth, per-state drain-lane counts (idle / running /
@@ -11,17 +12,20 @@ Every JSON body the daemon emits belongs to one of five kinds:
   states) plus, on GET, a live ``progress`` block;
 * ``record`` — ``GET /records/<key>``: a cached
   :class:`~repro.experiments.records.RunRecord` exactly as stored in
-  ``.repro_cache/runs/<key>.json``;
+  ``.repro_cache/runs/<key>.json``, histogram digests, slow-tail
+  profile and timeline included;
 * ``timeline`` — ``GET /runs/<id>/timeline``: per-cell epoch
   time-series (finished cells out of their cached records, running
   cells as tailed live ``tl-*.jsonl`` epoch streams);
-* ``error`` — any non-2xx/304 response: ``{"error": "<message>"}``.
+* ``error`` — any non-2xx/304 response: ``{"error": "<message>"}``;
+* ``series`` — a bare timeline (``repro timeline --format json``), as
+  checked by :func:`repro.obs.timeline.validate_timeline`.
 
 :func:`validate_payload` is the machine-checkable form of the contract
 (hand-rolled, no jsonschema dependency); ``tools/lint_repro.py
---serve-schema`` runs it over captured responses in CI, and the daemon's
-tests run it over live ones.  ``docs/SERVING.md`` is the human-readable
-mirror — keep the two in sync.
+--schema`` runs it over captured responses and run caches in CI, and
+the daemon's tests run it over live ones.  ``docs/SERVING.md`` is the
+human-readable mirror — keep the two in sync.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from repro.experiments.records import SCALAR_METRICS
+from repro.obs.histogram import validate_digest
+from repro.obs.profile import validate_profile
 from repro.obs.timeline import validate_timeline
 
 #: job lifecycle states, in order
@@ -40,7 +46,7 @@ JOB_STATES = ("pending", "running", "done", "failed")
 CELL_STATES = ("pending", "cached", "simulated", "coalesced", "failed")
 
 #: payload kinds understood by :func:`validate_payload`
-KINDS = ("health", "job", "record", "timeline", "error")
+KINDS = ("health", "job", "record", "timeline", "error", "series")
 
 #: drain-lane states reported by health's ``lanes`` block and the
 #: ``repro_worker_lanes`` metric
@@ -152,13 +158,19 @@ def _validate_record(payload: Dict[str, object]) -> List[str]:
         if not isinstance(value, (int, float)):
             problems.append(f"record: metric {name!r} missing or not a "
                             f"number")
-    for name in ("events", "hists"):
-        _require(payload, name, dict, problems, "record")
-    # optional on pre-v9 captures; the format-v9 field when present
-    timeline = payload.get("timeline")
-    if timeline is not None:
-        problems.extend(f"record: {problem}"
-                        for problem in validate_timeline(timeline))
+    _require(payload, "events", dict, problems, "record")
+    hists = _require(payload, "hists", dict, problems, "record")
+    for name, digest in sorted((hists or {}).items()):
+        problems.extend(f"record: hists[{name!r}]: {problem}"
+                        for problem in validate_digest(digest))
+    # 'profile' arrived with format v8 and 'timeline' with v9; an absent
+    # field is as valid as the empty (feature-off) one
+    problems.extend(f"record: profile: {problem}"
+                    for problem in validate_profile(payload.get("profile",
+                                                                {})))
+    problems.extend(f"record: timeline: {problem}"
+                    for problem in validate_timeline(payload.get("timeline",
+                                                                 {})))
     return problems
 
 
@@ -213,6 +225,7 @@ _VALIDATORS = {
     "record": _validate_record,
     "timeline": _validate_timeline_payload,
     "error": _validate_error,
+    "series": validate_timeline,
 }
 
 
@@ -240,4 +253,6 @@ def classify_payload(payload: object) -> Optional[str]:
         return "health"
     if "workload" in payload and "hists" in payload:
         return "record"
+    if "epochs" in payload:
+        return "series"
     return None

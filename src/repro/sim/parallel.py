@@ -7,10 +7,10 @@ on a ``ProcessPoolExecutor`` with per-run failure isolation: one crashed
 run becomes a :class:`RunFailure` in the returned list instead of
 killing the sweep, and every completed result is still delivered.
 
-Workers capture their own stdout/stderr (``capture=True``, the default
-for the multiprocess path): each run's output ships back to the parent
-with its payload and is replayed there as one contiguous block, so a
-``--jobs N`` sweep never interleaves two runs' output mid-line.
+Workers on the multiprocess path capture their own stdout/stderr: each
+run's output ships back to the parent with its payload and is replayed
+there as one contiguous block, so a ``--jobs N`` sweep never
+interleaves two runs' output mid-line.
 
 ``jobs == 1`` bypasses multiprocessing entirely and runs in-process, in
 spec order — the deterministic path tests and debuggers rely on.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.obs import runlog
-from repro.obs.progress import PROGRESS_DIR_ENV, heartbeat_dir_override
 from repro.sim.runner import RunSpec
 
 #: progress callback: (completed_count, total, spec_just_finished)
@@ -107,18 +106,6 @@ class _CapturedCall:
         return _WorkerResult(payload, "", buffer.getvalue())
 
 
-def _worker_init(heartbeat_dir: str) -> None:
-    """Pool initializer: pin the worker's heartbeat directory.
-
-    Runs once per worker *process*, so each pool's workers beat into the
-    directory their own sweep created — two concurrent sweeps in one
-    parent process no longer race on the parent's
-    ``REPRO_PROGRESS_DIR`` (which remains only the outermost default for
-    callers that pass no explicit directory).
-    """
-    os.environ[PROGRESS_DIR_ENV] = heartbeat_dir
-
-
 def _default_output(spec: RunSpec, text: str) -> None:
     """Replay one worker's captured output as a single stderr block."""
     label = f"{spec.workload} on {spec.config.name} (seed {spec.seed})"
@@ -138,8 +125,6 @@ def execute_runs(
     progress: Optional[ProgressFn] = None,
     on_result: Optional[ResultFn] = None,
     on_output: Optional[OutputFn] = None,
-    capture: bool = True,
-    heartbeat_dir: Optional[str] = None,
 ) -> Tuple[Dict[int, object], List[RunFailure]]:
     """Run ``fn(spec)`` for every spec, fanning out over processes.
 
@@ -150,17 +135,11 @@ def execute_runs(
     as each run lands — before ``progress`` — so callers can persist
     completed runs incrementally and an interrupted sweep keeps them.
 
-    ``heartbeat_dir`` names the sweep-progress directory runs beat into:
-    worker processes get it via their pool initializer and the serial
-    path via a thread-local override, so two concurrent sweeps in one
-    process never cross heartbeat directories.  ``None`` falls back to
-    whatever ``REPRO_PROGRESS_DIR`` already says (the outermost
-    default).
-
-    With ``capture`` (multiprocess path only — the serial path's output
-    is already ordered), each worker's stdout/stderr is buffered and
-    replayed in the parent as one block per run via ``on_output``
-    (default: a labelled block on stderr), never interleaved.
+    On the multiprocess path each worker's stdout/stderr is buffered
+    and replayed in the parent as one block per run via ``on_output``
+    (default: a labelled block on stderr), never interleaved; the
+    serial path's output is already ordered and passes straight
+    through.
     """
     specs = list(specs)
     total = len(specs)
@@ -191,24 +170,17 @@ def execute_runs(
             _default_output(specs[index], text)
 
     if workers <= 1:
-        with heartbeat_dir_override(heartbeat_dir):
-            for index, spec in enumerate(specs):
-                try:
-                    payload = fn(spec)
-                except Exception:
-                    _fail(index, index + 1, traceback.format_exc())
-                else:
-                    _land(index, payload, index + 1)
+        for index, spec in enumerate(specs):
+            try:
+                payload = fn(spec)
+            except Exception:
+                _fail(index, index + 1, traceback.format_exc())
+            else:
+                _land(index, payload, index + 1)
         return results, failures
 
-    task = _CapturedCall(fn) if capture else fn
-    if heartbeat_dir:
-        executor = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=_worker_init,
-                                       initargs=(heartbeat_dir,))
-    else:
-        executor = ProcessPoolExecutor(max_workers=workers)
-    with executor as pool:
+    task = _CapturedCall(fn)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(task, spec): index
                    for index, spec in enumerate(specs)}
         done = 0
@@ -216,20 +188,16 @@ def execute_runs(
             index = futures[future]
             done += 1
             try:
-                shipped = future.result()
+                worker: _WorkerResult = future.result()
             except Exception:
                 # Includes BrokenProcessPool: a hard-killed worker fails
                 # the runs it held, and the rest are reported as they
                 # drain — the sweep itself survives.
                 _fail(index, done, traceback.format_exc())
                 continue
-            if capture:
-                worker = shipped  # type: _WorkerResult
-                _emit_output(index, worker.output)
-                if worker.error:
-                    _fail(index, done, worker.error)
-                else:
-                    _land(index, worker.payload, done)
+            _emit_output(index, worker.output)
+            if worker.error:
+                _fail(index, done, worker.error)
             else:
-                _land(index, shipped, done)
+                _land(index, worker.payload, done)
     return results, failures

@@ -36,22 +36,6 @@ def warmup_budget(instructions: int) -> int:
     return int(instructions * DEFAULT_WARMUP_FRACTION)
 
 
-def sanitize_default() -> bool:
-    """Whether REPRO_SANITIZE asks for sanitized runs by default."""
-    return os.environ.get("REPRO_SANITIZE", "") not in ("", "0")
-
-
-def telemetry_default() -> bool:
-    """Whether REPRO_TELEMETRY asks for histogram telemetry by default."""
-    return os.environ.get("REPRO_TELEMETRY", "") not in ("", "0")
-
-
-def sanitize_every_default() -> int:
-    """Full-walk sampling period from REPRO_SANITIZE_EVERY (0 = off)."""
-    value = os.environ.get("REPRO_SANITIZE_EVERY", "")
-    return int(value) if value else 0
-
-
 @dataclass
 class RunSpec:
     """One (system, workload) simulation request."""
@@ -69,6 +53,7 @@ class RunSpec:
     profile: bool = False         # slow-tail attribution (obs package)
     trace: str = ""               # serve-layer correlation id ("" = none)
     timeline: int = 0             # epoch length for interval sampling (0 = off)
+    progress_dir: str = ""        # sweep heartbeat directory ("" = none)
 
 
 @dataclass
@@ -177,10 +162,10 @@ def run_workload(config: SystemConfig, workload_name: str,
                  instructions: int = 0, seed: int = 1,
                  check_values: bool = False,
                  warmup: Optional[int] = None,
-                 sanitize: Optional[bool] = None,
-                 sanitize_every: Optional[int] = None,
+                 sanitize: bool = False,
+                 sanitize_every: int = 0,
                  check_invariants: bool = False,
-                 telemetry: Optional[bool] = None,
+                 telemetry: bool = False,
                  tracer: Optional[object] = None,
                  heartbeat: Optional[object] = None,
                  batched: bool = True,
@@ -192,15 +177,15 @@ def run_workload(config: SystemConfig, workload_name: str,
     ``warmup=None`` derives the warm-up budget from ``REPRO_WARMUP`` (or
     the default fraction); passing it explicitly pins the run so workers
     in other processes reproduce it bit-for-bit regardless of their
-    environment.  ``sanitize``/``sanitize_every`` default from
-    ``REPRO_SANITIZE``/``REPRO_SANITIZE_EVERY`` the same way; a
-    sanitizer violation raises out of the run, while
+    environment.  ``sanitize`` attaches the coherence sanitizer (with a
+    whole-machine walk every ``sanitize_every`` accesses when nonzero);
+    a sanitizer violation raises out of the run, while
     ``check_invariants`` records the final-state walk's pass/fail on the
     outcome instead of raising.
 
-    ``telemetry=None`` defaults from ``REPRO_TELEMETRY``; when on, a
-    :class:`repro.obs.telemetry.Telemetry` collects latency / occupancy /
-    dwell histograms and lands on the outcome.  ``tracer`` attaches an
+    ``telemetry`` turns on a :class:`repro.obs.telemetry.Telemetry`
+    that collects latency / occupancy / dwell histograms and lands on
+    the outcome.  ``tracer`` attaches an
     extra :class:`~repro.common.types.EventTracer` (e.g. a
     :class:`~repro.obs.trace.TraceRecorder`) alongside any sanitizer.
     ``heartbeat`` is a sweep-progress :class:`~repro.obs.progress.Heartbeat`
@@ -225,25 +210,21 @@ def run_workload(config: SystemConfig, workload_name: str,
     """
     budget = instructions or instruction_budget()
     roi_warmup = warmup if warmup is not None else warmup_budget(budget)
-    do_sanitize = sanitize if sanitize is not None else sanitize_default()
-    do_telemetry = telemetry if telemetry is not None else telemetry_default()
     do_batched = batched or profile
-    every = (sanitize_every if sanitize_every is not None
-             else sanitize_every_default())
     hierarchy = build_hierarchy(config)
     protocol = getattr(hierarchy, "protocol", None)
     sanitizer = None
-    if do_sanitize:
+    if sanitize:
         from repro.analysis.sanitizer import attach_sanitizer
-        sanitizer = attach_sanitizer(hierarchy, every=every)
+        sanitizer = attach_sanitizer(hierarchy, every=sanitize_every)
     # A sweep heartbeat without requested telemetry still needs the
     # per-access tick, but must not attach tracers or export histograms
     # (a telemetry-off record stays telemetry-off).
     tele = None
-    if do_telemetry or heartbeat is not None:
+    if telemetry or heartbeat is not None:
         from repro.obs.telemetry import Telemetry
         tele = Telemetry(heartbeat=heartbeat)
-        if do_telemetry:
+        if telemetry:
             tele.attach(hierarchy)
     if tracer is not None:
         from repro.obs.trace import attach_tracer
@@ -270,7 +251,7 @@ def run_workload(config: SystemConfig, workload_name: str,
     log_extra: Dict[str, object] = {"trace": trace} if trace else {}
     runlog.emit("run.start", workload=workload_name, config=config.name,
                 instructions=budget, warmup=roi_warmup, seed=seed,
-                sanitize=do_sanitize, telemetry=do_telemetry,
+                sanitize=sanitize, telemetry=telemetry,
                 batched=do_batched, **log_extra)
     started = _time.monotonic()
     simulator = Simulator(hierarchy, check_values=check_values,
@@ -279,7 +260,7 @@ def run_workload(config: SystemConfig, workload_name: str,
     result = simulator.run(workload, budget, seed=seed, warmup=roi_warmup,
                            batched=do_batched)
     if tele is not None:
-        tele.finalize(hierarchy if do_telemetry else None)
+        tele.finalize(hierarchy if telemetry else None)
     if stream_writer is not None:
         stream_writer.close()
     perf = PerfModel(config.ooo).summarize(result)
@@ -302,20 +283,21 @@ def run_workload(config: SystemConfig, workload_name: str,
                 invariant_error = str(exc)
     return RunOutcome(
         spec=RunSpec(config, workload_name, budget, seed, check_values,
-                     roi_warmup, sanitize=do_sanitize, sanitize_every=every,
+                     roi_warmup, sanitize=sanitize,
+                     sanitize_every=sanitize_every,
                      check_invariants=check_invariants,
-                     telemetry=do_telemetry, profile=profile, trace=trace,
+                     telemetry=telemetry, profile=profile, trace=trace,
                      timeline=timeline),
         result=result,
         perf=perf,
         hierarchy=hierarchy,
         # Baselines have no protocol to sanitize; a requested sanitize is
         # vacuously satisfied for them (mirrors the invariant walk).
-        sanitized=sanitizer is not None or (do_sanitize and protocol is None),
+        sanitized=sanitizer is not None or (sanitize and protocol is None),
         invariants_checked=invariants_checked,
         invariants_ok=invariants_ok,
         invariant_error=invariant_error,
-        telemetry=tele if do_telemetry else None,
+        telemetry=tele if telemetry else None,
         profile=profiler.summary() if profiler is not None else None,
         timeline=sampler.summary() if sampler is not None else None,
     )
@@ -324,19 +306,20 @@ def run_workload(config: SystemConfig, workload_name: str,
 def run_spec(spec: RunSpec) -> RunOutcome:
     """Execute one :class:`RunSpec` — the unit parallel workers run.
 
-    When the parent exported a sweep-progress heartbeat directory
-    (``REPRO_PROGRESS_DIR``), the run beats into it so ``repro sweep``
-    can render live per-worker progress.
+    When the spec names a sweep-progress directory (``progress_dir``),
+    the run beats into it so ``repro sweep`` can render live per-worker
+    progress.
     """
     from repro.obs.progress import Heartbeat
-    heartbeat = Heartbeat.from_env(f"{spec.workload}/{spec.config.name}",
-                                   trace=spec.trace)
+    heartbeat = Heartbeat.in_directory(spec.progress_dir,
+                                       f"{spec.workload}/{spec.config.name}",
+                                       trace=spec.trace)
     return run_workload(spec.config, spec.workload, spec.instructions,
                         spec.seed, check_values=spec.check_values,
                         warmup=spec.warmup, sanitize=spec.sanitize,
                         sanitize_every=spec.sanitize_every,
                         check_invariants=spec.check_invariants,
-                        telemetry=spec.telemetry or None,
+                        telemetry=spec.telemetry,
                         heartbeat=heartbeat,
                         profile=spec.profile,
                         trace=spec.trace,

@@ -4,9 +4,10 @@ import json
 from pathlib import Path
 
 from repro.common.stats import STAT_KEYS
+from repro.experiments.records import SCALAR_METRICS
 from tools.lint_repro import (
     REPO_ROOT,
-    check_digest_schema,
+    check_schema,
     lint_paths,
     main,
 )
@@ -92,10 +93,11 @@ class TestCli:
 
 
 def _write_record(path: Path, hists) -> Path:
-    path.write_text(json.dumps({
-        "workload": "water", "config": "D2M-NS-R", "instructions": 1000,
-        "hists": hists,
-    }))
+    record = {"workload": "water", "category": "scientific",
+              "config": "D2M-NS-R", "instructions": 1000, "events": {},
+              "hists": hists}
+    record.update((name, 1.0) for name in SCALAR_METRICS)
+    path.write_text(json.dumps(record))
     return path
 
 
@@ -107,13 +109,13 @@ class TestDigestSchema:
     def test_valid_records_pass(self, tmp_path):
         _write_record(tmp_path / "a.json",
                       {"latency.L1": GOOD_DIGEST, "noc.hops": {"count": 0.0}})
-        assert check_digest_schema([tmp_path / "a.json"]) == []
+        assert check_schema([tmp_path / "a.json"]) == []
 
     def test_directory_mode_scans_every_record(self, tmp_path):
         _write_record(tmp_path / "a.json", {"latency.L1": GOOD_DIGEST})
         _write_record(tmp_path / "b.json",
                       {"latency.L1": dict(GOOD_DIGEST, p50=100.0)})
-        problems = check_digest_schema([tmp_path])
+        problems = check_schema([tmp_path])
         assert len(problems) == 1
         assert "b.json" in problems[0] and "monotonic" in problems[0]
 
@@ -122,7 +124,7 @@ class TestDigestSchema:
             "x": dict(GOOD_DIGEST, bogus=1.0),
             "y": {"count": 2.0, "mean": 1.0},
         })
-        problems = check_digest_schema([tmp_path / "a.json"])
+        problems = check_schema([tmp_path / "a.json"])
         assert any("unknown digest keys: bogus" in p for p in problems)
         assert any("missing keys" in p for p in problems)
 
@@ -131,7 +133,7 @@ class TestDigestSchema:
         _write_record(tmp_path / "a.json", {
             "noc.hops": {"count": 0.0, "mean": 0.0, "max": 0.0,
                          "p50": 0.0, "p90": 0.0, "p99": 0.0}})
-        problems = check_digest_schema([tmp_path / "a.json"])
+        problems = check_schema([tmp_path / "a.json"])
         assert len(problems) == 1
         assert "empty digest carries value keys" in problems[0]
 
@@ -140,7 +142,7 @@ class TestDigestSchema:
             "x": dict(GOOD_DIGEST, count=True),
             "y": dict(GOOD_DIGEST, mean=-1.0),
         })
-        problems = check_digest_schema([tmp_path / "a.json"])
+        problems = check_schema([tmp_path / "a.json"])
         assert any("not a number" in p for p in problems)
         assert any("negative" in p for p in problems)
 
@@ -149,10 +151,17 @@ class TestDigestSchema:
                              {"latency.L1": GOOD_DIGEST})
         bad = _write_record(tmp_path / "bad.json",
                             {"latency.L1": {"mean": 1.0}})
-        assert main(["--digest-schema", str(good)]) == 0
-        assert main(["--digest-schema", str(bad)]) == 1
+        assert main(["--schema", str(good)]) == 0
+        assert main(["--schema", str(bad)]) == 1
         assert "missing key: count" in capsys.readouterr().out
-        assert main(["--digest-schema"]) == 2
+        assert main(["--schema"]) == 2
+
+    def test_profile_digest_checked(self, tmp_path):
+        path = _write_record(tmp_path / "a.json", {})
+        record = json.loads(path.read_text())
+        record["profile"] = {"driver": "batched"}
+        path.write_text(json.dumps(record))
+        assert any("profile" in p for p in check_schema([path]))
 
     def test_real_cached_record_shape_passes(self, tmp_path):
         from repro.obs.histogram import Histogram
@@ -161,7 +170,7 @@ class TestDigestSchema:
         for value in (1, 5, 9, 200):
             hist.record(value)
         _write_record(tmp_path / "a.json", {"latency.L1": hist.summary()})
-        assert check_digest_schema([tmp_path]) == []
+        assert check_schema([tmp_path]) == []
 
 
 class TestRegistryContents:

@@ -10,8 +10,7 @@ from repro.experiments.runner import get_matrix
 @pytest.fixture
 def cache(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    for var in ("REPRO_FRESH", "REPRO_WARMUP", "REPRO_JOBS",
-                "REPRO_SANITIZE", "REPRO_SANITIZE_EVERY"):
+    for var in ("REPRO_FRESH", "REPRO_WARMUP", "REPRO_JOBS"):
         monkeypatch.delenv(var, raising=False)
     return tmp_path
 
@@ -95,21 +94,3 @@ class TestCheckedSweep:
         for workload in ("water", "lu"):
             record = matrix[workload]["D2M-FS"]
             assert record.sanitized and record.invariants_ok
-
-
-class TestEnvDefaults:
-    def test_repro_sanitize_env_attaches(self, cache, monkeypatch):
-        from repro.sim.runner import run_workload
-
-        monkeypatch.setenv("REPRO_SANITIZE", "1")
-        outcome = run_workload(d2m_fs(2), "water", instructions=1_000, seed=3)
-        assert outcome.sanitized
-        assert outcome.spec.sanitize
-
-    def test_explicit_flag_overrides_env(self, cache, monkeypatch):
-        from repro.sim.runner import run_workload
-
-        monkeypatch.setenv("REPRO_SANITIZE", "0")
-        outcome = run_workload(d2m_fs(2), "water", instructions=1_000,
-                               seed=3, sanitize=True)
-        assert outcome.sanitized

@@ -17,7 +17,7 @@ from repro.experiments.runner import (
     reap_orphan_tmp,
     run_cache_key,
 )
-from repro.obs.progress import PROGRESS_DIR_ENV, resolve_heartbeat_dir
+from repro.obs.progress import read_heartbeats
 
 
 @pytest.fixture
@@ -80,7 +80,7 @@ class TestPlanMatrix:
         assert plan.total == 1 and plan.cached == 0
         [item] = plan.pending
         assert item.key == run_cache_key("water", "Base-2L", 1_000, 5,
-                                         plan.warmup)
+                                         plan.warmup, nodes=2)
         assert item.path.name == item.key + ".json"
         assert execute_plan(plan, jobs=1, quiet=True) == []
         assert plan.matrix["water"]["Base-2L"].workload == "water"
@@ -143,19 +143,21 @@ class TestPlanMatrix:
 
 class TestConcurrentSweepIsolation:
     """Regression: concurrent sweeps used to race on os.environ for the
-    heartbeat directory; it is now threaded explicitly per plan."""
+    heartbeat directory; each plan now stamps its own onto its specs."""
 
     def test_overlapping_sweeps_keep_separate_heartbeat_dirs(
             self, cache, monkeypatch):
-        monkeypatch.setenv(PROGRESS_DIR_ENV, "/outer-default-sentinel")
         seen = {}
         barrier = threading.Barrier(2, timeout=30)
         real = runner._simulate_record
 
         def observing(spec):
             barrier.wait()  # both sweeps are mid-flight simultaneously
-            seen.setdefault(spec.workload, set()).add(resolve_heartbeat_dir())
-            return real(spec)
+            payload = real(spec)
+            # the run's final beat is on disk; nothing else may be
+            seen[spec.workload] = (spec.progress_dir, [
+                beat["run"] for beat in read_heartbeats(spec.progress_dir)])
+            return payload
 
         monkeypatch.setattr(runner, "_simulate_record", observing)
 
@@ -175,7 +177,53 @@ class TestConcurrentSweepIsolation:
         for thread in threads:
             thread.join()
 
-        assert seen["water"] == {dirs["water"]}
-        assert seen["lu"] == {dirs["lu"]}
+        for workload, hb_dir in dirs.items():
+            assert seen[workload] == (hb_dir, [f"{workload}/Base-2L"])
         # the process environment was never written
-        assert os.environ[PROGRESS_DIR_ENV] == "/outer-default-sentinel"
+        assert not [name for name in os.environ
+                    if name.startswith("REPRO_PROGRESS")]
+
+    def test_overlapping_pool_sweeps_keep_separate_heartbeat_dirs(
+            self, cache):
+        seen = {}
+
+        def sweep(workloads, hb_dir):
+            def on_record(item, record):
+                # the worker's final beat landed before its result did
+                seen.setdefault(hb_dir, set()).update(
+                    beat["run"] for beat in read_heartbeats(hb_dir))
+
+            plan = plan_matrix(workloads=workloads, configs=[base_2l(2)],
+                               instructions=800, seed=5)
+            assert execute_plan(plan, jobs=2, quiet=True,
+                                heartbeat_dir=hb_dir,
+                                on_record=on_record) == []
+
+        dirs = {("water", "lu"): str(cache / "hb-a"),
+                ("fft", "radix"): str(cache / "hb-b")}
+        for path in dirs.values():
+            os.makedirs(path)
+        threads = [threading.Thread(target=sweep, args=(list(wls), hb_dir))
+                   for wls, hb_dir in dirs.items()]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+
+        for workloads, hb_dir in dirs.items():
+            assert seen[hb_dir]
+            assert seen[hb_dir] <= {f"{w}/Base-2L" for w in workloads}
+        assert not [name for name in os.environ
+                    if name.startswith("REPRO_PROGRESS")]
+
+
+class TestNodeCountKey:
+    def test_four_node_plan_misses_eight_node_record(self, cache):
+        """A same-named config at another node count is another cell."""
+        args = dict(workloads=["water"], instructions=800, seed=5,
+                    warmup=400)
+        eight = plan_matrix(configs=[base_2l(8)], **args)
+        assert execute_plan(eight, jobs=1, quiet=True) == []
+        assert plan_matrix(configs=[base_2l(8)], **args).cached == 1
+        four = plan_matrix(configs=[base_2l(4)], **args)
+        assert (len(four.pending), four.cached) == (1, 0)

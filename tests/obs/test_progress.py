@@ -7,7 +7,7 @@ import subprocess
 import sys
 
 from repro.obs.progress import (
-    PROGRESS_DIR_ENV,
+    PROGRESS_JSONL_MAX_BYTES,
     Heartbeat,
     SweepProgress,
     _pid_alive,
@@ -23,13 +23,11 @@ def _dead_pid() -> int:
 
 
 class TestHeartbeat:
-    def test_from_env_requires_directory(self, monkeypatch, tmp_path):
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
-        assert Heartbeat.from_env("x") is None
-        monkeypatch.setenv(PROGRESS_DIR_ENV, str(tmp_path / "missing"))
-        assert Heartbeat.from_env("x") is None
-        monkeypatch.setenv(PROGRESS_DIR_ENV, str(tmp_path))
-        assert Heartbeat.from_env("x") is not None
+    def test_in_directory_requires_directory(self, tmp_path):
+        assert Heartbeat.in_directory("", "x") is None
+        assert Heartbeat.in_directory(str(tmp_path / "missing"), "x") is None
+        beat = Heartbeat.in_directory(str(tmp_path), "x")
+        assert beat.path == str(tmp_path / f"hb-{os.getpid()}.json")
 
     def test_beat_writes_rate_limited(self, tmp_path):
         path = tmp_path / "hb-1.json"
@@ -43,7 +41,7 @@ class TestHeartbeat:
         beat.finish(300)  # finish always writes
         assert json.loads(path.read_text())["accesses"] == 300
 
-    def test_trace_id_rides_in_the_payload(self, tmp_path, monkeypatch):
+    def test_trace_id_rides_in_the_payload(self, tmp_path):
         path = tmp_path / "hb-2.json"
         beat = Heartbeat(str(path), "water/D2M-NS-R", trace="a1b2" * 4)
         beat.beat(10, force=True)
@@ -52,9 +50,9 @@ class TestHeartbeat:
         plain = Heartbeat(str(path), "water/D2M-NS-R")
         plain.beat(10, force=True)
         assert "trace" not in json.loads(path.read_text())
-        # from_env threads the id through
-        monkeypatch.setenv(PROGRESS_DIR_ENV, str(tmp_path))
-        assert Heartbeat.from_env("x", trace="t" * 16).trace == "t" * 16
+        # in_directory threads the id through
+        assert Heartbeat.in_directory(str(tmp_path), "x",
+                                      trace="t" * 16).trace == "t" * 16
 
     def test_read_heartbeats_tolerates_garbage(self, tmp_path):
         (tmp_path / "hb-1.json").write_text('{"run": "a", "accesses": 1}')
@@ -174,63 +172,6 @@ class TestSweepProgress:
         assert progress.eta_s() is not None
 
 
-class TestHeartbeatDirOverride:
-    def test_override_wins_over_env(self, tmp_path, monkeypatch):
-        from repro.obs.progress import (
-            heartbeat_dir_override,
-            resolve_heartbeat_dir,
-        )
-
-        monkeypatch.setenv(PROGRESS_DIR_ENV, "/env-default")
-        assert resolve_heartbeat_dir() == "/env-default"
-        with heartbeat_dir_override(str(tmp_path)):
-            assert resolve_heartbeat_dir() == str(tmp_path)
-            assert Heartbeat.from_env("x") is not None
-        assert resolve_heartbeat_dir() == "/env-default"
-
-    def test_none_is_a_no_op(self, monkeypatch):
-        from repro.obs.progress import (
-            heartbeat_dir_override,
-            resolve_heartbeat_dir,
-        )
-
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
-        with heartbeat_dir_override(None):
-            assert resolve_heartbeat_dir() == ""
-
-    def test_overrides_nest(self, tmp_path, monkeypatch):
-        from repro.obs.progress import (
-            heartbeat_dir_override,
-            resolve_heartbeat_dir,
-        )
-
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
-        outer, inner = tmp_path / "o", tmp_path / "i"
-        with heartbeat_dir_override(str(outer)):
-            with heartbeat_dir_override(str(inner)):
-                assert resolve_heartbeat_dir() == str(inner)
-            assert resolve_heartbeat_dir() == str(outer)
-
-    def test_override_is_thread_local(self, tmp_path):
-        import threading
-
-        from repro.obs.progress import (
-            heartbeat_dir_override,
-            resolve_heartbeat_dir,
-        )
-
-        seen = {}
-
-        def _worker():
-            seen["worker"] = resolve_heartbeat_dir()
-
-        with heartbeat_dir_override(str(tmp_path)):
-            thread = threading.Thread(target=_worker)
-            thread.start()
-            thread.join()
-        assert seen["worker"] == ""  # other threads never see the override
-
-
 class TestProgressJsonlRotation:
     def _fill(self, path, cap, sweeps=5, runs=40):
         for _ in range(sweeps):
@@ -267,15 +208,7 @@ class TestProgressJsonlRotation:
         self._fill(path, 0, sweeps=3, runs=30)
         assert not (tmp_path / "progress.jsonl.1").exists()
 
-    def test_env_override(self, tmp_path, monkeypatch):
-        from repro.obs.progress import (
-            PROGRESS_JSONL_MAX_BYTES,
-            progress_jsonl_max_bytes,
-        )
-
-        monkeypatch.delenv("REPRO_PROGRESS_MAX_BYTES", raising=False)
-        assert progress_jsonl_max_bytes() == PROGRESS_JSONL_MAX_BYTES
-        monkeypatch.setenv("REPRO_PROGRESS_MAX_BYTES", "123")
-        assert progress_jsonl_max_bytes() == 123
-        monkeypatch.setenv("REPRO_PROGRESS_MAX_BYTES", "junk")
-        assert progress_jsonl_max_bytes() == PROGRESS_JSONL_MAX_BYTES
+    def test_default_cap(self):
+        progress = SweepProgress(total=1, stream=io.StringIO(),
+                                 inplace=False)
+        assert progress.jsonl_max_bytes == PROGRESS_JSONL_MAX_BYTES

@@ -1,10 +1,10 @@
-"""Serving-API payload schemas and the --serve-schema lint entry."""
+"""Serving-API payload schemas and the --schema lint entry."""
 
 import json
 
 from repro.experiments.records import SCALAR_METRICS
 from repro.serve.schema import classify_payload, validate_payload
-from tools.lint_repro import check_serve_schema, main as lint_main
+from tools.lint_repro import check_schema, main as lint_main
 
 
 def health_payload(**overrides):
@@ -131,6 +131,13 @@ class TestValidators:
         assert any("live[0]" in p
                    for p in validate_payload("timeline", broken))
 
+    def test_record_digests_and_profile_are_validated(self):
+        broken = record_payload(hists={"latency.L1": {"mean": 1.0}},
+                                profile={"driver": "batched"})
+        problems = validate_payload("record", broken)
+        assert any("hists['latency.L1']" in p for p in problems)
+        assert any("profile" in p for p in problems)
+
     def test_record_timeline_field_is_validated(self):
         broken = record_payload(timeline={"epochs": -2})
         assert any("negative" in p
@@ -146,6 +153,7 @@ class TestClassify:
         assert classify_payload(record_payload()) == "record"
         assert classify_payload(timeline_payload_doc()) == "timeline"
         assert classify_payload({"error": "boom"}) == "error"
+        assert classify_payload({"epochs": 0}) == "series"
 
     def test_unrecognizable(self):
         assert classify_payload({"stuff": 1}) is None
@@ -165,23 +173,23 @@ class TestLintEntry:
         self.write(tmp_path, "job.json", job_payload())
         self.write(tmp_path, "record.json", record_payload())
         self.write(tmp_path, "error.json", {"error": "no such job"})
-        assert check_serve_schema([tmp_path]) == []
-        assert lint_main(["--serve-schema", str(tmp_path)]) == 0
+        assert check_schema([tmp_path]) == []
+        assert lint_main(["--schema", str(tmp_path)]) == 0
         assert "valid" in capsys.readouterr().out
 
     def test_invalid_payload_fails_the_lint(self, tmp_path, capsys):
         self.write(tmp_path, "bad.json", health_payload(ok="yes"))
-        assert lint_main(["--serve-schema", str(tmp_path)]) == 1
+        assert lint_main(["--schema", str(tmp_path)]) == 1
         assert "ok" in capsys.readouterr().out
 
     def test_unrecognizable_shape_is_a_problem(self, tmp_path):
         self.write(tmp_path, "mystery.json", {"what": "even"})
-        problems = check_serve_schema([tmp_path])
+        problems = check_schema([tmp_path])
         assert any("unrecognizable" in p for p in problems)
 
     def test_empty_match_is_a_problem(self, tmp_path):
-        assert check_serve_schema([tmp_path])  # no *.json inside
+        assert check_schema([tmp_path])  # no *.json inside
 
     def test_no_args_is_usage_error(self, capsys):
-        assert lint_main(["--serve-schema"]) == 2
+        assert lint_main(["--schema"]) == 2
         assert "needs" in capsys.readouterr().err

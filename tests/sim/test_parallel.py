@@ -176,96 +176,116 @@ class TestFailureSummary:
 
 
 # ------------------------------------------------------------------ heartbeat
-# Regression: sweeps used to hand workers their heartbeat directory by
-# mutating process-global os.environ[REPRO_PROGRESS_DIR]; two concurrent
-# sweeps in one process raced and crossed their heartbeat dirs.  The
-# directory is now threaded explicitly through execute_runs.
+# Regression: sweeps used to hand workers their heartbeat directory
+# through process-global state (os.environ, then a thread-local
+# override); two concurrent sweeps in one process could cross heartbeat
+# dirs.  The directory now rides on each RunSpec as ``progress_dir``.
 
-def _beat_from_env(spec):
-    from repro.obs.progress import Heartbeat
-
-    hb = Heartbeat.from_env(f"{spec.workload}/{spec.config.name}")
-    if hb is not None:
-        hb.finish(accesses=1)
-    return spec.workload
+def _beat_specs(hb_dir, *workloads):
+    return [RunSpec(base_2l(2), name, 1_000, seed=3,
+                    progress_dir=str(hb_dir)) for name in workloads]
 
 
-def _probe_env(spec):
+def _progress_env():
     import os
 
-    from repro.obs.progress import PROGRESS_DIR_ENV
+    return sorted(name for name in os.environ
+                  if name.startswith("REPRO_PROGRESS"))
 
-    return os.environ.get(PROGRESS_DIR_ENV, "")
+
+def _run_and_probe_env(spec):
+    """The real worker path, then the worker's progress variables."""
+    from repro.sim.runner import run_spec
+
+    run_spec(spec)
+    return _progress_env()
+
+
+def _beaten_runs(hb_dir):
+    from repro.obs.progress import read_heartbeats
+
+    return {beat["run"] for beat in read_heartbeats(str(hb_dir))}
+
+
+def _overlapping_sweeps(tmp_path, jobs, fn=_run_and_probe_env):
+    """Two concurrent sweeps on disjoint workloads, each with its own
+    heartbeat directory; returns {dir: (workloads, results)}."""
+    import threading
+
+    sweeps = {tmp_path / "a": ("water", "lu"), tmp_path / "b": ("fft",
+                                                              "radix")}
+    out = {}
+
+    def _sweep(hb_dir, workloads):
+        results, failures = execute_runs(_beat_specs(hb_dir, *workloads),
+                                         fn, jobs=jobs)
+        assert not failures
+        out[hb_dir] = (workloads, results)
+
+    for hb_dir in sweeps:
+        hb_dir.mkdir()
+    threads = [threading.Thread(target=_sweep, args=item)
+               for item in sweeps.items()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert set(out) == set(sweeps)
+    return out
 
 
 class TestHeartbeatDirThreading:
-    def test_serial_path_uses_explicit_dir(self, tmp_path, monkeypatch):
-        from repro.obs.progress import PROGRESS_DIR_ENV
-
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
-        hb_dir = tmp_path / "hb"
-        hb_dir.mkdir()
-        results, failures = execute_runs(_specs("water"), _beat_from_env,
-                                         jobs=1,
-                                         heartbeat_dir=str(hb_dir))
+    def test_serial_path_uses_explicit_dir(self, tmp_path):
+        results, failures = execute_runs(_beat_specs(tmp_path, "water"),
+                                         _run_and_probe_env, jobs=1)
         assert not failures
-        assert list(hb_dir.glob("hb-*.json"))
-        # the explicit dir never leaks into the process environment
-        import os
-        assert PROGRESS_DIR_ENV not in os.environ
+        assert _beaten_runs(tmp_path) == {"water/Base-2L"}
+        # the directory never enters the process environment
+        assert results == {0: []}
+        assert _progress_env() == []
 
-    def test_two_overlapping_serial_sweeps_stay_separate(self, tmp_path,
-                                                         monkeypatch):
+    def test_workers_beat_into_spec_dir(self, tmp_path):
+        results, failures = execute_runs(
+            _beat_specs(tmp_path, "water", "lu"), _run_and_probe_env,
+            jobs=2)
+        assert not failures
+        assert _beaten_runs(tmp_path) <= {"water/Base-2L", "lu/Base-2L"}
+        assert list(tmp_path.glob("hb-*.json"))
+        # no worker's environment gained a progress variable either
+        assert list(results.values()) == [[], []]
+        assert _progress_env() == []
+
+    def test_two_overlapping_serial_sweeps_stay_separate(self, tmp_path):
         import threading
 
-        from repro.obs.progress import PROGRESS_DIR_ENV
+        barrier = threading.Barrier(2, timeout=30)
 
-        monkeypatch.setenv(PROGRESS_DIR_ENV, "/nonexistent-outer-default")
-        dirs = [tmp_path / "a", tmp_path / "b"]
-        for d in dirs:
-            d.mkdir()
+        def _in_step(spec):
+            barrier.wait()  # both sweeps are mid-flight simultaneously
+            return _run_and_probe_env(spec)
+
+        out = _overlapping_sweeps(tmp_path, jobs=1, fn=_in_step)
+        for hb_dir, (workloads, results) in out.items():
+            assert _beaten_runs(hb_dir) <= {f"{w}/Base-2L"
+                                            for w in workloads}
+            assert _beaten_runs(hb_dir)
+            assert list(results.values()) == [[], []]
+        assert _progress_env() == []
+
+    def test_two_overlapping_pool_sweeps_stay_separate(self, tmp_path):
+        out = _overlapping_sweeps(tmp_path, jobs=2)
+        for hb_dir, (workloads, results) in out.items():
+            assert _beaten_runs(hb_dir) <= {f"{w}/Base-2L"
+                                            for w in workloads}
+            assert _beaten_runs(hb_dir)
+            assert list(results.values()) == [[], []]
+        assert _progress_env() == []
+
+    def test_empty_progress_dir_means_no_heartbeat(self, monkeypatch):
+        import repro.sim.runner as runner
+
         seen = {}
-
-        def _sweep(index):
-            def _task(spec):
-                from repro.obs.progress import resolve_heartbeat_dir
-
-                seen.setdefault(index, set()).add(resolve_heartbeat_dir())
-                return spec.workload
-
-            execute_runs(_specs("water", "lu", "fft"), _task, jobs=1,
-                         heartbeat_dir=str(dirs[index]))
-
-        threads = [threading.Thread(target=_sweep, args=(i,))
-                   for i in range(2)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert seen[0] == {str(dirs[0])}
-        assert seen[1] == {str(dirs[1])}
-        # the env var stayed the untouched outermost default throughout
-        import os
-        assert os.environ[PROGRESS_DIR_ENV] == "/nonexistent-outer-default"
-
-    def test_workers_inherit_dir_via_initializer(self, tmp_path,
-                                                 monkeypatch):
-        from repro.obs.progress import PROGRESS_DIR_ENV
-
-        monkeypatch.delenv(PROGRESS_DIR_ENV, raising=False)
-        hb_dir = tmp_path / "hb"
-        hb_dir.mkdir()
-        results, failures = execute_runs(_specs("water", "lu"), _probe_env,
-                                         jobs=2,
-                                         heartbeat_dir=str(hb_dir))
-        assert not failures
-        assert set(results.values()) == {str(hb_dir)}
-        import os
-        assert PROGRESS_DIR_ENV not in os.environ
-
-    def test_none_falls_back_to_env(self, tmp_path, monkeypatch):
-        from repro.obs.progress import PROGRESS_DIR_ENV
-
-        monkeypatch.setenv(PROGRESS_DIR_ENV, str(tmp_path))
-        results, _ = execute_runs(_specs("water"), _probe_env, jobs=1)
-        assert results[0] == str(tmp_path)
+        monkeypatch.setattr(runner, "run_workload",
+                            lambda *args, **kwargs: seen.update(kwargs))
+        runner.run_spec(_specs("water")[0])
+        assert seen["heartbeat"] is None

@@ -2,8 +2,9 @@
 
 import json
 
+from tests.serve.test_schema import record_payload
 from tools.bench_history import history_rows, history_table, main
-from tools.lint_repro import check_timeline_schema, check_tracked_bytecode
+from tools.lint_repro import check_schema, check_tracked_bytecode
 
 
 def bench_report(geomean, mode="quick", date="2026-08-01", **overrides):
@@ -88,18 +89,18 @@ class TestMain:
 class TestTimelineSchemaLint:
     def test_records_and_bare_timelines_both_validate(self, tmp_path):
         (tmp_path / "record.json").write_text(json.dumps(
-            {"workload": "water", "timeline": {"epochs": 0}}))
+            record_payload(timeline={"epochs": 0})))
         (tmp_path / "bare.json").write_text(json.dumps({"epochs": 0}))
-        assert check_timeline_schema([tmp_path]) == []
+        assert check_schema([tmp_path]) == []
 
     def test_malformed_series_fail(self, tmp_path):
         (tmp_path / "bad.json").write_text(json.dumps(
-            {"workload": "water", "timeline": {"epochs": "3"}}))
-        problems = check_timeline_schema([tmp_path])
+            record_payload(timeline={"epochs": "3"})))
+        problems = check_schema([tmp_path])
         assert any("not an int" in p for p in problems)
 
     def test_empty_match_is_a_problem(self, tmp_path):
-        assert check_timeline_schema([tmp_path / "absent"])
+        assert check_schema([tmp_path / "absent"])
 
 
 class TestTrackedBytecode:

@@ -24,10 +24,7 @@ Accepted key expressions:
 Usage::
 
     python -m tools.lint_repro [paths...]   # default: src/repro
-    python -m tools.lint_repro --trace-schema trace.jsonl [...]
-    python -m tools.lint_repro --digest-schema .repro_cache/runs [...]
-    python -m tools.lint_repro --timeline-schema .repro_cache/runs [...]
-    python -m tools.lint_repro --serve-schema payloads/ [...]
+    python -m tools.lint_repro --schema PATH [PATH ...]
     python -m tools.lint_repro --metrics-schema [metrics.txt ...]
     python -m tools.lint_repro --protocol
 
@@ -35,28 +32,17 @@ The default (path-lint) mode additionally fails when git tracks
 compiled-bytecode noise (``*.pyc`` / ``__pycache__``) — ``.gitignore``
 keeps new litter out, this catches litter that was force-added.
 
-``--trace-schema`` switches to validating JSONL trace exports (from
-``repro trace --format jsonl``) against the schema in
-:data:`repro.obs.trace.TRACE_FIELDS` — CI runs it on the smoke trace.
-
-``--digest-schema`` validates the histogram-digest payloads (``hists``)
-of cached run records — files or directories of ``*.json`` — against
-:func:`repro.obs.histogram.validate_digest`: an empty digest is exactly
-``{"count": 0.0}``; a non-empty one carries count/mean/max/p50/p90/p99
-with monotonic percentiles and nothing else.  The records' ``profile``
-and ``timeline`` payloads are validated alongside.
-
-``--timeline-schema`` validates epoch time-series documents — cached
-run records (their ``timeline`` field) or bare timeline JSON files —
-against :func:`repro.obs.timeline.validate_timeline`: absent/empty
-means sampling was off, ``{"epochs": 0}`` is the sampled-but-empty
-contract, anything else must carry aligned integer series columns under
-known names.
-
-``--serve-schema`` validates captured ``repro serve`` response payloads
-(health / job / record / error, sniffed by shape) against
-:mod:`repro.serve.schema` — the machine-checkable half of
-``docs/SERVING.md``; CI's serve-smoke job runs it on live responses.
+``--schema`` validates machine-readable artifacts, each path a file or
+a directory of them.  A ``*.jsonl`` file is a protocol trace export
+(``repro trace --format jsonl``): every line must satisfy
+:data:`repro.obs.trace.TRACE_FIELDS`.  A ``*.json`` file is classified
+by shape with :func:`repro.serve.schema.classify_payload` — a serve
+response (health / job / timeline / error), a cached run record, or a
+bare epoch time-series — and checked by
+:func:`repro.serve.schema.validate_payload`.  A run record's histogram
+digests, slow-tail profile and timeline are all checked there, so a
+record has one validator whether it came from the cache directory or
+from ``GET /records/<key>``.
 
 ``--metrics-schema`` first self-checks the declared metric registry
 (:data:`repro.obs.metrics.METRIC_SCHEMA`), then validates any given
@@ -94,9 +80,7 @@ WAIVER = "lint: allow-dynamic-stat-key"
 
 def _load_registry() -> frozenset:
     """Import STAT_KEYS without requiring the package to be installed."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _import_src()
     from repro.common.stats import STAT_KEYS
     return STAT_KEYS
 
@@ -227,133 +211,58 @@ def lint_paths(paths: List[Path]) -> List[str]:
     return problems
 
 
-def check_trace_schema(paths: List[Path]) -> List[str]:
-    """Validate JSONL trace files; returns formatted violations."""
-    import json
-
+def _import_src() -> None:
+    """Make ``repro`` importable without installing the package."""
     src = str(REPO_ROOT / "src")
     if src not in sys.path:
         sys.path.insert(0, src)
+
+
+def check_schema(paths: List[Path]) -> List[str]:
+    """Validate trace exports and JSON artifacts; returns violations."""
+    import json
+
+    _import_src()
     from repro.obs.trace import validate_trace_record
+    from repro.serve.schema import classify_payload, validate_payload
 
-    problems: List[str] = []
+    files: List[Path] = []
     for path in paths:
-        count = 0
+        if path.is_dir():
+            files.extend(sorted(p for p in path.iterdir()
+                                if p.suffix in (".json", ".jsonl")))
+        else:
+            files.append(path)
+    problems: List[str] = []
+    for path in files:
         try:
-            lines = path.read_text(encoding="utf-8").splitlines()
+            text = path.read_text(encoding="utf-8")
         except OSError as exc:
             problems.append(f"{path}: unreadable: {exc}")
             continue
-        for lineno, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            count += 1
-            try:
-                record = json.loads(line)
-            except ValueError as exc:
-                problems.append(f"{path}:{lineno}: not JSON: {exc}")
-                continue
-            error = validate_trace_record(record)
-            if error:
-                problems.append(f"{path}:{lineno}: {error}")
-        if count == 0:
+        trace = path.suffix == ".jsonl"
+        documents = ([(f"{path}:{lineno}", line) for lineno, line
+                      in enumerate(text.splitlines(), start=1)
+                      if line.strip()] if trace else [(str(path), text)])
+        if trace and not documents:
             problems.append(f"{path}: empty trace (no records)")
-    return problems
-
-
-def check_digest_schema(paths: List[Path]) -> List[str]:
-    """Validate run-record histogram + profile digests; returns
-    violations."""
-    import json
-
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.obs.histogram import validate_digest
-    from repro.obs.profile import validate_profile
-    from repro.obs.timeline import validate_timeline
-
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.json")))
-        else:
-            files.append(path)
-    problems: List[str] = []
-    checked = 0
-    for path in files:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            problems.append(f"{path}: unreadable: {exc}")
-            continue
-        except ValueError as exc:
-            problems.append(f"{path}: not JSON: {exc}")
-            continue
-        if not isinstance(payload, dict):
-            problems.append(f"{path}: record is not a JSON object")
-            continue
-        hists = payload.get("hists", {})
-        if not isinstance(hists, dict):
-            problems.append(f"{path}: 'hists' is "
-                            f"{type(hists).__name__}, not an object")
-            continue
-        for name, digest in sorted(hists.items()):
-            checked += 1
-            for issue in validate_digest(digest):
-                problems.append(f"{path}: hists[{name!r}]: {issue}")
-        # records persisted before RUN_FORMAT 8 carry no 'profile' key;
-        # an absent key is as valid as the empty (unprofiled) digest
-        for issue in validate_profile(payload.get("profile", {})):
-            problems.append(f"{path}: profile: {issue}")
-        # likewise 'timeline' arrived with RUN_FORMAT 9
-        for issue in validate_timeline(payload.get("timeline", {})):
-            problems.append(f"{path}: timeline: {issue}")
+        for where, document in documents:
+            try:
+                payload = json.loads(document)
+            except ValueError as exc:
+                problems.append(f"{where}: not JSON: {exc}")
+                continue
+            if trace:
+                error = validate_trace_record(payload)
+                issues = [error] if error else []
+            else:
+                kind = classify_payload(payload)
+                issues = (validate_payload(kind, payload) if kind else
+                          ["unrecognizable payload shape (not a serve "
+                           "response, run record or timeline)"])
+            problems.extend(f"{where}: {issue}" for issue in issues)
     if not files:
-        problems.append("--digest-schema matched no record files")
-    return problems
-
-
-def check_timeline_schema(paths: List[Path]) -> List[str]:
-    """Validate epoch time-series payloads; returns violations.
-
-    Each path is a ``*.json`` file or a directory of them; a file that
-    looks like a run record (has ``workload``) contributes its
-    ``timeline`` field, anything else is treated as a bare timeline
-    document.
-    """
-    import json
-
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.obs.timeline import validate_timeline
-
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.json")))
-        else:
-            files.append(path)
-    problems: List[str] = []
-    for path in files:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            problems.append(f"{path}: unreadable: {exc}")
-            continue
-        except ValueError as exc:
-            problems.append(f"{path}: not JSON: {exc}")
-            continue
-        if not isinstance(payload, dict):
-            problems.append(f"{path}: not a JSON object")
-            continue
-        timeline = (payload.get("timeline", {})
-                    if "workload" in payload else payload)
-        problems.extend(f"{path}: timeline: {issue}"
-                        for issue in validate_timeline(timeline))
-    if not files:
-        problems.append("--timeline-schema matched no files")
+        problems.append("--schema matched no *.json or *.jsonl files")
     return problems
 
 
@@ -379,51 +288,6 @@ def check_tracked_bytecode() -> List[str]:
             if name.endswith(".pyc") or "__pycache__" in name.split("/")]
 
 
-def check_serve_schema(paths: List[Path]) -> List[str]:
-    """Validate captured serving-API response payloads.
-
-    Each path is a JSON file (or a directory of ``*.json``) holding one
-    response body from the ``repro serve`` daemon; the kind (health /
-    job / record / error) is sniffed from its shape and the payload is
-    validated against :mod:`repro.serve.schema` — the machine-checkable
-    half of ``docs/SERVING.md``.  CI's serve-smoke job curls the live
-    endpoints into files and runs this over them.
-    """
-    import json
-
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
-    from repro.serve.schema import classify_payload, validate_payload
-
-    files: List[Path] = []
-    for path in paths:
-        if path.is_dir():
-            files.extend(sorted(path.glob("*.json")))
-        else:
-            files.append(path)
-    problems: List[str] = []
-    for path in files:
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            problems.append(f"{path}: unreadable: {exc}")
-            continue
-        except ValueError as exc:
-            problems.append(f"{path}: not JSON: {exc}")
-            continue
-        kind = classify_payload(payload)
-        if kind is None:
-            problems.append(f"{path}: unrecognizable payload shape "
-                            f"(not health/job/record/error)")
-            continue
-        for issue in validate_payload(kind, payload):
-            problems.append(f"{path}: {issue}")
-    if not files:
-        problems.append("--serve-schema matched no payload files")
-    return problems
-
-
 def check_metrics_schema(paths: List[Path]) -> List[str]:
     """Self-check the metric registry, then validate any ``/metrics``
     scrapes against it.
@@ -435,9 +299,7 @@ def check_metrics_schema(paths: List[Path]) -> List[str]:
     matched against the declarations.  CI's serve-smoke job runs it on
     the ``metrics.txt`` it scrapes from the live daemon.
     """
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _import_src()
     from repro.obs.metrics import validate_exposition, validate_schema
 
     problems = [f"METRIC_SCHEMA: {issue}" for issue in validate_schema()]
@@ -457,9 +319,7 @@ def check_metrics_schema(paths: List[Path]) -> List[str]:
 
 def check_protocol() -> List[str]:
     """Reconcile the protocol implementations against their specs."""
-    src = str(REPO_ROOT / "src")
-    if src not in sys.path:
-        sys.path.insert(0, src)
+    _import_src()
     from repro.verify.extract import extract_facts, reconcile
     from repro.verify.spec import SPECS, WAIVERS
 
@@ -468,106 +328,46 @@ def check_protocol() -> List[str]:
             for finding in reconcile(transitions, WAIVERS, extract_facts())]
 
 
+def _report(problems: List[str], success: str = "") -> int:
+    """Print violations (exit 1) or the success line (exit 0)."""
+    for problem in problems:
+        print(problem)
+    if problems:
+        print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
+        return 1
+    if success:
+        print(f"lint_repro: {success}")
+    return 0
+
+
 def main(argv: List[str]) -> int:
-    if argv and argv[0] == "--protocol":
-        if argv[1:]:
+    mode, rest = (argv[0], argv[1:]) if argv else ("", [])
+    paths = [Path(arg) for arg in rest]
+    if mode == "--protocol":
+        if rest:
             print("lint_repro: --protocol takes no further arguments",
                   file=sys.stderr)
             return 2
-        problems = check_protocol()
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print("lint_repro: protocol spec and implementation agree")
-        return 0
-    if argv and argv[0] == "--digest-schema":
-        record_paths = [Path(arg) for arg in argv[1:]]
-        if not record_paths:
-            print("lint_repro: --digest-schema needs at least one record "
-                  "file or directory (e.g. .repro_cache/runs)",
-                  file=sys.stderr)
+        return _report(check_protocol(),
+                       "protocol spec and implementation agree")
+    if mode == "--schema":
+        if not paths:
+            print("lint_repro: --schema needs at least one file or "
+                  "directory (e.g. .repro_cache/runs)", file=sys.stderr)
             return 2
-        problems = check_digest_schema(record_paths)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print(f"lint_repro: digest schemas valid in "
-              f"{len(record_paths)} path(s)")
-        return 0
-    if argv and argv[0] == "--timeline-schema":
-        timeline_paths = [Path(arg) for arg in argv[1:]]
-        if not timeline_paths:
-            print("lint_repro: --timeline-schema needs at least one record "
-                  "file, timeline JSON, or directory "
-                  "(e.g. .repro_cache/runs)", file=sys.stderr)
-            return 2
-        problems = check_timeline_schema(timeline_paths)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print(f"lint_repro: timeline schemas valid in "
-              f"{len(timeline_paths)} path(s)")
-        return 0
-    if argv and argv[0] == "--serve-schema":
-        payload_paths = [Path(arg) for arg in argv[1:]]
-        if not payload_paths:
-            print("lint_repro: --serve-schema needs at least one response "
-                  "payload file or directory", file=sys.stderr)
-            return 2
-        problems = check_serve_schema(payload_paths)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print(f"lint_repro: serve payloads valid in "
-              f"{len(payload_paths)} path(s)")
-        return 0
-    if argv and argv[0] == "--metrics-schema":
-        metric_paths = [Path(arg) for arg in argv[1:]]
-        problems = check_metrics_schema(metric_paths)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print(f"lint_repro: metric schema valid"
-              + (f"; {len(metric_paths)} scrape(s) conform"
-                 if metric_paths else ""))
-        return 0
-    if argv and argv[0] == "--trace-schema":
-        trace_paths = [Path(arg) for arg in argv[1:]]
-        if not trace_paths:
-            print("lint_repro: --trace-schema needs at least one "
-                  "trace.jsonl path", file=sys.stderr)
-            return 2
-        problems = check_trace_schema(trace_paths)
-        for problem in problems:
-            print(problem)
-        if problems:
-            print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-            return 1
-        print(f"lint_repro: {len(trace_paths)} trace file(s) schema-valid")
-        return 0
+        return _report(check_schema(paths),
+                       f"schemas valid in {len(paths)} path(s)")
+    if mode == "--metrics-schema":
+        return _report(check_metrics_schema(paths), "metric schema valid"
+                       + (f"; {len(paths)} scrape(s) conform"
+                          if paths else ""))
     paths = [Path(arg) for arg in argv] if argv else DEFAULT_PATHS
     missing = [p for p in paths if not p.exists()]
     if missing:
         for path in missing:
             print(f"lint_repro: no such path: {path}", file=sys.stderr)
         return 2
-    problems = lint_paths(paths) + check_tracked_bytecode()
-    for problem in problems:
-        print(problem)
-    if problems:
-        print(f"lint_repro: {len(problems)} problem(s)", file=sys.stderr)
-        return 1
-    return 0
+    return _report(lint_paths(paths) + check_tracked_bytecode())
 
 
 if __name__ == "__main__":
