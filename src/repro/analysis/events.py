@@ -1,15 +1,16 @@
-"""Protocol event primitives: the forensic ring buffer and timeline.
+"""Protocol event primitives: the event record, its ring, and timelines.
 
 Events are what the core protocol emits through its duck-typed
 ``tracer`` hook — one :class:`ProtocolEvent` per state-changing protocol
 action, holding only primitives (plus the hashable frozen ``LI``) so an
 instrumented machine stays picklable for parallel sweeps.
 
-The :class:`EventRing` keeps the last N events.  When the sanitizer
-detects a violation it filters the ring by the offending region/line and
-renders the survivors as a readable timeline — the forensic report that
-turns "invariant broken" into "here is the event sequence that broke
-it".
+:class:`EventRing` is the one buffer of that stream.  The sanitizer
+keeps the last few hundred events and, on a violation, filters them by
+the offending region/line and renders the survivors as a readable
+timeline — the forensic report that turns "invariant broken" into "here
+is the event sequence that broke it".  ``repro trace`` keeps the whole
+stream (or a window) and exports it (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations
@@ -18,21 +19,19 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Iterable, List, Optional
 
-#: default ring capacity (events kept for forensics)
-DEFAULT_RING_CAPACITY = 512
-
 
 @dataclass(frozen=True)
 class ProtocolEvent:
     """One protocol action, as reported through the tracer hook."""
 
-    seq: int                     # global order (monotonic per sanitizer)
+    seq: int                     # global order (monotonic per ring)
     kind: str                    # e.g. "llc.evict", "md3.pb_add"
     node: Optional[int] = None   # acting / affected node id
     line: Optional[int] = None   # cache line address, when line-scoped
     region: Optional[int] = None  # physical region, when region-scoped
     idx: Optional[int] = None    # line index within the region
     detail: str = ""             # free-form qualifier (e.g. "D2", "write")
+    t: int = 0                   # index of the access it occurred under
 
     def touches(self, region: Optional[int] = None,
                 line: Optional[int] = None) -> bool:
@@ -60,26 +59,39 @@ class ProtocolEvent:
 
 
 class EventRing:
-    """A bounded buffer of the most recent protocol events."""
+    """The protocol event stream, buffered; an event observer.
 
-    def __init__(self, capacity: int = DEFAULT_RING_CAPACITY) -> None:
-        if capacity <= 0:
-            raise ValueError("ring capacity must be positive")
-        self.capacity = capacity
-        self._events: Deque[ProtocolEvent] = deque(maxlen=capacity)
-        self.seq = 0       # next sequence number
+    ``window=0`` keeps every event; ``window=N`` keeps a ring of the
+    last N, for long runs where only the tail is interesting.  Each
+    event is stamped with its sequence number and the index of the
+    access it occurred under (``begin_access`` advances it), the time
+    axis of trace exports.
+    """
+
+    __slots__ = ("window", "access_index", "recorded", "_events")
+
+    def __init__(self, window: int = 0) -> None:
+        if window < 0:
+            raise ValueError("window must be >= 0 (0 = unbounded)")
+        self.window = window
+        self.access_index = 0
         self.recorded = 0  # total events ever recorded (ring may be smaller)
+        self._events: Deque[ProtocolEvent] = deque(maxlen=window or None)
 
-    def append(self, kind: str, node: Optional[int] = None,
-               line: Optional[int] = None, region: Optional[int] = None,
-               idx: Optional[int] = None, detail: str = "") -> ProtocolEvent:
+    def begin_access(self, node: int, line: int, region: int, idx: int,
+                     detail: str = "") -> None:
+        self.access_index += 1
+        self.emit("access", node=node, line=line, region=region, idx=idx,
+                  detail=detail)
+
+    def emit(self, kind: str, node: Optional[int] = None,
+             line: Optional[int] = None, region: Optional[int] = None,
+             idx: Optional[int] = None, detail: str = "") -> None:
         """Record an event, assigning it the next sequence number."""
-        event = ProtocolEvent(self.seq, kind, node=node, line=line,
-                              region=region, idx=idx, detail=detail)
-        self.seq += 1
+        self._events.append(ProtocolEvent(
+            self.recorded, kind, node=node, line=line, region=region,
+            idx=idx, detail=detail, t=self.access_index))
         self.recorded += 1
-        self._events.append(event)
-        return event
 
     def events(self) -> List[ProtocolEvent]:
         """All buffered events, oldest first."""
@@ -94,16 +106,6 @@ class EventRing:
         if last is not None and len(hits) > last:
             hits = hits[-last:]
         return hits
-
-    def last_seq_touching(self, region: int) -> int:
-        """Sequence of the newest buffered event touching ``region``.
-
-        -1 when no buffered event touches it.
-        """
-        for event in reversed(self._events):
-            if event.region == region:
-                return event.seq
-        return -1
 
     def __len__(self) -> int:
         return len(self._events)

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.events import EventRing, render_timeline
 from repro.common.errors import InvariantViolation
+from repro.common.observe import attach
 from repro.core.invariants import (
     check_region_invariants,
     machine_regions,
@@ -50,6 +51,10 @@ from repro.core.protocol import D2MProtocol
 #: events shown per forensic report section
 FORENSIC_EVENTS = 16
 FORENSIC_TAIL = 8
+#: events the forensic ring keeps
+RING_WINDOW = 512
+#: untouched regions re-fingerprinted per access
+ROTATION = 2
 
 
 class SanitizerViolation(InvariantViolation):
@@ -69,65 +74,47 @@ Fingerprint = Tuple[object, ...]
 class CoherenceSanitizer:
     """Incremental shadow-model checker for one D2M machine.
 
-    Implements the tracer interface the core calls (``begin_access``,
-    ``emit``, ``end_access``) plus ``note`` for externally injected
+    An event observer (:mod:`repro.common.observe`): the core calls its
+    ``begin_access``/``emit``/``end_access``; ``note`` injects external
     events (tests, drivers).  All bookkeeping lives in plain attributes
     and never touches the machine's stats, LRU state, or RNGs, so a
-    sanitized run produces bit-identical statistics.
+    sanitized run produces bit-identical statistics.  The PB mirror is
+    seeded from MD3 at construction.
     """
 
-    def __init__(self, protocol: D2MProtocol, every: int = 0,
-                 ring_capacity: int = 0, rotation: int = 2) -> None:
+    def __init__(self, protocol: D2MProtocol, every: int = 0) -> None:
         self.protocol = protocol
         self.every = max(0, every)       # full-walk sampling period (0 = off)
-        self.rotation = max(0, rotation)  # untouched regions checked/access
-        self.ring = EventRing(ring_capacity) if ring_capacity else EventRing()
+        self.ring = EventRing(RING_WINDOW)
         self._touched: Set[int] = set()
-        self._pb: Dict[int, Set[int]] = {}
+        self._pb: Dict[int, Set[int]] = {pregion: set(entry.pb)
+                                         for pregion, entry in protocol.md3}
         self._shadow: Dict[int, Tuple[Fingerprint, int]] = {}
         self._rotation_queue: List[int] = []
-        self._in_access = False
         # overhead/coverage counters (plain attributes, not machine stats)
         self.accesses = 0
-        self.events_seen = 0
         self.regions_checked = 0
         self.rotation_checks = 0
         self.full_walks = 0
 
-    # ------------------------------------------------------------- lifecycle
-
-    def attach(self) -> "CoherenceSanitizer":
-        """Hook into the protocol, its nodes, and MD3; seed the mirrors."""
-        self.protocol.tracer = self
-        for node in self.protocol.nodes:
-            node.tracer = self
-        self.protocol.md3.tracer = self
-        for pregion, entry in self.protocol.md3:
-            self._pb[pregion] = set(entry.pb)
-        return self
-
-    def detach(self) -> None:
-        self.protocol.tracer = None
-        for node in self.protocol.nodes:
-            node.tracer = None
-        self.protocol.md3.tracer = None
+    @property
+    def events_seen(self) -> int:
+        return self.ring.recorded
 
     # ------------------------------------------------------------- tracer API
 
     def begin_access(self, node: int, line: int, region: int, idx: int,
                      detail: str = "") -> None:
         """Called by the protocol at the top of every access."""
-        self._in_access = True
-        self.emit("access", node=node, line=line, region=region, idx=idx,
-                  detail=detail)
+        self.ring.begin_access(node, line, region, idx, detail=detail)
+        self._touched.add(region)
 
     def emit(self, kind: str, node: Optional[int] = None,
              line: Optional[int] = None, region: Optional[int] = None,
              idx: Optional[int] = None, detail: str = "") -> None:
         """Record one protocol event; feed the shadow model."""
-        self.events_seen += 1
-        self.ring.append(kind, node=node, line=line, region=region, idx=idx,
-                         detail=detail)
+        self.ring.emit(kind, node=node, line=line, region=region, idx=idx,
+                       detail=detail)
         if region is not None:
             self._touched.add(region)
             if kind == "md3.pb_add" and node is not None:
@@ -152,7 +139,6 @@ class CoherenceSanitizer:
 
     def end_access(self) -> None:
         """Called by the protocol after every completed access."""
-        self._in_access = False
         self.accesses += 1
         self.flush()
         if self.every and self.accesses % self.every == 0:
@@ -198,9 +184,7 @@ class CoherenceSanitizer:
 
     def _rotate(self, exclude: Set[int]) -> None:
         """Re-fingerprint a few untouched regions (round-robin)."""
-        if not self.rotation:
-            return
-        budget = self.rotation
+        budget = ROTATION
         seen: Set[int] = set()
         while budget > 0:
             if not self._rotation_queue:
@@ -241,7 +225,7 @@ class CoherenceSanitizer:
             self._shadow.pop(pregion, None)
             return
         self._shadow[pregion] = (self._fingerprint(pregion),
-                                 self.ring.seq - 1)
+                                 self.ring.recorded - 1)
 
     def _fingerprint(self, pregion: int) -> Fingerprint:
         """The region's protocol-visible state as a comparable value.
@@ -288,23 +272,22 @@ class CoherenceSanitizer:
             tail, header="most recent events (all regions):")
         text = (f"sanitizer: {message}\n"
                 f"  detected after access #{self.accesses} "
-                f"(event seq {self.ring.seq}, "
+                f"(event seq {self.ring.recorded}, "
                 f"{self.ring.recorded} events recorded)\n"
                 f"{report}")
         return SanitizerViolation(text, report=report, region=pregion)
 
 
-def attach_sanitizer(hierarchy: object, every: int = 0,
-                     ring_capacity: int = 0,
-                     rotation: int = 2) -> Optional[CoherenceSanitizer]:
+def attach_sanitizer(hierarchy: object,
+                     every: int = 0) -> Optional[CoherenceSanitizer]:
     """Attach a sanitizer to a hierarchy's protocol, if it has one.
 
-    Returns None for baseline hierarchies (nothing to sanitize).
+    It joins any observers already attached.  Returns None for baseline
+    hierarchies (nothing to sanitize).
     """
     protocol = getattr(hierarchy, "protocol", None)
     if not isinstance(protocol, D2MProtocol):
         return None
-    sanitizer = CoherenceSanitizer(protocol, every=every,
-                                   ring_capacity=ring_capacity,
-                                   rotation=rotation)
-    return sanitizer.attach()
+    sanitizer = CoherenceSanitizer(protocol, every=every)
+    attach(hierarchy, sanitizer)
+    return sanitizer

@@ -231,22 +231,23 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    from repro.obs.trace import TraceRecorder
+    from repro.analysis.events import EventRing
+    from repro.obs.trace import write_chrome, write_jsonl
 
-    recorder = TraceRecorder(window=args.window)
+    recorder = EventRing(window=args.window)
     instructions = args.instructions
     if args.quick and not instructions:
         instructions = 4000
     outcome = run_workload(config, args.workload, instructions=instructions,
-                           seed=args.seed, tracer=recorder)
+                           seed=args.seed, observers=[recorder])
     extension = "jsonl" if args.format == "jsonl" else "json"
     path = args.out or (f"trace_{config.name.lower()}_{args.workload}"
                         f".{extension}")
     with open(path, "w", encoding="utf-8") as handle:
         if args.format == "chrome":
-            count = recorder.write_chrome(handle)
+            count = write_chrome(recorder, handle)
         else:
-            count = recorder.write_jsonl(handle)
+            count = write_jsonl(recorder, handle)
     if recorder.recorded == 0:
         print(f"note: {config.name} has no protocol tracer hooks "
               f"(baseline); the trace is empty", file=sys.stderr)

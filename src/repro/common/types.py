@@ -17,9 +17,9 @@ from typing import Optional, Protocol, runtime_checkable
 class EventTracer(Protocol):
     """Duck-typed event sink the core hierarchies report into.
 
-    Implemented by :class:`repro.analysis.sanitizer.CoherenceSanitizer`;
-    declared here so core modules can type their optional ``tracer``
-    attribute without importing analysis code.
+    The ``tracer`` slots hold the :class:`repro.common.observe.Observers`
+    composite of every attached event observer; declared here so core
+    modules can type the slot without importing observer code.
     """
 
     def begin_access(self, node: int, line: int, region: int, idx: int,

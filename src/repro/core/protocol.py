@@ -60,7 +60,7 @@ from repro.core.llc import (
     build_llc,
     llc_victim_cost,
 )
-from repro.core.md3 import MD3Store, region_scramble
+from repro.core.md3 import MD3Store
 from repro.core.node import D2MNode, LookupPath
 from repro.core.regions import ActiveSite, MD2Entry, MD3Entry, RegionClass
 from repro.energy.model import EnergyAccountant, sram_structure
@@ -280,9 +280,6 @@ class D2MProtocol:
 
     def _charge_md3(self) -> None:
         self.energy.charge_read("md3")
-
-    def _l1_array_latency(self) -> int:
-        return self._lat.l1
 
     def _pb_untracked(self, region: int) -> bool:
         return self.md3.is_untracked(region)
@@ -616,16 +613,6 @@ class D2MProtocol:
                     scramble: int) -> DataLine:
         array = self._local_array(node, li)
         return array.expect(array.set_of(line, scramble), li.way, line)
-
-    def _scramble_of(self, pregion: int) -> int:
-        entry = self.md3.peek(pregion)
-        if entry is not None:
-            return entry.scramble
-        return region_scramble(
-            pregion,
-            self.config.policy.scramble_bits
-            if self.config.policy.dynamic_indexing else 0,
-        )
 
     # ------------------------------------------------------------------ reads
 

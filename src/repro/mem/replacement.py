@@ -62,10 +62,6 @@ class LRUPolicy(ReplacementPolicy):
         """The most recently used way (used by the replication heuristic)."""
         return self._order[-1]
 
-    def lru_order(self) -> List[int]:
-        """Ways ordered least- to most-recently used (for tests)."""
-        return list(self._order)
-
 
 def lru_orders(stores: Iterable[Sequence[ReplacementPolicy]]
                ) -> Optional[List[List[List[int]]]]:

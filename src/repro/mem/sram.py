@@ -213,9 +213,6 @@ class SetAssocStore(Generic[T]):
             assert payload is not None
             yield key, payload
 
-    def keys_in_set(self, set_idx: int) -> List[int]:
-        return [slot.key for slot in self._slots[set_idx] if slot.valid]
-
     def set_occupancy(self, set_idx: int) -> int:
         return sum(1 for slot in self._slots[set_idx] if slot.valid)
 

@@ -94,12 +94,6 @@ class Delta:
     note: str = ""
 
     @property
-    def abs_delta(self) -> Optional[float]:
-        if self.baseline is None or self.candidate is None:
-            return None
-        return self.candidate - self.baseline
-
-    @property
     def rel_delta(self) -> Optional[float]:
         """(candidate - baseline) / |baseline|; None when undefined."""
         if self.baseline is None or self.candidate is None:

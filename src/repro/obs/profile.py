@@ -13,9 +13,9 @@ list for the next optimization PR.
 Attribution uses two read-only signals, both derived from the spec's own
 ``coverage`` signatures:
 
-* **tracer emits** — the profiler is an ``EventTracer`` with
+* **protocol emits** — the profiler is an event observer with
   ``fast_path_safe = True``: the batched driver keeps its fast paths
-  enabled and the tracer hooks fire only on fallback accesses, which is
+  enabled and ``emit`` fires only on fallback accesses, which is
   exactly the population being attributed.  Observed ``(kind, detail)``
   pairs resolve through :func:`repro.verify.spec.coverage_event_index`.
 * **events-counter diffs** — the A/B/C/E/F taxonomy is recorded via the
@@ -26,8 +26,8 @@ Attribution uses two read-only signals, both derived from the spec's own
 
 An access matching several classes splits its time equally among them;
 one matching none lands in ``unclassified`` (always true for the MESI
-baselines, which have no tracer hooks — they still get the fast/slow
-wall split).  Observation mutates nothing, so profiled runs keep the
+baselines, which emit no events — they still get the fast/slow wall
+split).  Observation mutates nothing, so profiled runs keep the
 bit-identical-statistics guarantee of the batched driver.
 """
 
@@ -49,30 +49,29 @@ PROFILE_KEYS = ("driver", "wall_s", "fast_s", "slow_s", "chunks",
 class AttributionProfiler:
     """Per-chunk fast/slow wall-time split + per-class slow attribution.
 
-    Driver contract (:mod:`repro.sim.batch`): call :meth:`slow_start`
-    immediately before a fallback ``machine_access`` and
-    :meth:`slow_done` with its elapsed nanoseconds after; call
-    :meth:`chunk_done` with each chunk's total elapsed nanoseconds.
-    The tracer half (``begin_access``/``emit``/``end_access``) is fed by
-    :func:`repro.obs.trace.attach_tracer` as usual.
+    An observer (:mod:`repro.common.observe`) of the batched driver:
+    :meth:`slow_start` runs immediately before a fallback
+    ``machine_access`` and :meth:`slow_done` gets its elapsed
+    nanoseconds after; each ``on_chunk`` boundary closes one chunk of
+    wall time (:meth:`chunk_done`).  :meth:`emit` collects the protocol
+    events of the fallback access in flight.
     """
 
     #: keeps the batched fast path enabled; hooks then observe exactly
     #: the slow-tail accesses (same mechanism Telemetry uses)
     fast_path_safe = True
 
-    __slots__ = ("attached", "_emit_index", "_stat_index", "_events_group",
+    __slots__ = ("_emit_index", "_stat_index", "_events_group",
                  "_acc_events", "_stat_snapshot", "_pending_slow_ns",
                  "class_ns", "class_n", "fast_ns", "slow_ns",
                  "slow_accesses", "chunks", "_chunk_hist", "_slow_hist",
-                 "started_s")
+                 "_chunk_t", "started_s")
 
     def __init__(self) -> None:
         from repro.verify.spec import (
             coverage_event_index,
             coverage_stat_index,
         )
-        self.attached = False
         self._emit_index = coverage_event_index()
         self._stat_index = tuple(coverage_stat_index().items())
         self._events_group: Optional[object] = None
@@ -87,30 +86,27 @@ class AttributionProfiler:
         self.chunks = 0
         self._chunk_hist = Histogram("profile.chunk_ns", unit="ns")
         self._slow_hist = Histogram("profile.slow_access_ns", unit="ns")
+        self._chunk_t = time.perf_counter_ns()
         self.started_s = time.perf_counter()
 
     # -- binding -----------------------------------------------------------
 
-    def bind(self, hierarchy: object) -> None:
+    def bind(self, hierarchy: object, result: object) -> None:
         """Grab the protocol's ``events`` group for per-access diffs
-        (baselines have none; they stay unclassified)."""
+        (baselines have none; they stay unclassified) and start the
+        first chunk's clock."""
+        del result
         protocol = getattr(hierarchy, "protocol", None)
         self._events_group = getattr(protocol, "events", None)
+        self._chunk_t = time.perf_counter_ns()
 
-    # -- tracer API (slow-tail accesses only, via fast_path_safe) ----------
-
-    def begin_access(self, node: int, line: int, region: int, idx: int,
-                     detail: str = "") -> None:
-        del node, line, region, idx, detail
+    # -- events (slow-tail accesses only, via fast_path_safe) --------------
 
     def emit(self, kind: str, node: Optional[int] = None,
              line: Optional[int] = None, region: Optional[int] = None,
              idx: Optional[int] = None, detail: str = "") -> None:
         del node, line, region, idx
         self._acc_events.append((kind, detail))
-
-    def end_access(self) -> None:
-        pass
 
     # -- driver hooks ------------------------------------------------------
 
@@ -152,6 +148,14 @@ class AttributionProfiler:
         self.slow_accesses += 1
         self._pending_slow_ns += ns
         self._slow_hist.record(ns)
+
+    def on_chunk(self, instructions: int, accesses: int,
+                 streamed: int) -> None:
+        """A chunk boundary: its wall time since the previous one."""
+        del instructions, accesses, streamed
+        now = time.perf_counter_ns()
+        self.chunk_done(now - self._chunk_t)
+        self._chunk_t = now
 
     def chunk_done(self, ns: int) -> None:
         """A chunk finished in ``ns``; the non-slow remainder is fast."""

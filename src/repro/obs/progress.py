@@ -3,8 +3,7 @@
 Sweep workers run in other processes, so mid-run progress needs a
 channel.  The parent creates a heartbeat directory and names it on each
 run's spec (``RunSpec.progress_dir``); each worker's :class:`Heartbeat`
-(driven by the run's :class:`~repro.obs.telemetry.Telemetry` tick)
-periodically rewrites one small JSON file — ``hb-<pid>.json`` — with
+(a run observer beating at chunk boundaries) periodically rewrites one small JSON file — ``hb-<pid>.json`` — with
 the run it is on, accesses completed, and its simulation rate.
 Heartbeat writes are rate-limited (wall clock) and atomic-enough
 (single small ``write``) that the parent tolerates torn reads by
@@ -56,10 +55,16 @@ def _pid_alive(pid: int) -> bool:
 
 
 class Heartbeat:
-    """Worker-side progress beats, written to one per-process file."""
+    """Worker-side progress beats, written to one per-process file.
+
+    As a run observer (:mod:`repro.common.observe`) it beats at every
+    chunk boundary — the wall-clock rate limit throttles the writes —
+    with the stream accesses simulated so far (warm-up included), and
+    always writes a final beat when the run finalizes.
+    """
 
     __slots__ = ("path", "label", "trace", "_started", "_last_write",
-                 "_min_interval")
+                 "_min_interval", "_streamed")
 
     def __init__(self, path: str, label: str,
                  min_interval_s: float = HEARTBEAT_INTERVAL_S,
@@ -71,16 +76,7 @@ class Heartbeat:
         self._started = time.monotonic()
         self._last_write = 0.0
         self._min_interval = min_interval_s
-
-    @staticmethod
-    def in_directory(directory: str, label: str,
-                     trace: str = "") -> Optional["Heartbeat"]:
-        """This process's heartbeat in ``directory``; None when unset or
-        missing (the run then beats nowhere)."""
-        if not directory or not os.path.isdir(directory):
-            return None
-        path = os.path.join(directory, f"hb-{os.getpid()}.json")
-        return Heartbeat(path, label, trace=trace)
+        self._streamed = 0
 
     def beat(self, accesses: int, force: bool = False) -> None:
         """Rewrite the heartbeat file (rate-limited unless ``force``)."""
@@ -108,6 +104,25 @@ class Heartbeat:
     def finish(self, accesses: int) -> None:
         """Final beat at run end (always written)."""
         self.beat(accesses, force=True)
+
+    def on_chunk(self, instructions: int, accesses: int,
+                 streamed: int) -> None:
+        del instructions, accesses
+        self._streamed = streamed
+        self.beat(streamed)
+
+    def finalize(self) -> None:
+        self.finish(self._streamed)
+
+
+def heartbeat_in_directory(directory: str, label: str,
+                           trace: str = "") -> Optional[Heartbeat]:
+    """This process's heartbeat in ``directory``; None when unset or
+    missing (the run then beats nowhere)."""
+    if not directory or not os.path.isdir(directory):
+        return None
+    path = os.path.join(directory, f"hb-{os.getpid()}.json")
+    return Heartbeat(path, label, trace=trace)
 
 
 def read_heartbeats(directory: str,

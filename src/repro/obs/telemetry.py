@@ -1,4 +1,4 @@
-"""Per-run telemetry: latency/occupancy/dwell histograms + heartbeats.
+"""Per-run telemetry: latency/occupancy/dwell histograms.
 
 A :class:`Telemetry` object observes one simulation run without
 perturbing it — it never touches the machine's stats, LRU state, or
@@ -18,12 +18,10 @@ contract the coherence sanitizer honors).  It collects:
 * ``md1.occupancy`` / ``md2.occupancy`` — valid-entry percentage of the
   per-node metadata stores, sampled every ``sample_every`` accesses.
 
-The object doubles as the simulator's per-access ``tick`` sink, which
-also drives an optional sweep :class:`~repro.obs.progress.Heartbeat`.
-
+It is an observer (:mod:`repro.common.observe`): the drivers feed its
+``tick``/``on_access``/``on_mshr`` hooks and the protocol its ``emit``.
 Telemetry is pay-for-what-you-use: nothing here is imported or invoked
-unless a run asks for it, and a disabled run's only cost is a ``None``
-check per access in the simulator loop.
+unless a run asks for it.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from typing import Dict, Optional, Tuple
 
 from repro.common.types import HitLevel
 from repro.obs.histogram import Histogram, HistogramSet
-from repro.obs.trace import attach_tracer
 
 #: default occupancy sampling period (accesses)
 DEFAULT_SAMPLE_EVERY = 1024
@@ -52,32 +49,30 @@ def _class_of(pb_count: int) -> str:
 
 
 class Telemetry:
-    """Histogram collector + heartbeat driver for one simulation run."""
+    """Histogram collector for one simulation run."""
 
-    __slots__ = ("hists", "sample_every", "accesses", "heartbeat",
-                 "_latency", "_mshr", "_nodes", "_pb_count", "_dwell_since",
+    __slots__ = ("hists", "sample_every", "accesses", "_latency", "_mshr",
+                 "_network", "_nodes", "_pb_count", "_dwell_since",
                  "_dwell_class", "_sample_countdown", "_md1_capacity",
                  "_md2_capacity")
 
-    #: The batched driver (repro.sim.batch) may skip this tracer's hooks
-    #: on fast-path accesses: ``begin_access``/``end_access`` are no-ops
-    #: and ``emit`` only reacts to ``md3.*`` events, which an L1 fast hit
-    #: never produces.  The simulator-facing hooks (:meth:`tick`,
+    #: The batched driver (repro.sim.batch) may resolve L1 hits without
+    #: the protocol: :meth:`emit` only reacts to ``md3.*`` events, which
+    #: an L1 fast hit never produces.  The driver hooks (:meth:`tick`,
     #: :meth:`on_access`, :meth:`on_mshr`) are still called per access.
     fast_path_safe = True
 
-    def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY,
-                 heartbeat: Optional[object] = None) -> None:
+    def __init__(self, sample_every: int = DEFAULT_SAMPLE_EVERY) -> None:
         self.hists = HistogramSet()
         self.sample_every = max(1, sample_every)
         self.accesses = 0
-        self.heartbeat = heartbeat
         # per-level latency histograms, resolved once (hot path)
         self._latency: Dict[HitLevel, Histogram] = {
             level: self.hists.get(f"latency.{level.value}", unit="cycles")
             for level in HitLevel
         }
         self._mshr = self.hists.get("mshr.residency", unit="cycles")
+        self._network: Optional[object] = None
         self._nodes: Tuple[object, ...] = ()
         self._pb_count: Dict[int, int] = {}
         self._dwell_since: Dict[int, int] = {}
@@ -88,23 +83,24 @@ class Telemetry:
 
     # ------------------------------------------------------------ lifecycle
 
-    def attach(self, hierarchy: object) -> "Telemetry":
-        """Hook the hierarchy's tracer slots (no-op for baselines)."""
-        if attach_tracer(hierarchy, self):
-            protocol = hierarchy.protocol  # type: ignore[attr-defined]
+    def bind(self, hierarchy: object, result: object) -> None:
+        """Grab the network and, on D2M, the MD stores and PB counts."""
+        del result
+        self._network = hierarchy.network  # type: ignore[attr-defined]
+        protocol = getattr(hierarchy, "protocol", None)
+        if protocol is not None:
             self._nodes = tuple(protocol.nodes)
             first = protocol.nodes[0]
             self._md1_capacity = first.md1i.capacity + first.md1d.capacity
             self._md2_capacity = first.md2.capacity
-            # Seed the PB mirror so dwell tracking of regions touched
-            # before attachment starts from truth, not from empty.
+            # Seed the PB mirror so dwell tracking of regions tracked
+            # before the run starts from truth, not from empty.
             for pregion, entry in protocol.md3:
                 self._pb_count[pregion] = len(entry.pb)
                 self._dwell_class[pregion] = _class_of(len(entry.pb))
                 self._dwell_since[pregion] = 0
-        return self
 
-    def finalize(self, hierarchy: Optional[object] = None) -> None:
+    def finalize(self) -> None:
         """Close open dwell intervals and derive post-run histograms."""
         for pregion, name in self._dwell_class.items():
             dwell = self.accesses - self._dwell_since[pregion]
@@ -112,25 +108,21 @@ class Telemetry:
                 self.hists.get(name, unit="accesses").record(dwell)
         self._dwell_class.clear()
         self._dwell_since.clear()
-        network = getattr(hierarchy, "network", None)
+        network = self._network
         if network is not None:
             hops = network.hop_histogram()  # type: ignore[attr-defined]
             if hops.count:
                 self.hists.get("noc.hops", unit="hops").merge(hops)
-        if self.heartbeat is not None:
-            self.heartbeat.finish(self.accesses)  # type: ignore[attr-defined]
 
     # ------------------------------------------------------------ simulator
 
     def tick(self) -> None:
-        """Once per simulated access: clock, sampling, heartbeat."""
+        """Once per simulated access: clock and occupancy sampling."""
         self.accesses += 1
         self._sample_countdown -= 1
         if self._sample_countdown <= 0:
             self._sample_countdown = self.sample_every
             self._sample_occupancy()
-            if self.heartbeat is not None:
-                self.heartbeat.beat(self.accesses)  # type: ignore[attr-defined]
 
     def on_access(self, level: HitLevel, latency: int) -> None:
         """Record one completed access's (post-MSHR) service latency."""
@@ -153,14 +145,7 @@ class Telemetry:
                        // md1_cap)
             md2.record(len(node.md2) * 100 // md2_cap)  # type: ignore[attr-defined]
 
-    # ------------------------------------------------------------ tracer API
-
-    def begin_access(self, node: int, line: int, region: int, idx: int,
-                     detail: str = "") -> None:
-        pass
-
-    def end_access(self) -> None:
-        pass
+    # ------------------------------------------------------------ events
 
     def emit(self, kind: str, node: Optional[int] = None,
              line: Optional[int] = None, region: Optional[int] = None,

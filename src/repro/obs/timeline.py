@@ -12,17 +12,14 @@ A :class:`TimelineSampler` observes one simulation run without
 perturbing it: it never touches the machine's stats, LRU state, or
 RNGs, so a sampled run produces bit-identical statistics (the same
 contract :class:`~repro.obs.telemetry.Telemetry` and the sanitizer
-honor).  Both drivers feed it:
-
-* the scalar loop (`sim/simulator.py`) counts accesses and calls
-  :meth:`snapshot` at every epoch boundary;
-* the batched driver (`sim/batch.py`) sets its chunk size to the epoch
-  length, so every chunk flush *is* an epoch boundary — deferred
-  fast-path aggregates are folded in before the snapshot, which is why
-  the two drivers emit identical series.
+honor).  It is an observer (:mod:`repro.common.observe`) declaring its
+``epoch``, which becomes both drivers' chunk length: every ``on_chunk``
+boundary *is* an epoch boundary (the trailing one may be partial).  The
+batched driver folds its deferred fast-path aggregates in before each
+boundary, which is why the two drivers emit identical series.
 
 Epochs are counted over the **whole access stream** (warmup included) so
-the warmup ramp is visible; :meth:`mark_roi` pins the warmup/ROI
+the warmup ramp is visible; :meth:`on_roi` pins the warmup/ROI
 boundary (dashboards draw it, :func:`phase_drift` reports it).  At the
 ROI boundary every sampled source reads zero in both drivers — stats,
 network, and energy are reset there, and buckets/instruction counters
@@ -43,8 +40,7 @@ schema (``tools/lint_repro.py --schema``).
 from __future__ import annotations
 
 import json
-from typing import (Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # numpy accelerates post-run analysis only; sampling never needs it
     import numpy as _np
@@ -53,8 +49,7 @@ except ImportError:  # pragma: no cover - numpy-less environments
 
 from repro.common.types import HitLevel
 
-#: default epoch length in accesses — equal to the batched driver's
-#: DEFAULT_CHUNK so epoch boundaries coincide with chunk flushes
+#: default epoch length in accesses (the drivers' default chunk length)
 DEFAULT_EPOCH = 4096
 
 #: storage cap: beyond this many epochs adjacent pairs are merged and
@@ -103,11 +98,10 @@ class TimelineSampler:
     """Columnar per-epoch series collector for one simulation run.
 
     The sampler is passive: the driver loop tells it when an epoch
-    boundary passes (:meth:`snapshot`) and when the run ends
-    (:meth:`finalize`); it reads cumulative counters and appends their
-    deltas.  It attaches no tracer, so the batched driver's
-    ``fast_path_safe`` gate is untouched and fast-path coverage is
-    identical with sampling on or off.
+    boundary passes (``on_chunk`` -> :meth:`snapshot`); it reads
+    cumulative counters and appends their deltas.  It has no event
+    half, so the batched driver's ``fast_path_safe`` gate is untouched
+    and fast-path coverage is identical with sampling on or off.
     """
 
     __slots__ = ("epoch", "on_epoch", "_series", "_epochs", "_merges",
@@ -115,10 +109,9 @@ class TimelineSampler:
                  "_nodes", "_md1_capacity", "_md2_capacity", "_last")
 
     def __init__(self, epoch: int = DEFAULT_EPOCH,
-                 on_epoch: Optional[Callable[[int, Dict[str, int]], None]]
-                 = None) -> None:
+                 on_epoch: Optional["TimelineStreamWriter"] = None) -> None:
         self.epoch = max(1, int(epoch))
-        #: per-epoch callback (live streaming); receives (index, row)
+        #: live per-epoch stream; receives (index, row), closed at finalize
         self.on_epoch = on_epoch
         self._series: Dict[str, List[int]] = {name: []
                                               for name in TIMELINE_SERIES}
@@ -135,7 +128,7 @@ class TimelineSampler:
 
     # ------------------------------------------------------------ lifecycle
 
-    def bind(self, hierarchy: object, result: object) -> "TimelineSampler":
+    def bind(self, hierarchy: object, result: object) -> None:
         """Grab the cumulative sources the snapshots will delta against."""
         self._stats = hierarchy.stats  # type: ignore[attr-defined]
         self._net_counts = hierarchy.network._counts  # type: ignore[attr-defined]
@@ -150,9 +143,8 @@ class TimelineSampler:
             self._md1_capacity = per_md1 * len(self._nodes)
             self._md2_capacity = (first.md2.capacity  # type: ignore[attr-defined]
                                   * len(self._nodes))
-        return self
 
-    def mark_roi(self) -> None:
+    def on_roi(self) -> None:
         """Pin the warmup/ROI boundary (called right after the ROI reset).
 
         Every cumulative source reads zero at this point in both drivers
@@ -163,7 +155,16 @@ class TimelineSampler:
         self._roi_epoch = self._epochs
         self._last = {name: 0 for name in TIMELINE_SERIES}
 
+    def finalize(self) -> None:
+        if self.on_epoch is not None:
+            self.on_epoch.close()
+
     # ------------------------------------------------------------ sampling
+
+    def on_chunk(self, instructions: int, accesses: int,
+                 streamed: int) -> None:
+        del streamed
+        self.snapshot(instructions, accesses)
 
     def snapshot(self, instructions: int, accesses: int) -> None:
         """Record one epoch: deltas of cumulative counters + gauges."""
@@ -219,12 +220,6 @@ class TimelineSampler:
             self.on_epoch(index, row)
         if self._epochs > MAX_EPOCHS:
             self._merge_pairs()
-
-    def finalize(self, instructions: int, accesses: int,
-                 partial: bool = False) -> None:
-        """Flush the trailing partial epoch, if the driver saw one."""
-        if partial:
-            self.snapshot(instructions, accesses)
 
     def _merge_pairs(self) -> None:
         """Halve the series by pair-merging; effective epoch doubles."""

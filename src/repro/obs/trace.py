@@ -1,11 +1,10 @@
-"""Protocol trace capture and export (JSONL + Chrome ``trace_event``).
+"""Protocol trace export (JSONL + Chrome ``trace_event``).
 
-A :class:`TraceRecorder` is an :class:`~repro.common.types.EventTracer`
-that buffers every :class:`~repro.analysis.events.ProtocolEvent` the
-core emits — either the full stream or a sliding window of the last N —
-stamped with the access index it occurred under (the trace's time axis).
-
-Two export formats:
+``repro trace`` records a run's protocol event stream in an
+:class:`~repro.analysis.events.EventRing` (the full stream, or a sliding
+window of the last N events), each event stamped with the access index
+it occurred under (the trace's time axis).  This module exports a ring
+in two formats:
 
 * **JSONL** — one event per line, schema-validated by
   ``python -m tools.lint_repro --schema`` (and by CI);
@@ -13,21 +12,14 @@ Two export formats:
   tracing: one track per node plus MD3 / LLC / memory / NoC tracks,
   instant events for LI/ownership transitions, and flow arrows for
   MD3-mediated transfers (a node-side slice tied to the MD3-side slice).
-
-Because multiple observers may want the duck-typed ``tracer`` slot at
-once (sanitizer + telemetry + trace capture), :class:`TracerFanout`
-multiplexes one slot over several tracers, and :func:`attach_tracer`
-installs a tracer on a hierarchy's protocol/nodes/MD3 without evicting
-whatever is already attached.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
-from typing import IO, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.events import ProtocolEvent
+from repro.analysis.events import EventRing, ProtocolEvent
 
 #: JSONL trace schema: field -> (required, allowed types).  ``trace``
 #: is the serve-layer correlation id (optional — pre-PR-9 logs lack it
@@ -57,230 +49,112 @@ MEM_TRACK = 902
 NOC_TRACK = 903
 
 
-class TracerFanout:
-    """One ``tracer`` slot dispatching to several tracers in order."""
-
-    __slots__ = ("tracers",)
-
-    def __init__(self, tracers: Sequence[object]) -> None:
-        self.tracers = list(tracers)
-
-    @property
-    def fast_path_safe(self) -> bool:
-        """A fanout is fast-path safe only if every member is.
-
-        The batched driver (repro.sim.batch) consults this before
-        skipping tracer hooks on fast-path accesses; any member without
-        the marker (e.g. :class:`TraceRecorder`, whose access counter
-        must see every access) forces the all-slow batched path.
-        """
-        return all(getattr(t, "fast_path_safe", False)
-                   for t in self.tracers)
-
-    def begin_access(self, node: int, line: int, region: int, idx: int,
-                     detail: str = "") -> None:
-        for tracer in self.tracers:
-            tracer.begin_access(node, line, region, idx, detail=detail)
-
-    def emit(self, kind: str, node: Optional[int] = None,
-             line: Optional[int] = None, region: Optional[int] = None,
-             idx: Optional[int] = None, detail: str = "") -> None:
-        for tracer in self.tracers:
-            tracer.emit(kind, node=node, line=line, region=region, idx=idx,
-                        detail=detail)
-
-    def end_access(self) -> None:
-        for tracer in self.tracers:
-            tracer.end_access()
+def event_record(event: ProtocolEvent) -> Dict[str, object]:
+    """One event as the JSONL schema's record shape."""
+    record: Dict[str, object] = {
+        "seq": event.seq,
+        "t": event.t,
+        "kind": event.kind,
+    }
+    if event.node is not None:
+        record["node"] = event.node
+    if event.line is not None:
+        record["line"] = event.line
+    if event.region is not None:
+        record["region"] = event.region
+    if event.idx is not None:
+        record["idx"] = event.idx
+    if event.detail:
+        record["detail"] = event.detail
+    return record
 
 
-def _hook(owner: object, tracer: object) -> None:
-    existing = getattr(owner, "tracer", None)
-    if existing is None:
-        owner.tracer = tracer  # type: ignore[attr-defined]
-    elif isinstance(existing, TracerFanout):
-        existing.tracers.append(tracer)
-    else:
-        owner.tracer = TracerFanout([existing, tracer])  # type: ignore[attr-defined]
+def write_jsonl(ring: EventRing, stream: IO[str]) -> int:
+    """Write one JSON object per buffered event; returns the count."""
+    n = 0
+    for event in ring.events():
+        stream.write(json.dumps(event_record(event),
+                                separators=(",", ":")) + "\n")
+        n += 1
+    return n
 
 
-def attach_tracer(hierarchy: object, tracer: object) -> bool:
-    """Install ``tracer`` on a hierarchy's event-emitting components.
-
-    Composes with any tracer already attached (e.g. the sanitizer) via
-    :class:`TracerFanout`.  Returns False when the hierarchy has no
-    tracer hooks (the MESI baselines): tracing them yields an empty
-    stream rather than an error.
-    """
-    protocol = getattr(hierarchy, "protocol", None)
-    if protocol is None or not hasattr(protocol, "tracer"):
-        return False
-    _hook(protocol, tracer)
-    for node in protocol.nodes:
-        _hook(node, tracer)
-    _hook(protocol.md3, tracer)
-    return True
-
-
-class TraceRecorder:
-    """Buffers the protocol event stream for export.
-
-    ``window=0`` keeps every event (full trace); ``window=N`` keeps a
-    ring of the last N, for long runs where only the steady state is
-    interesting.  Each event is stamped with the index of the access it
-    occurred under (``begin_access`` increments it), giving exports a
-    time axis aligned with the simulator's unit of work.
-    """
-
-    __slots__ = ("window", "access_index", "recorded", "_events", "_seq")
-
-    def __init__(self, window: int = 0) -> None:
-        if window < 0:
-            raise ValueError("window must be >= 0 (0 = unbounded)")
-        self.window = window
-        self.access_index = 0
-        self.recorded = 0
-        self._events: Deque[Tuple[int, ProtocolEvent]] = deque(
-            maxlen=window or None)
-        self._seq = 0
-
-    # -- tracer API --------------------------------------------------------
-
-    def begin_access(self, node: int, line: int, region: int, idx: int,
-                     detail: str = "") -> None:
-        self.access_index += 1
-        self.emit("access", node=node, line=line, region=region, idx=idx,
-                  detail=detail)
-
-    def emit(self, kind: str, node: Optional[int] = None,
-             line: Optional[int] = None, region: Optional[int] = None,
-             idx: Optional[int] = None, detail: str = "") -> None:
-        event = ProtocolEvent(self._seq, kind, node=node, line=line,
-                              region=region, idx=idx, detail=detail)
-        self._seq += 1
-        self.recorded += 1
-        self._events.append((self.access_index, event))
-
-    def end_access(self) -> None:
-        pass
-
-    # -- access ------------------------------------------------------------
-
-    def events(self) -> List[Tuple[int, ProtocolEvent]]:
-        """Buffered ``(access_index, event)`` pairs, oldest first."""
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    # -- JSONL export ------------------------------------------------------
-
-    def event_record(self, access_index: int,
-                     event: ProtocolEvent) -> Dict[str, object]:
-        """One event as the JSONL schema's record shape."""
-        record: Dict[str, object] = {
-            "seq": event.seq,
-            "t": access_index,
-            "kind": event.kind,
-        }
-        if event.node is not None:
-            record["node"] = event.node
-        if event.line is not None:
-            record["line"] = event.line
-        if event.region is not None:
-            record["region"] = event.region
-        if event.idx is not None:
-            record["idx"] = event.idx
-        if event.detail:
-            record["detail"] = event.detail
-        return record
-
-    def write_jsonl(self, stream: IO[str]) -> int:
-        """Write one JSON object per event; returns the event count."""
-        n = 0
-        for access_index, event in self._events:
-            stream.write(json.dumps(self.event_record(access_index, event),
-                                    separators=(",", ":")) + "\n")
-            n += 1
-        return n
-
-    # -- Chrome trace export -----------------------------------------------
-
-    @staticmethod
-    def _track_of(event: ProtocolEvent) -> int:
-        kind = event.kind
-        if kind.startswith("md3."):
-            return MD3_TRACK
-        if kind.startswith("llc."):
-            return LLC_TRACK
-        if kind.startswith("mem."):
-            return MEM_TRACK
-        if kind == "noc.msg":
-            return NOC_TRACK
-        if event.node is not None:
-            return event.node
+def _track_of(event: ProtocolEvent) -> int:
+    kind = event.kind
+    if kind.startswith("md3."):
+        return MD3_TRACK
+    if kind.startswith("llc."):
+        return LLC_TRACK
+    if kind.startswith("mem."):
+        return MEM_TRACK
+    if kind == "noc.msg":
         return NOC_TRACK
+    if event.node is not None:
+        return event.node
+    return NOC_TRACK
 
-    def chrome_events(self) -> List[Dict[str, object]]:
-        """The ``traceEvents`` array of the Chrome ``trace_event`` format.
 
-        Timestamps are event sequence numbers scaled by 2 so each
-        1-"microsecond" slice has clearance; the displayed time axis is
-        therefore protocol-event order, not cycles.
-        """
-        out: List[Dict[str, object]] = []
-        tracks = {MD3_TRACK: "MD3", LLC_TRACK: "LLC", MEM_TRACK: "memory",
-                  NOC_TRACK: "NoC"}
-        out.append({"ph": "M", "pid": 0, "name": "process_name",
-                    "args": {"name": "d2m protocol"}})
-        flow_id = 0
-        body: List[Dict[str, object]] = []
-        for access_index, event in self._events:
-            tid = self._track_of(event)
-            if tid < MD3_TRACK:
-                tracks.setdefault(tid, f"node {tid}")
-            ts = event.seq * 2
-            args: Dict[str, object] = {"t": access_index}
-            if event.line is not None:
-                args["line"] = f"{event.line:#x}"
-            if event.region is not None:
-                args["region"] = f"{event.region:#x}"
-            if event.idx is not None:
-                args["idx"] = event.idx
-            if event.detail:
-                args["detail"] = event.detail
-            if event.kind in INSTANT_KINDS:
-                body.append({"ph": "i", "pid": 0, "tid": tid, "ts": ts,
-                             "s": "t", "name": event.kind, "args": args})
-            else:
-                body.append({"ph": "X", "pid": 0, "tid": tid, "ts": ts,
-                             "dur": 1, "name": event.kind, "args": args})
-            # MD3-mediated transfer: tie the requesting node's slice to
-            # the MD3-side slice with a flow arrow.
-            if tid == MD3_TRACK and event.node is not None:
-                flow_id += 1
-                tracks.setdefault(event.node, f"node {event.node}")
-                body.append({"ph": "X", "pid": 0, "tid": event.node,
-                             "ts": ts, "dur": 1, "name": event.kind,
-                             "args": args})
-                body.append({"ph": "s", "pid": 0, "tid": event.node,
-                             "ts": ts, "id": flow_id, "cat": "md3",
-                             "name": "md3-transfer"})
-                body.append({"ph": "f", "pid": 0, "tid": MD3_TRACK,
-                             "ts": ts, "id": flow_id, "cat": "md3",
-                             "name": "md3-transfer", "bp": "e"})
-        for tid, name in sorted(tracks.items()):
-            out.append({"ph": "M", "pid": 0, "tid": tid,
-                        "name": "thread_name", "args": {"name": name}})
-        out.extend(body)
-        return out
+def chrome_events(ring: EventRing) -> List[Dict[str, object]]:
+    """The ``traceEvents`` array of the Chrome ``trace_event`` format.
 
-    def write_chrome(self, stream: IO[str]) -> int:
-        """Write the Chrome/Perfetto JSON; returns the event count."""
-        json.dump({"traceEvents": self.chrome_events(),
-                   "displayTimeUnit": "ms"}, stream)
-        stream.write("\n")
-        return len(self._events)
+    Timestamps are event sequence numbers scaled by 2 so each
+    1-"microsecond" slice has clearance; the displayed time axis is
+    therefore protocol-event order, not cycles.
+    """
+    out: List[Dict[str, object]] = []
+    tracks = {MD3_TRACK: "MD3", LLC_TRACK: "LLC", MEM_TRACK: "memory",
+              NOC_TRACK: "NoC"}
+    out.append({"ph": "M", "pid": 0, "name": "process_name",
+                "args": {"name": "d2m protocol"}})
+    flow_id = 0
+    body: List[Dict[str, object]] = []
+    for event in ring.events():
+        tid = _track_of(event)
+        if tid < MD3_TRACK:
+            tracks.setdefault(tid, f"node {tid}")
+        ts = event.seq * 2
+        args: Dict[str, object] = {"t": event.t}
+        if event.line is not None:
+            args["line"] = f"{event.line:#x}"
+        if event.region is not None:
+            args["region"] = f"{event.region:#x}"
+        if event.idx is not None:
+            args["idx"] = event.idx
+        if event.detail:
+            args["detail"] = event.detail
+        if event.kind in INSTANT_KINDS:
+            body.append({"ph": "i", "pid": 0, "tid": tid, "ts": ts,
+                         "s": "t", "name": event.kind, "args": args})
+        else:
+            body.append({"ph": "X", "pid": 0, "tid": tid, "ts": ts,
+                         "dur": 1, "name": event.kind, "args": args})
+        # MD3-mediated transfer: tie the requesting node's slice to the
+        # MD3-side slice with a flow arrow.
+        if tid == MD3_TRACK and event.node is not None:
+            flow_id += 1
+            tracks.setdefault(event.node, f"node {event.node}")
+            body.append({"ph": "X", "pid": 0, "tid": event.node,
+                         "ts": ts, "dur": 1, "name": event.kind,
+                         "args": args})
+            body.append({"ph": "s", "pid": 0, "tid": event.node,
+                         "ts": ts, "id": flow_id, "cat": "md3",
+                         "name": "md3-transfer"})
+            body.append({"ph": "f", "pid": 0, "tid": MD3_TRACK,
+                         "ts": ts, "id": flow_id, "cat": "md3",
+                         "name": "md3-transfer", "bp": "e"})
+    for tid, name in sorted(tracks.items()):
+        out.append({"ph": "M", "pid": 0, "tid": tid,
+                    "name": "thread_name", "args": {"name": name}})
+    out.extend(body)
+    return out
+
+
+def write_chrome(ring: EventRing, stream: IO[str]) -> int:
+    """Write the Chrome/Perfetto JSON; returns the event count."""
+    json.dump({"traceEvents": chrome_events(ring),
+               "displayTimeUnit": "ms"}, stream)
+    stream.write("\n")
+    return len(ring)
 
 
 #: the request lifecycle stages the serve layer records spans for

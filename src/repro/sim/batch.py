@@ -40,11 +40,14 @@ workload.  Three rules enforce that:
   the pending counts (reset-after-flush and discard-without-flush are
   the same operation on a cleared dict).
 
-Tracers are the one observer the fast path cannot satisfy in general: a
-hierarchy with an attached ``tracer`` runs all-slow (still batched,
-still bit-identical — this is how ``--sanitize`` composes) unless the
-tracer declares ``fast_path_safe`` (e.g. :class:`Telemetry`, whose
-tracer hooks are no-ops on the hit path).
+Observers (:mod:`repro.common.observe`) see the same hooks at the same
+stream positions as under the scalar loop; chunk ends are the
+``on_chunk`` boundaries, and the slow tail is bracketed by
+``slow_start``/``slow_done``.  An event observer is the one thing the
+fast path cannot satisfy in general: while the ``tracer`` slot holds one
+that is not ``fast_path_safe`` (the sanitizer, an event ring), every
+access takes the slow path — still batched, still bit-identical.  With
+no observer at all the loop makes no observer call.
 """
 
 from __future__ import annotations
@@ -66,9 +69,6 @@ from repro.common.types import (
     KIND_CODE,
 )
 from repro.sim.simulator import LatencyBucket, SimResult
-
-#: flush/vectorization granularity (accesses per chunk)
-DEFAULT_CHUNK = 4096
 
 #: minimum chunk length worth a numpy round-trip
 _NUMPY_MIN = 1024
@@ -138,12 +138,13 @@ def _shifted(vaddrs: List[int], va: Any, bits: int) -> List[int]:
 
 
 def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
-                warmup: int = 0, chunk: int = DEFAULT_CHUNK) -> SimResult:
+                warmup: int = 0, chunk: int = 0) -> SimResult:
     """Batched twin of :meth:`Simulator.run` (same arguments, same result).
 
     Asks the machine for its ``fastpath_probe``; a machine without one
-    — or with a tracer that is not ``fast_path_safe`` — runs the same
-    loop all-slow.
+    — or with an event observer that is not ``fast_path_safe`` — runs
+    the same loop all-slow.  ``chunk`` (0 = the observers' chunk
+    length) sets the flush granularity.
     """
     hierarchy = sim.hierarchy
     machine = getattr(hierarchy, "protocol", hierarchy)
@@ -156,16 +157,6 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
     on_store = sim.oracle.on_store
     check_load = sim.oracle.check_load
 
-    tracer = getattr(machine, "tracer", None)
-    probe_fn = getattr(machine, "fastpath_probe", None)
-    probe: Optional[FastPathProbe] = None
-    if probe_fn is not None and (
-            tracer is None or getattr(tracer, "fast_path_safe", False)):
-        probe = probe_fn(check_load if check_values else None)
-    probe_hit = probe.hit if probe is not None else None
-    key_bits = probe.key_bits if probe is not None else 0
-    lat_fast = probe.latency if probe is not None else 0
-
     result = SimResult(
         name=hierarchy.config.name,
         instructions=0,
@@ -173,25 +164,29 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
         stats=stats,
         buckets={},
     )
+    observers = sim._observe(result)
+    tick = observers.tick
+    on_access = observers.on_access
+    on_mshr = observers.on_mshr
+    on_roi = observers.on_roi
+    on_chunk = observers.on_chunk
+    slow_start = observers.slow_start
+    slow_done = observers.slow_done
+    # Observer boundaries must coincide with chunk flushes (deferred
+    # fast-path aggregates fold in there) for the scalar loop to hit
+    # the same stream positions.
+    chunk = chunk or observers.chunk
+    streamed = 0
+
+    tracer = getattr(machine, "tracer", None)
+    probe_fn = getattr(machine, "fastpath_probe", None)
+    probe: Optional[FastPathProbe] = None
+    if probe_fn is not None and (tracer is None or tracer.fast_path_safe):
+        probe = probe_fn(check_load if check_values else None)
+    probe_hit = probe.hit if probe is not None else None
+    key_bits = probe.key_bits if probe is not None else 0
+    lat_fast = probe.latency if probe is not None else 0
     machine_access = machine.access
-    telemetry = sim.telemetry
-    tele_tick = telemetry.tick if telemetry is not None else None
-    tele_access = telemetry.on_access if telemetry is not None else None
-    profiler = getattr(sim, "profiler", None)
-    prof_slow_start = profiler.slow_start if profiler is not None else None
-    prof_slow_done = profiler.slow_done if profiler is not None else None
-    prof_chunk_done = profiler.chunk_done if profiler is not None else None
-    timeline = getattr(sim, "timeline", None)
-    tl_snapshot = timeline.snapshot if timeline is not None else None
-    tl_epoch = timeline.epoch if timeline is not None else 0
-    tl_pending = 0  # accesses since the last epoch boundary
-    if timeline is not None:
-        # Epoch boundaries must coincide with chunk flushes (deferred
-        # fast-path aggregates fold in there), so the chunk size becomes
-        # the epoch length — the scalar loop then snapshots at exactly
-        # the same stream positions.
-        chunk = tl_epoch
-        timeline.bind(hierarchy, result)
     core_time = sim._core_time
     issue_interval = sim._issue_interval
     mshr_inserts = sim._mshr_inserts
@@ -232,7 +227,6 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
     accesses = 0
     b_i = b_d = 0  # recorded fast L1 hits per side (flushed per chunk)
 
-    prof_t = _perf_ns() if prof_chunk_done is not None else 0
     for cores_c, kinds_c, vaddrs_c in _chunk_stream(
             workload, warmup + n_instructions, seed, chunk):
         n = len(cores_c)
@@ -251,7 +245,7 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
         # and access counting folds into vector ops up front and the
         # loop prologue shrinks to the clock advance.
         book_inline = True
-        if use_np and tele_tick is None and not roi_pending:
+        if use_np and tick is None and not roi_pending:
             ks = _np.fromiter(kinds_c, _np.int64, n)
             n_instr = n - int(_np.count_nonzero(ks))
             if recording:
@@ -284,8 +278,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                         probe.discard()
                     recording = True
                     roi_pending = False
-                    if timeline is not None:
-                        timeline.mark_roi()
+                    if on_roi is not None:
+                        on_roi()
                 if kcode == 0:
                     now = core_times[core] + issue_interval
                     core_times[core] = now
@@ -302,8 +296,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                     now = core_times[core]
                 if recording:
                     accesses += 1
-                if tele_tick is not None:
-                    tele_tick()
+                if tick is not None:
+                    tick()
             elif kcode == 0:
                 now = core_times[core] + issue_interval
                 core_times[core] = now
@@ -345,8 +339,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                                 buckets[bkey] = bucket
                             bucket.count += 1
                             bucket.total_latency += residual
-                            if tele_access is not None:
-                                tele_access(hit_late, residual)
+                            if on_access is not None:
+                                on_access(hit_late, residual)
                         continue
                     del outstanding[key]
                 if recording:
@@ -354,16 +348,15 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                         b_d += 1
                     else:
                         b_i += 1
-                    if tele_access is not None:
-                        tele_access(hit_l1, lat_fast)
+                    if on_access is not None:
+                        on_access(hit_l1, lat_fast)
                 continue
 
             # -- slow tail: the full state machine, untouched.  The
-            # profiler (observation only — no state is touched) times
-            # each fallback dispatch and attributes it via the events
-            # the machine emits under it.
-            if prof_slow_start is not None:
-                prof_slow_start()
+            # slow hooks (observation only — no state is touched) time
+            # each fallback dispatch.
+            if slow_start is not None:
+                slow_start()
                 slow_t0 = _perf_ns()
             shell = shells[kcode][core]
             mutate(shell, "vaddr", vaddr)
@@ -373,8 +366,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                 outcome = machine_access(shell, paddr)
                 if check_values:
                     check_load(line, outcome.version)
-            if prof_slow_done is not None:
-                prof_slow_done(_perf_ns() - slow_t0)
+            if slow_done is not None:
+                slow_done(_perf_ns() - slow_t0)
             key = (line << core_shift) | core
             completion = outstanding.get(key)
             if completion is not None and completion <= now:
@@ -390,8 +383,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                 latency = outcome.latency
                 if level is not hit_l1:
                     outstanding[key] = now + latency
-                    if telemetry is not None and recording:
-                        telemetry.on_mshr(latency)
+                    if on_mshr is not None and recording:
+                        on_mshr(latency)
                     mshr_inserts += 1
                     if mshr_inserts >= prune_period:
                         mshr_inserts = 0
@@ -408,8 +401,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                     buckets[bkey] = bucket
                 bucket.count += 1
                 bucket.total_latency += latency
-                if tele_access is not None:
-                    tele_access(level, latency)
+                if on_access is not None:
+                    on_access(level, latency)
                 if level is not hit_l1 and level is not hit_late:
                     lat = instr_miss_latency if instr else data_miss_latency
                     lat[core] = lat.get(core, 0) + latency
@@ -426,21 +419,10 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
                 bucket.count += count
                 bucket.total_latency += count * lat_fast
         b_i = b_d = 0
-        if prof_chunk_done is not None:
-            now_ns = _perf_ns()
-            prof_chunk_done(now_ns - prof_t)
-            prof_t = now_ns
-        # -- epoch boundary: chunks are epoch-sized when sampling (see
-        # above), so every full chunk flush closes one epoch; the
-        # trailing partial chunk is flushed by finalize() below.
-        if tl_snapshot is not None:
-            tl_pending += n
-            if tl_pending >= tl_epoch:
-                tl_pending -= tl_epoch
-                tl_snapshot(instructions, accesses)
+        streamed += n
+        if on_chunk is not None:
+            on_chunk(instructions, accesses, streamed)
 
-    if timeline is not None:
-        timeline.finalize(instructions, accesses, partial=tl_pending > 0)
     result.instructions = instructions
     result.accesses = accesses
     sim._mshr_inserts = mshr_inserts
@@ -453,4 +435,6 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
         if t != 0.0 or c in core_time:
             core_time[c] = t
     hierarchy.finalize()
+    if observers.finalize is not None:
+        observers.finalize()
     return result

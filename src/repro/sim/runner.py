@@ -5,7 +5,7 @@ from __future__ import annotations
 import os
 import time as _time
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.common.errors import InvariantViolation
 from repro.common.params import SystemConfig
@@ -166,8 +166,8 @@ def run_workload(config: SystemConfig, workload_name: str,
                  sanitize_every: int = 0,
                  check_invariants: bool = False,
                  telemetry: bool = False,
-                 tracer: Optional[object] = None,
-                 heartbeat: Optional[object] = None,
+                 observers: Sequence[Any] = (),
+                 heartbeat: Optional[Any] = None,
                  batched: bool = True,
                  profile: bool = False,
                  trace: str = "",
@@ -185,11 +185,11 @@ def run_workload(config: SystemConfig, workload_name: str,
 
     ``telemetry`` turns on a :class:`repro.obs.telemetry.Telemetry`
     that collects latency / occupancy / dwell histograms and lands on
-    the outcome.  ``tracer`` attaches an
-    extra :class:`~repro.common.types.EventTracer` (e.g. a
-    :class:`~repro.obs.trace.TraceRecorder`) alongside any sanitizer.
-    ``heartbeat`` is a sweep-progress :class:`~repro.obs.progress.Heartbeat`
-    driven once per simulated access.
+    the outcome.  ``observers`` join the run's own
+    (:mod:`repro.common.observe`; e.g. an
+    :class:`~repro.analysis.events.EventRing` recording the protocol
+    event stream).  ``heartbeat`` is a sweep-progress
+    :class:`~repro.obs.progress.Heartbeat` beating at chunk boundaries.
 
     The run uses the batched driver (:mod:`repro.sim.batch`);
     ``batched=False`` selects the reference loop instead, whose
@@ -217,37 +217,11 @@ def run_workload(config: SystemConfig, workload_name: str,
     if sanitize:
         from repro.analysis.sanitizer import attach_sanitizer
         sanitizer = attach_sanitizer(hierarchy, every=sanitize_every)
-    # A sweep heartbeat without requested telemetry still needs the
-    # per-access tick, but must not attach tracers or export histograms
-    # (a telemetry-off record stays telemetry-off).
-    tele = None
-    if telemetry or heartbeat is not None:
-        from repro.obs.telemetry import Telemetry
-        tele = Telemetry(heartbeat=heartbeat)
-        if telemetry:
-            tele.attach(hierarchy)
-    if tracer is not None:
-        from repro.obs.trace import attach_tracer
-        attach_tracer(hierarchy, tracer)
-    profiler = None
-    if profile:
-        from repro.obs.profile import AttributionProfiler
-        from repro.obs.trace import attach_tracer
-        profiler = AttributionProfiler()
-        profiler.attached = attach_tracer(hierarchy, profiler)
-        profiler.bind(hierarchy)
-    sampler = None
-    stream_writer = None
-    if timeline:
-        from repro.obs.timeline import TimelineSampler, TimelineStreamWriter
-        hb_path = getattr(heartbeat, "path", None)
-        if hb_path:
-            stream_writer = TimelineStreamWriter(os.path.join(
-                os.path.dirname(str(hb_path)), f"tl-{os.getpid()}.jsonl"))
-        sampler = TimelineSampler(epoch=timeline, on_epoch=stream_writer)
+    from repro.obs import run_observers, runlog
+    watch = run_observers(telemetry=telemetry, profile=profile,
+                          timeline=timeline, heartbeat=heartbeat)
     workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                              seed=seed)
-    from repro.obs import runlog
     log_extra: Dict[str, object] = {"trace": trace} if trace else {}
     runlog.emit("run.start", workload=workload_name, config=config.name,
                 instructions=budget, warmup=roi_warmup, seed=seed,
@@ -255,14 +229,9 @@ def run_workload(config: SystemConfig, workload_name: str,
                 batched=do_batched, **log_extra)
     started = _time.monotonic()
     simulator = Simulator(hierarchy, check_values=check_values,
-                          telemetry=tele, profiler=profiler,
-                          timeline=sampler)
+                          observers=[*watch.values(), *observers])
     result = simulator.run(workload, budget, seed=seed, warmup=roi_warmup,
                            batched=do_batched)
-    if tele is not None:
-        tele.finalize(hierarchy if telemetry else None)
-    if stream_writer is not None:
-        stream_writer.close()
     perf = PerfModel(config.ooo).summarize(result)
     elapsed = _time.monotonic() - started
     runlog.emit("run.end", workload=workload_name, config=config.name,
@@ -297,9 +266,9 @@ def run_workload(config: SystemConfig, workload_name: str,
         invariants_checked=invariants_checked,
         invariants_ok=invariants_ok,
         invariant_error=invariant_error,
-        telemetry=tele if telemetry else None,
-        profile=profiler.summary() if profiler is not None else None,
-        timeline=sampler.summary() if sampler is not None else None,
+        telemetry=watch.get("telemetry"),
+        profile=watch["profile"].summary() if profile else None,
+        timeline=watch["timeline"].summary() if timeline else None,
     )
 
 
@@ -310,10 +279,10 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     the run beats into it so ``repro sweep`` can render live per-worker
     progress.
     """
-    from repro.obs.progress import Heartbeat
-    heartbeat = Heartbeat.in_directory(spec.progress_dir,
-                                       f"{spec.workload}/{spec.config.name}",
-                                       trace=spec.trace)
+    from repro.obs.progress import heartbeat_in_directory
+    heartbeat = heartbeat_in_directory(
+        spec.progress_dir, f"{spec.workload}/{spec.config.name}",
+        trace=spec.trace)
     return run_workload(spec.config, spec.workload, spec.instructions,
                         spec.seed, check_values=spec.check_values,
                         warmup=spec.warmup, sanitize=spec.sanitize,

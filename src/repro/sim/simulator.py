@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.common.errors import TraceError
+from repro.common.observe import Observers, attach
 from repro.common.stats import StatGroup
 from repro.common.types import Access, AccessKind, AccessResult, HitLevel
 from repro.mem.mainmem import VersionOracle
@@ -105,19 +106,11 @@ class Simulator:
     """Drives one workload through one hierarchy."""
 
     def __init__(self, hierarchy: Any, check_values: bool = True,
-                 telemetry: Optional[Any] = None,
-                 profiler: Optional[Any] = None,
-                 timeline: Optional[Any] = None) -> None:
+                 observers: Iterable[Any] = ()) -> None:
         self.hierarchy = hierarchy
         self.check_values = check_values
-        #: optional repro.obs.telemetry.Telemetry sink; None = zero cost
-        self.telemetry = telemetry
-        #: optional repro.obs.profile.AttributionProfiler; consumed by the
-        #: batched driver only (the scalar loop has no fast/slow split)
-        self.profiler = profiler
-        #: optional repro.obs.timeline.TimelineSampler; both drivers
-        #: snapshot it at epoch boundaries (batched aligns its chunks)
-        self.timeline = timeline
+        #: every run observer behind one hook set (see repro.common.observe)
+        self.observers = Observers(observers)
         self.oracle = VersionOracle()
         self._core_time: Dict[int, float] = {}
         self._outstanding: Dict[Tuple[int, int], float] = {}
@@ -147,6 +140,10 @@ class Simulator:
         into flat chunk arrays and resolves L1 fast paths inline.  Its
         statistics are bit-identical to this loop's (the ``repro bench``
         equivalence gate enforces it).
+
+        Both drivers call the observers' hooks (:mod:`repro.common.observe`)
+        at the same stream positions; only the batched driver has the
+        slow-tail hooks.
         """
         # Neither driver creates reference cycles, so the cyclic
         # collector's gen-0 scans are pure overhead in these
@@ -176,12 +173,12 @@ class Simulator:
             stats=hierarchy.stats,
             buckets={},
         )
-        telemetry = self.telemetry
-        timeline = self.timeline
-        epoch_left = 0
-        if timeline is not None:
-            timeline.bind(hierarchy, result)
-            epoch_left = timeline.epoch
+        observers = self._observe(result)
+        tick = observers.tick
+        on_roi = observers.on_roi
+        on_chunk = observers.on_chunk
+        chunk = observers.chunk
+        streamed = 0
         # Warm-up/ROI state lives in these locals and nowhere else — the
         # batched driver keeps its own copies with the same semantics,
         # and _apply_mshr receives ``recording`` explicitly.
@@ -206,8 +203,8 @@ class Simulator:
                 hierarchy.energy.reset()
                 recording = True
                 roi_pending = False
-                if timeline is not None:
-                    timeline.mark_roi()
+                if on_roi is not None:
+                    on_roi()
             now = self._core_time.get(acc.core, 0.0)
             if acc.kind is AccessKind.IFETCH:
                 now += self._issue_interval
@@ -222,8 +219,8 @@ class Simulator:
                         roi_pending = True
             if recording:
                 result.accesses += 1
-            if telemetry is not None:
-                telemetry.tick()
+            if tick is not None:
+                tick()
 
             if acc.kind is AccessKind.STORE:
                 version = (self.oracle.on_store(line) if self.check_values
@@ -239,20 +236,25 @@ class Simulator:
             if recording:
                 self._record(result, acc, outcome)
 
-            # -- epoch boundary: the batched driver snapshots at the
-            # same stream positions via epoch-sized chunk flushes.
-            if timeline is not None:
-                epoch_left -= 1
-                if epoch_left == 0:
-                    epoch_left = timeline.epoch
-                    timeline.snapshot(result.instructions, result.accesses)
-        if timeline is not None:
-            timeline.finalize(result.instructions, result.accesses,
-                              partial=epoch_left != timeline.epoch)
+            streamed += 1
+            if on_chunk is not None and streamed % chunk == 0:
+                on_chunk(result.instructions, result.accesses, streamed)
+        if on_chunk is not None and streamed % chunk:
+            on_chunk(result.instructions, result.accesses, streamed)
         hierarchy.finalize()
+        if observers.finalize is not None:
+            observers.finalize()
         return result
 
     # ------------------------------------------------------------------ internals
+
+    def _observe(self, result: SimResult) -> Observers:
+        """Attach the observers' event half and bind them to this run."""
+        observers = self.observers
+        attach(self.hierarchy, *observers.watchers)
+        if observers.bind is not None:
+            observers.bind(self.hierarchy, result)
+        return observers
 
     def _record(self, result: SimResult, acc: Access,
                 outcome: AccessResult) -> None:
@@ -264,8 +266,9 @@ class Simulator:
         if bucket is None:
             bucket = result.buckets[key] = LatencyBucket()
         bucket.add(outcome.latency)
-        if self.telemetry is not None:
-            self.telemetry.on_access(outcome.level, outcome.latency)
+        on_access = self.observers.on_access
+        if on_access is not None:
+            on_access(outcome.level, outcome.latency)
         if outcome.level is not HitLevel.L1 \
                 and outcome.level is not HitLevel.LATE:
             stalls = (result.core_instr_miss_latency if instr
@@ -305,9 +308,9 @@ class Simulator:
         if outcome.level is HitLevel.L1:
             return outcome
         self._outstanding[key] = now + outcome.latency
-        telemetry = self.telemetry
-        if telemetry is not None and recording:
-            telemetry.on_mshr(outcome.latency)
+        on_mshr = self.observers.on_mshr
+        if on_mshr is not None and recording:
+            on_mshr(outcome.latency)
         # Entries for lines never re-accessed would otherwise accumulate
         # forever; periodically drop every entry whose fill has completed
         # (observable behaviour is identical — completed entries are

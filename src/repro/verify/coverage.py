@@ -53,26 +53,18 @@ def _stressed(config: SystemConfig) -> SystemConfig:
 
 
 class SignalCollector:
-    """Minimal :class:`~repro.common.types.EventTracer` recording
-    ``(kind, detail)`` pairs."""
+    """Minimal event observer recording ``(kind, detail)`` pairs.
 
-    #: every access must reach the tracer hooks (no batched fast path)
-    fast_path_safe = False
+    Not ``fast_path_safe``: every access must reach the protocol.
+    """
 
     def __init__(self) -> None:
         self.emits: Set[Tuple[str, str]] = set()
-
-    def begin_access(self, node: int, line: int, region: int, idx: int,
-                     detail: str = "") -> None:
-        pass
 
     def emit(self, kind: str, node: Optional[int] = None,
              line: Optional[int] = None, region: Optional[int] = None,
              idx: Optional[int] = None, detail: str = "") -> None:
         self.emits.add((kind, detail))
-
-    def end_access(self) -> None:
-        pass
 
 
 @dataclass
@@ -190,13 +182,13 @@ def _directed_signals_one(label: str, config: SystemConfig,
                           ops: List[Tuple[int, "AccessKind", int]],
                           trace: bool) -> RunSignals:
     from repro.core.hierarchy import build_hierarchy
-    from repro.obs.trace import attach_tracer
+    from repro.common.observe import attach
 
     hierarchy = build_hierarchy(config)
     collector: Optional[SignalCollector] = None
     if trace:
         collector = SignalCollector()
-        attach_tracer(hierarchy, collector)
+        attach(hierarchy, collector)
     _play(hierarchy, ops)
     signals = signals_from_stats(
         {k: float(v) for k, v in hierarchy.stats.flatten().items()},
@@ -358,14 +350,14 @@ def _run_signals(config: SystemConfig, workload: str, instructions: int,
                  warmup: int, label: str, trace: bool) -> RunSignals:
     from repro.sim.runner import run_workload
 
-    collector = SignalCollector() if trace else None
+    collectors = [SignalCollector()] if trace else []
     outcome = run_workload(config, workload, instructions=instructions,
                            seed=MATRIX_SEED, warmup=warmup,
                            sanitize=False, telemetry=False,
-                           tracer=collector, batched=False)
+                           observers=collectors, batched=False)
     signals = signals_from_stats(outcome.result.stats.flatten(),
                                  label=label)
-    if collector is not None:
+    for collector in collectors:
         signals.emits = collector.emits
     return signals
 

@@ -121,13 +121,6 @@ def _private_seq(size: int, write_frac: float = 0.1, stride: int = 16):
     return build
 
 
-def _private_random(size: int, write_frac: float = 0.1):
-    def build(core: int, cores: int, rng: random.Random):
-        del cores, rng
-        return RandomStream(private_base(core), size, write_frac=write_frac)
-    return build
-
-
 def _private_strided(size: int, stride: int, write_frac: float = 0.2):
     def build(core: int, cores: int, rng: random.Random):
         del cores, rng

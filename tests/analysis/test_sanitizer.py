@@ -14,7 +14,9 @@ import pytest
 
 from tests.helpers import D2M_FACTORIES, TraceDriver, small_config
 from repro.analysis import CoherenceSanitizer, SanitizerViolation, attach_sanitizer
+from repro.analysis.events import EventRing
 from repro.common.errors import InvariantViolation
+from repro.common.observe import attach
 from repro.common.params import base_2l, d2m_fs
 from repro.core.datastore import LineRole
 from repro.core.hierarchy import build_hierarchy
@@ -26,6 +28,8 @@ from repro.core.invariants import (
     machine_regions,
 )
 from repro.core.li import LI
+from repro.sim.simulator import Simulator
+from repro.workloads.registry import make_workload
 
 
 def warmed_machine(factory=d2m_fs, seed=5, accesses=1500):
@@ -219,13 +223,6 @@ class TestShadowModel:
         assert sanitizer.accesses == 95
         assert sanitizer.full_walks == 9
 
-    def test_detach_restores_untraced_machine(self):
-        protocol, sanitizer = warmed_machine(seed=13)
-        sanitizer.detach()
-        assert protocol.tracer is None
-        assert protocol.md3.tracer is None
-        assert all(node.tracer is None for node in protocol.nodes)
-
 
 class TestEquivalenceAndLifecycle:
     @pytest.mark.parametrize("factory", D2M_FACTORIES)
@@ -252,6 +249,19 @@ class TestEquivalenceAndLifecycle:
         assert sanitizer.rotation_checks > 0
         assert sanitizer.full_walks == 6
 
+    def test_sanitizer_joins_already_attached_observers(self):
+        # regression: attaching the sanitizer used to overwrite the
+        # tracer slots, silently evicting an event ring attached first
+        config = d2m_fs(2)
+        hierarchy = build_hierarchy(config)
+        ring = EventRing()
+        attach(hierarchy, ring)
+        sanitizer = attach_sanitizer(hierarchy)
+        workload = make_workload("fft", config.nodes, hierarchy.amap, seed=3)
+        Simulator(hierarchy).run(workload, 600, seed=3)
+        assert sanitizer.events_seen > 0
+        assert ring.recorded == sanitizer.events_seen
+
     def test_baseline_hierarchy_gets_no_sanitizer(self):
         hierarchy = build_hierarchy(base_2l(2))
         assert attach_sanitizer(hierarchy) is None
@@ -264,8 +274,9 @@ class TestEquivalenceAndLifecycle:
         sanitizer = attach_sanitizer(hierarchy)
         TraceDriver(hierarchy, seed=16).random_burst(200, cores=2)
         clone = pickle.loads(pickle.dumps(hierarchy))
-        restored = clone.protocol.tracer
+        (restored,) = clone.protocol.tracer.watchers
         assert isinstance(restored, CoherenceSanitizer)
+        assert clone.protocol.md3.tracer is clone.protocol.tracer
         assert restored.accesses == sanitizer.accesses
         assert len(restored.ring) == len(sanitizer.ring)
         restored.run_full_walk()  # the clone is still checkable

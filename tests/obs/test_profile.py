@@ -58,7 +58,7 @@ class TestAttribution:
     def test_stat_diffs_attribute_the_abc_taxonomy(self):
         events = StatGroup("events")
         profiler = AttributionProfiler()
-        profiler.bind(FakeHierarchy(events))
+        profiler.bind(FakeHierarchy(events), None)
         profiler.slow_start()
         events.add("B", 1)
         profiler.slow_done(400)
@@ -71,7 +71,7 @@ class TestAttribution:
 
     def test_baselines_without_events_group_stay_unclassified(self):
         profiler = AttributionProfiler()
-        profiler.bind(object())  # no .protocol.events
+        profiler.bind(object(), None)  # no .protocol.events
         profiler.slow_start()
         profiler.slow_done(50)
         assert profiler.class_ns == {UNCLASSIFIED: 50.0}

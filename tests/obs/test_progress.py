@@ -6,13 +6,17 @@ import os
 import subprocess
 import sys
 
+from repro.common.params import d2m_ns_r
+from repro.experiments.records import record_from_outcome
 from repro.obs.progress import (
     PROGRESS_JSONL_MAX_BYTES,
     Heartbeat,
     SweepProgress,
     _pid_alive,
+    heartbeat_in_directory,
     read_heartbeats,
 )
+from repro.sim.runner import RunSpec, run_spec
 
 
 def _dead_pid() -> int:
@@ -24,9 +28,10 @@ def _dead_pid() -> int:
 
 class TestHeartbeat:
     def test_in_directory_requires_directory(self, tmp_path):
-        assert Heartbeat.in_directory("", "x") is None
-        assert Heartbeat.in_directory(str(tmp_path / "missing"), "x") is None
-        beat = Heartbeat.in_directory(str(tmp_path), "x")
+        assert heartbeat_in_directory("", "x") is None
+        assert heartbeat_in_directory(str(tmp_path / "missing"),
+                                      "x") is None
+        beat = heartbeat_in_directory(str(tmp_path), "x")
         assert beat.path == str(tmp_path / f"hb-{os.getpid()}.json")
 
     def test_beat_writes_rate_limited(self, tmp_path):
@@ -50,9 +55,28 @@ class TestHeartbeat:
         plain = Heartbeat(str(path), "water/D2M-NS-R")
         plain.beat(10, force=True)
         assert "trace" not in json.loads(path.read_text())
-        # in_directory threads the id through
-        assert Heartbeat.in_directory(str(tmp_path), "x",
+        # heartbeat_in_directory threads the id through
+        assert heartbeat_in_directory(str(tmp_path), "x",
                                       trace="t" * 16).trace == "t" * 16
+
+    def test_chunk_boundaries_drive_beats(self, tmp_path):
+        path = tmp_path / "hb-3.json"
+        beat = Heartbeat(str(path), "water/D2M-NS-R", min_interval_s=0.0)
+        beat.on_chunk(10, 20, 4096)  # beats the stream position
+        assert json.loads(path.read_text())["accesses"] == 4096
+        beat.on_chunk(15, 30, 5000)
+        beat.finalize()  # the final beat repeats the last position
+        assert json.loads(path.read_text())["accesses"] == 5000
+
+    def test_heartbeat_only_run_beats_to_the_end(self, tmp_path):
+        # a sweep run with a progress dir but no telemetry still ends on
+        # a beat of its access count, and its record stays hist-free
+        spec = RunSpec(d2m_ns_r(2), "water", 1500, seed=3, warmup=0,
+                       progress_dir=str(tmp_path))
+        outcome = run_spec(spec)
+        beats = read_heartbeats(str(tmp_path))
+        assert [b["accesses"] for b in beats] == [outcome.result.accesses]
+        assert record_from_outcome(outcome, "test").hists == {}
 
     def test_read_heartbeats_tolerates_garbage(self, tmp_path):
         (tmp_path / "hb-1.json").write_text('{"run": "a", "accesses": 1}')

@@ -98,22 +98,3 @@ class TestDwellMirror:
         tele.finalize()
         assert tele.hists.summaries() == {}
 
-
-class TestSampling:
-    def test_tick_drives_heartbeat(self):
-        class FakeBeat:
-            def __init__(self):
-                self.beats = []
-
-            def beat(self, accesses, force=False):
-                self.beats.append(accesses)
-
-            def finish(self, accesses):
-                self.beats.append(-accesses)
-
-        beat = FakeBeat()
-        tele = Telemetry(sample_every=10, heartbeat=beat)
-        for _ in range(25):
-            tele.tick()
-        tele.finalize()
-        assert beat.beats == [10, 20, -25]

@@ -13,7 +13,7 @@ import json
 
 import pytest
 
-from repro.common.params import all_configs
+from repro.common.params import all_configs, base_2l
 from repro.core.hierarchy import build_hierarchy
 from repro.obs.compare import (
     NOTE,
@@ -37,6 +37,7 @@ from repro.sim.bench import BENCH_CONFIGS, BENCH_WORKLOADS, result_snapshot
 from repro.sim.perf import PerfModel
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import make_workload
+from tests.sim.test_simulator import _ScriptedWorkload, ifetch
 
 
 def _config(name):
@@ -47,15 +48,15 @@ def _simulate(config, workload_name, batched, *, epoch=0, instructions=900,
               warmup=300, seed=3):
     """One small run; returns (stats snapshot, timeline summary)."""
     hierarchy = build_hierarchy(config)
-    sampler = TimelineSampler(epoch=epoch) if epoch else None
-    simulator = Simulator(hierarchy, timeline=sampler)
+    samplers = [TimelineSampler(epoch=epoch)] if epoch else []
+    simulator = Simulator(hierarchy, observers=samplers)
     workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                              seed=seed)
     result = simulator.run(workload, instructions, seed=seed, warmup=warmup,
                            batched=batched)
     perf = PerfModel(config.ooo).summarize(result)
     snap = result_snapshot(result, perf.cycles)
-    return snap, (sampler.summary() if sampler is not None else {})
+    return snap, (samplers[0].summary() if samplers else {})
 
 
 def make_timeline(series_values, epoch_accesses=64, roi_epoch=0):
@@ -85,7 +86,7 @@ class TestSamplerContract:
     def test_mark_roi_pins_the_boundary_and_rebaselines(self):
         sampler = TimelineSampler(epoch=64)
         sampler.snapshot(100, 64)
-        sampler.mark_roi()  # counters reset to zero at the ROI boundary
+        sampler.on_roi()  # counters reset to zero at the ROI boundary
         sampler.snapshot(40, 64)
         summary = sampler.summary()
         assert summary["roi_epoch"] == 1
@@ -104,12 +105,19 @@ class TestSamplerContract:
         assert validate_timeline(summary) == []
 
     def test_finalize_flushes_only_partial_epochs(self):
-        sampler = TimelineSampler(epoch=64)
-        sampler.snapshot(100, 64)
-        sampler.finalize(100, 64, partial=False)
-        assert sampler.summary()["epochs"] == 1
-        sampler.finalize(130, 90, partial=True)
-        assert sampler.summary()["epochs"] == 2
+        # the run's end closes a trailing partial epoch, never an empty
+        # one: 64 single-access instructions fill exactly one 64-access
+        # epoch, 65 spill into a second
+        for batched in (False, True):
+            for instructions, epochs in ((64, 1), (65, 2)):
+                hierarchy = build_hierarchy(base_2l(1))
+                trace = [ifetch(0x1000 + 64 * i)
+                         for i in range(instructions)]
+                sampler = TimelineSampler(epoch=64)
+                Simulator(hierarchy, observers=[sampler]).run(
+                    _ScriptedWorkload(trace, hierarchy), instructions,
+                    batched=batched)
+                assert sampler.summary()["epochs"] == epochs, batched
 
     def test_stream_writer_appends_jsonl_rows(self, tmp_path):
         path = tmp_path / "tl-1.jsonl"

@@ -1,16 +1,20 @@
-"""Unit tests for trace capture, export formats, and tracer fanout."""
+"""Unit tests for trace capture, export formats, and the tracer slot's
+fan-out (the observer composite)."""
 
 import io
 import json
 
+from repro.analysis.events import EventRing
+from repro.common.observe import Observers, attach
 from repro.common.params import base_2l, d2m_ns_r
 from repro.core.hierarchy import build_hierarchy
 from repro.obs.trace import (
     MD3_TRACK,
-    TraceRecorder,
-    TracerFanout,
-    attach_tracer,
+    chrome_events,
+    event_record,
     validate_trace_record,
+    write_chrome,
+    write_jsonl,
 )
 from repro.sim.runner import run_workload
 
@@ -35,7 +39,7 @@ class _CountingTracer:
 class TestTracerFanout:
     def test_dispatches_to_all(self):
         a, b = _CountingTracer(), _CountingTracer()
-        fan = TracerFanout([a, b])
+        fan = Observers([a, b])
         fan.begin_access(0, 1, 2, 3)
         fan.emit("x")
         fan.end_access()
@@ -45,28 +49,30 @@ class TestTracerFanout:
     def test_attach_composes_with_existing_tracer(self):
         hierarchy = build_hierarchy(d2m_ns_r())
         first, second = _CountingTracer(), _CountingTracer()
-        assert attach_tracer(hierarchy, first)
-        assert attach_tracer(hierarchy, second)
+        assert attach(hierarchy, first)
+        assert attach(hierarchy, second)
+        assert attach(hierarchy, first)  # already attached: joins once
         hierarchy.protocol.tracer.emit("test")
         assert first.emits == 1
         assert second.emits == 1
+        assert hierarchy.protocol.md3.tracer is hierarchy.protocol.tracer
 
     def test_attach_refuses_baselines(self):
         hierarchy = build_hierarchy(base_2l())
-        assert attach_tracer(hierarchy, _CountingTracer()) is False
+        assert attach(hierarchy, _CountingTracer()) is False
 
 
 class TestTraceRecorder:
     def _traced_run(self, window=0, instructions=1500):
-        recorder = TraceRecorder(window=window)
+        recorder = EventRing(window=window)
         run_workload(d2m_ns_r(), "water", instructions=instructions,
-                     seed=1, tracer=recorder)
+                     seed=1, observers=[recorder])
         return recorder
 
     def test_records_events_with_access_time_axis(self):
         recorder = self._traced_run()
         assert recorder.recorded > 0
-        times = [t for t, _event in recorder.events()]
+        times = [event.t for event in recorder.events()]
         assert times == sorted(times)
         assert times[-1] >= 1
 
@@ -75,12 +81,12 @@ class TestTraceRecorder:
         assert recorder.recorded > 100
         assert len(recorder) == 100
         # the ring holds the newest events
-        assert recorder.events()[-1][1].seq == recorder.recorded - 1
+        assert recorder.events()[-1].seq == recorder.recorded - 1
 
     def test_jsonl_export_is_schema_valid(self):
         recorder = self._traced_run()
         buffer = io.StringIO()
-        count = recorder.write_jsonl(buffer)
+        count = write_jsonl(recorder, buffer)
         lines = buffer.getvalue().splitlines()
         assert count == len(lines) == len(recorder)
         for line in lines:
@@ -89,7 +95,7 @@ class TestTraceRecorder:
     def test_chrome_export_shape(self):
         recorder = self._traced_run(window=400)
         buffer = io.StringIO()
-        recorder.write_chrome(buffer)
+        write_chrome(recorder, buffer)
         doc = json.loads(buffer.getvalue())
         events = doc["traceEvents"]
         assert events
@@ -115,14 +121,14 @@ class TestChromeExportMultiNode:
     def _multi_node_trace(self):
         config = d2m_ns_r()
         assert config.nodes > 1  # the guarantee under test is cross-node
-        recorder = TraceRecorder(window=600)
+        recorder = EventRing(window=600)
         run_workload(config, "water", instructions=2500, seed=1,
-                     tracer=recorder)
+                     observers=[recorder])
         return recorder
 
     def test_flow_arrows_reference_registered_tracks(self):
         recorder = self._multi_node_trace()
-        events = recorder.chrome_events()
+        events = chrome_events(recorder)
         tracks = {event["tid"] for event in events
                   if event.get("ph") == "M"
                   and event.get("name") == "thread_name"}
@@ -143,11 +149,10 @@ class TestChromeExportMultiNode:
 
     def test_every_windowed_event_is_schema_valid(self):
         recorder = self._multi_node_trace()
-        pairs = recorder.events()
-        assert 0 < len(pairs) <= 600
-        for access_index, event in pairs:
-            record = recorder.event_record(access_index, event)
-            assert validate_trace_record(record) is None
+        events = recorder.events()
+        assert 0 < len(events) <= 600
+        for event in events:
+            assert validate_trace_record(event_record(event)) is None
 
 
 class TestValidateTraceRecord:

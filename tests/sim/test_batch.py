@@ -2,16 +2,21 @@
 
 The contract under test: ``Simulator.run(..., batched=True)`` produces
 bit-identical statistics to the scalar loop — stats tree, energy
-counts, latency buckets, per-core totals, model cycles, and telemetry
-histogram digests — for every system kind, with and without warm-up,
-with and without tracers attached.
+counts, latency buckets, per-core totals, model cycles, and every
+observer's output — for every system kind, with and without warm-up,
+under any set of observers.
 """
 
 import pytest
 
-from repro.common.params import all_configs, base_2l, d2m_fs, d2m_ns_r
+from repro.analysis.events import EventRing
+from repro.analysis.sanitizer import attach_sanitizer
+from repro.common.observe import DRIVER_HOOKS, Observers
+from repro.common.params import all_configs, base_2l, d2m_ns_r
 from repro.core.hierarchy import build_hierarchy
+from repro.obs.profile import AttributionProfiler
 from repro.obs.telemetry import Telemetry
+from repro.obs.timeline import TimelineSampler
 from repro.sim import batch
 from repro.sim.batch import run_batched
 from repro.sim.bench import BENCH_CONFIGS, BENCH_WORKLOADS, result_snapshot
@@ -25,18 +30,13 @@ def _config(name):
 
 
 def _simulate(config, workload_name, batched, *, instructions=900,
-              warmup=300, telemetry=False, sanitize=False, tracer=None,
-              check_values=True, nodes=None, seed=3, chunk=None):
+              warmup=300, observers=(), sanitize=False, check_values=True,
+              seed=3, chunk=None):
     hierarchy = build_hierarchy(config)
     if sanitize:
-        from repro.analysis.sanitizer import attach_sanitizer
         attach_sanitizer(hierarchy)
-    if tracer is not None:
-        from repro.obs.trace import attach_tracer
-        attach_tracer(hierarchy, tracer)
-    tele = Telemetry(sample_every=32).attach(hierarchy) if telemetry else None
     simulator = Simulator(hierarchy, check_values=check_values,
-                          telemetry=tele)
+                          observers=observers)
     workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                              seed=seed)
     if chunk is not None:
@@ -46,10 +46,35 @@ def _simulate(config, workload_name, batched, *, instructions=900,
         result = simulator.run(workload, instructions, seed=seed,
                                warmup=warmup, batched=batched)
     perf = PerfModel(config.ooo).summarize(result)
-    snap = result_snapshot(result, perf.cycles)
-    if tele is not None:
-        snap["hists"] = tele.hists.summaries()
-    return snap
+    return result_snapshot(result, perf.cycles)
+
+
+#: observer sets of the equivalence matrix ("sanitize" attaches the
+#: sanitizer before the run, the others ride on the Simulator)
+OBSERVER_SETS = {
+    "none": (),
+    "hist": ("hist",),
+    "timeline": ("timeline",),
+    "sanitize": ("sanitize",),
+    "recorder": ("recorder",),
+    "all": ("hist", "timeline", "profile", "sanitize", "recorder"),
+}
+
+
+def _observed(config, batched, kinds):
+    """A mix1 run under the named observers: its snapshot, the outputs
+    of the observers both drivers must agree on, and the profile."""
+    made = {"hist": Telemetry(sample_every=32),
+            "timeline": TimelineSampler(epoch=64),
+            "profile": AttributionProfiler(),
+            "recorder": EventRing()}
+    snap = _simulate(config, "mix1", batched, sanitize="sanitize" in kinds,
+                     observers=[made[k] for k in kinds if k in made])
+    outputs = {"hist": made["hist"].hists.summaries(),
+               "timeline": made["timeline"].summary(),
+               "recorder": made["recorder"].events()}
+    return (snap, {k: outputs[k] for k in kinds if k in outputs},
+            made["profile"].summary())
 
 
 class TestPinnedMatrixEquivalence:
@@ -77,14 +102,6 @@ class TestPinnedMatrixEquivalence:
             batched = _simulate(config, "mix1", True, chunk=97)
         assert scalar == batched
 
-    def test_bit_identical_with_telemetry(self):
-        # histogram digests are part of the contract when telemetry is on
-        for config_name in ("Base-2L", "D2M-NS-R"):
-            config = _config(config_name)
-            scalar = _simulate(config, "mix1", False, telemetry=True)
-            batched = _simulate(config, "mix1", True, telemetry=True)
-            assert scalar == batched, config_name
-
     def test_bit_identical_without_warmup(self):
         config = _config("D2M-FS")
         scalar = _simulate(config, "tpcc", False, warmup=0)
@@ -99,39 +116,44 @@ class TestPinnedMatrixEquivalence:
         assert scalar == batched
 
 
+class TestObserverEquivalence:
+    @pytest.mark.parametrize("config_name",
+                             ["Base-2L", "D2M-FS", "D2M-NS-R"])
+    @pytest.mark.parametrize("observer_set", list(OBSERVER_SETS))
+    def test_observers_never_perturb_either_driver(self, observer_set,
+                                                   config_name):
+        # unsafe event observers (sanitizer, recorder) send the batched
+        # run all-slow; either way both drivers must agree with each
+        # other, observer outputs included, and with the unobserved run
+        config = _config(config_name)
+        kinds = OBSERVER_SETS[observer_set]
+        scalar, scalar_out, _ = _observed(config, False, kinds)
+        batched, batched_out, profile = _observed(config, True, kinds)
+        assert scalar == batched == _simulate(config, "mix1", False)
+        assert scalar_out == batched_out
+        if "recorder" in kinds and config_name != "Base-2L":
+            assert batched_out["recorder"]
+        if "profile" in kinds:
+            _, _, unrecorded = _observed(
+                config, True, tuple(k for k in kinds if k != "recorder"))
+            assert profile["slow_accesses"] == unrecorded["slow_accesses"]
+
+
 class TestTracerGating:
-    def test_sanitizer_stays_bit_identical(self):
-        # the sanitizer is an unsafe tracer: the batched run goes
-        # all-slow, and must still match the sanitized scalar run
-        scalar = _simulate(d2m_ns_r(2), "fft", False, sanitize=True,
-                           instructions=600, warmup=200)
-        batched = _simulate(d2m_ns_r(2), "fft", True, sanitize=True,
-                            instructions=600, warmup=200)
-        assert scalar == batched
-
-    def test_unsafe_tracer_sees_every_access(self):
-        # a TraceRecorder has no fast_path_safe marker, so the batched
-        # driver must delegate every access to the protocol — the
-        # recorder's access counter must match the scalar run's exactly
-        from repro.obs.trace import TraceRecorder
-        scalar_rec = TraceRecorder()
-        scalar = _simulate(d2m_fs(2), "fft", False, tracer=scalar_rec,
-                           instructions=600, warmup=200)
-        batched_rec = TraceRecorder()
-        batched = _simulate(d2m_fs(2), "fft", True, tracer=batched_rec,
-                            instructions=600, warmup=200)
-        assert scalar == batched
-        assert scalar_rec.access_index > 0
-        assert batched_rec.access_index == scalar_rec.access_index
-
     def test_telemetry_is_fast_path_safe(self):
         assert Telemetry().fast_path_safe is True
 
     def test_fanout_safety_is_conjunction(self):
-        from repro.obs.trace import TracerFanout, TraceRecorder
         safe = Telemetry()
-        assert TracerFanout([safe]).fast_path_safe is True
-        assert TracerFanout([safe, TraceRecorder()]).fast_path_safe is False
+        assert Observers([safe]).fast_path_safe is True
+        assert Observers([safe, EventRing()]).fast_path_safe is False
+        # an observer without an event half has no say
+        assert Observers([safe, TimelineSampler()]).fast_path_safe is True
+
+    def test_no_observer_means_no_driver_call(self):
+        observers = Observers()
+        assert all(getattr(observers, hook) is None
+                   for hook in DRIVER_HOOKS)
 
 
 class TestFastPathEngagement:

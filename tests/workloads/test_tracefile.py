@@ -62,8 +62,8 @@ class TestRecordReplay:
 
         def simulate(workload, config, batched):
             hierarchy = build_hierarchy(config)
-            tele = Telemetry(sample_every=32).attach(hierarchy)
-            simulator = Simulator(hierarchy, telemetry=tele)
+            tele = Telemetry(sample_every=32)
+            simulator = Simulator(hierarchy, observers=[tele])
             result = simulator.run(workload, 400, seed=3, warmup=120,
                                    batched=batched)
             perf = PerfModel(config.ooo).summarize(result)
