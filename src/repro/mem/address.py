@@ -7,11 +7,14 @@ Two helpers live here:
 * :class:`AddressSpace` — a per-process virtual-to-physical translation
   with on-demand page allocation, used by workloads (each process gets its
   own space; threads of one parallel program share one).
+
+:func:`translate_chunk` translates a whole chunk of a stream at once.
 """
 
 from __future__ import annotations
 
-from typing import Dict
+from array import array
+from typing import Dict, List, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 
@@ -122,6 +125,44 @@ class AddressSpace:
     def mapped_pages(self) -> int:
         return len(self._pages)
 
+    def snapshot(self) -> Tuple[array, array]:
+        """The page table as compact ``(vpages, ppages)`` arrays."""
+        return array("q", self._pages), array("q", self._pages.values())
+
+    def restore(self, snapshot: Tuple[array, array]) -> None:
+        """Map every page of a :meth:`snapshot`."""
+        vpages, ppages = snapshot
+        self._pages.update(zip(vpages, ppages))
+
+
+def translate_chunk(spaces: Sequence[AddressSpace], cores: Sequence[int],
+                    vaddrs: Sequence[int]) -> List[int]:
+    """``[spaces[c].translate(v) for c, v in zip(cores, vaddrs)]``.
+
+    Mapped pages resolve in one bulk pass; the first touches left over
+    then allocate in stream order, so the allocator sees exactly the
+    sequence of per-access ``translate`` calls.  All spaces share one
+    geometry.
+    """
+    bits = spaces[0]._page_bits
+    mask = spaces[0]._offset_mask
+    tables = [space._pages for space in spaces]
+    # -1 marks a first touch (physical pages are never negative)
+    if all(table is tables[0] for table in tables):
+        get = tables[0].get
+        ppages = [get(v >> bits, -1) for v in vaddrs]
+    else:
+        ppages = [tables[c].get(v >> bits, -1)
+                  for c, v in zip(cores, vaddrs)]
+    i = -1
+    try:
+        while True:
+            i = ppages.index(-1, i + 1)
+            ppages[i] = spaces[cores[i]].translate(vaddrs[i]) >> bits
+    except ValueError:  # no first touch left
+        pass
+    return [(p << bits) | (v & mask) for p, v in zip(ppages, vaddrs)]
+
 
 class PageAllocator:
     """Allocates distinct physical pages across address spaces.
@@ -136,6 +177,21 @@ class PageAllocator:
     def __init__(self) -> None:
         self._next = 0
         self._issued: Dict[int, int] = {}
+
+    @property
+    def allocated(self) -> int:
+        """Pages handed out so far."""
+        return self._next
+
+    def snapshot(self) -> Tuple[int, array, array]:
+        """The allocator state: its count and compact issued map."""
+        return (self._next, array("q", self._issued),
+                array("q", self._issued.values()))
+
+    def restore(self, snapshot: Tuple[int, array, array]) -> None:
+        """Return to a :meth:`snapshot` taken from a fresh allocator."""
+        self._next, keys, ppages = snapshot
+        self._issued.update(zip(keys, ppages))
 
     def allocate(self, asid: int, vpage: int) -> int:
         key = (asid << 48) ^ vpage

@@ -4,8 +4,9 @@ PR 4 made every run *emit* telemetry (histogram digests in format-v7
 records, ``BENCH_*.json`` perf reports); this module *consumes* it.  It
 structurally diffs two comparable payloads —
 
-* two ``BENCH_*.json`` reports (per-cell instructions/second, per-phase
-  wall splits, the optimized-vs-reference equivalence flags),
+* two ``BENCH_*.json`` reports (per-cell instructions/second, the
+  phase wall times both report, the batched-vs-reference equivalence
+  flags),
 * two run records (every scalar paper metric, per-percentile
   histogram-digest drift, and epoch-timeline phase drift), or
 * two sweep matrices (``{workload: {config: record}}``, e.g. two
@@ -246,13 +247,22 @@ def compare_bench(baseline: Mapping[str, object],
         severity, why = _ips_severity(base_ips, cand_ips, thresholds)
         report.add(Delta(f"ips.{name}", base_ips, cand_ips,
                          _cap(severity, cap), why))
+        if "cold_ips" in base and "cold_ips" in cand:
+            # older reports time only the replayed stream
+            base_cold = float(base["cold_ips"])  # type: ignore[arg-type]
+            cand_cold = float(cand["cold_ips"])  # type: ignore[arg-type]
+            severity, why = _ips_severity(base_cold, cand_cold, thresholds)
+            report.add(Delta(f"cold_ips.{name}", base_cold, cand_cold,
+                             _cap(severity, cap), why))
         base_phases = base.get("phases_s", {})
         cand_phases = cand.get("phases_s", {})
         if isinstance(base_phases, Mapping) and isinstance(cand_phases,
                                                            Mapping):
-            for phase in ("generate", "hierarchy", "stats"):
-                b = float(base_phases.get(phase, 0.0))  # type: ignore[arg-type]
-                c = float(cand_phases.get(phase, 0.0))  # type: ignore[arg-type]
+            # only phases both reports time (older reports also split
+            # generate/hierarchy)
+            for phase in sorted(set(base_phases) & set(cand_phases)):
+                b = float(base_phases[phase])  # type: ignore[arg-type]
+                c = float(cand_phases[phase])  # type: ignore[arg-type]
                 if b > 0 and abs(c - b) / b >= 0.25:
                     report.add(Delta(f"phase.{phase}.{name}", b, c, NOTE,
                                      "phase wall-time shifted"))

@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.params import SystemConfig
 from repro.experiments.runner import (
     PendingRun,
     RunRecord,
@@ -196,14 +197,20 @@ class ServeApp:
         runlog.emit("serve.job_start", job=job.id, cells=len(job.cells),
                     **log_extra)
         _, configs = handlers.parse_submission(dict(request))
-        plan: SweepPlan = await loop.run_in_executor(None, lambda: plan_matrix(
-            workloads=list(request["workloads"]),  # type: ignore[arg-type]
-            configs=configs,
-            instructions=int(request["instructions"]),  # type: ignore[arg-type]
-            seed=int(request["seed"]),  # type: ignore[arg-type]
-            warmup=int(request["warmup"]),  # type: ignore[arg-type]
-            timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
-        ))
+
+        def lookup(names: List[str],
+                   systems: List[SystemConfig]) -> SweepPlan:
+            return plan_matrix(
+                workloads=names, configs=systems,
+                instructions=int(request["instructions"]),  # type: ignore[arg-type]
+                seed=int(request["seed"]),  # type: ignore[arg-type]
+                warmup=int(request["warmup"]),  # type: ignore[arg-type]
+                timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
+            )
+
+        plan: SweepPlan = await loop.run_in_executor(
+            None, lookup, list(request["workloads"]),  # type: ignore[arg-type]
+            configs)
 
         cells = {cell.key: cell for cell in job.cells}
         for workload, row in plan.matrix.items():
@@ -213,21 +220,44 @@ class ServeApp:
                     cells[key].state = "cached"
 
         owned: List[PendingRun] = []
+        claims: Dict[str, "asyncio.Future[object]"] = {}
         waited: Dict[str, "asyncio.Future[object]"] = {}
         for item in plan.pending:
             is_owner, future = self.coalescer.claim(item.key)
             if is_owner:
                 owned.append(item)
+                claims[item.key] = future
                 self.metrics.inc("repro_coalesce_owned_total")
             else:
                 waited[item.key] = future
                 self.metrics.inc("repro_coalesce_hits_total")
+        if owned:
+            # A run of an owned key may have landed between the lookup
+            # and the claim; look the owned cells up again, under the
+            # claims, and serve what is on disk now (by the lookup's
+            # acceptance rules) rather than simulating it twice.
+            again: SweepPlan = await loop.run_in_executor(
+                None, lookup,
+                list(dict.fromkeys(item.spec.workload for item in owned)),
+                [config for config in configs
+                 if any(item.spec.config is config for item in owned)])
+            missing = {item.key for item in again.pending}
+            for item in owned:
+                if item.key not in missing:
+                    workload, config_name = (item.spec.workload,
+                                             item.spec.config.name)
+                    record = again.matrix[workload][config_name]
+                    plan.matrix[workload][config_name] = record
+                    cells[item.key].state = "cached"
+                    self.coalescer.resolve(item.key, record)
+            owned = [item for item in owned if item.key in missing]
         cached_cells = sum(1 for cell in cells.values()
                            if cell.state == "cached")
         if cached_cells:
             self.metrics.inc("repro_cache_hits_total", cached_cells)
-        if plan.pending:
-            self.metrics.inc("repro_cache_misses_total", len(plan.pending))
+        if owned or waited:
+            self.metrics.inc("repro_cache_misses_total",
+                             len(owned) + len(waited))
         self.queue.save(job)
 
         failures_by_key: Dict[str, str] = {}
@@ -276,7 +306,8 @@ class ServeApp:
                             item.key, failures_by_key.get(item.key)
                             or crash
                             or f"run {item.spec.workload} on "
-                               f"{item.spec.config.name} did not complete")
+                               f"{item.spec.config.name} did not complete",
+                            claims[item.key])
             self._span(job, "simulate", sim_t.ts, sim_t.dur_s,
                        owned=len(owned))
 

@@ -9,6 +9,10 @@ future as the run lands, fanning one result out to all waiters — so N
 identical submissions, in flight or queued, cost exactly one
 simulation on top of the disk cache.
 
+A job looks its keys up in the disk cache before it claims them, so a
+run can land in between; the app therefore looks the keys it owns up
+again after claiming them, and simulates only those still missing.
+
 The registry lives on the event loop: :meth:`claim` and
 :meth:`resolve`/:meth:`fail` must be called from the loop thread
 (worker threads hand results back via ``call_soon_threadsafe``, which
@@ -56,12 +60,16 @@ class Coalescer:
         if future is not None and not future.done():
             future.set_result(result)
 
-    def fail(self, key: str, message: str) -> None:
-        """Owner callback: the run failed; waiters see the message.
+    def fail(self, key: str, message: str,
+             future: "asyncio.Future[object]") -> None:
+        """Owner callback for the ``future`` it claimed: the run failed;
+        waiters see the message.
 
         Failures resolve to an exception so every waiting job marks the
-        cell failed rather than hanging forever.
+        cell failed rather than hanging forever.  A later owner's claim
+        of the same key is left alone.
         """
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
+        if self._inflight.get(key) is future:
+            del self._inflight[key]
+        if not future.done():
             future.set_exception(RuntimeError(message))

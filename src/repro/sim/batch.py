@@ -1,11 +1,13 @@
 """Batched simulation driver: chunked streams + per-machine fast-path probes.
 
 :func:`run_batched` is the ``batched=True`` face of
-:meth:`repro.sim.simulator.Simulator.run`.  It precompiles the workload's
-access stream into flat parallel arrays (``cores``/``kinds``/``vaddrs``
-chunks from :meth:`generate_batch`, vectorized into page and probe-key
-ids per chunk with numpy when available) and runs one per-access loop
-for every machine.  The only per-family code is the machine's fast-path
+:meth:`repro.sim.simulator.Simulator.run`.  It consumes the workload's
+*translated* stream as flat parallel arrays (``cores``/``kinds``/
+``vaddrs``/``paddrs`` chunks from :meth:`generate_batch`, which
+translates — or replays a stream it already drained in this process —
+so this loop never translates), derives line and probe-key ids per
+chunk with numpy when available, and runs one per-access loop for
+every machine.  The only per-family code is the machine's fast-path
 *probe* (:class:`repro.common.types.FastPathProbe`), which the machine
 builds next to the ``access`` it replays: the D2M MD1-hit + LI-direct
 L1 hit (:class:`repro.core.protocol.D2MFastPath`) and the baseline
@@ -53,7 +55,7 @@ no observer at all the loop makes no observer call.
 from __future__ import annotations
 
 from time import perf_counter_ns as _perf_ns
-from typing import Any, Iterator, List, Optional, Tuple
+from typing import Any, Iterator, List, Optional, Sequence
 
 try:
     import numpy as _np
@@ -68,19 +70,22 @@ from repro.common.types import (
     HitLevel,
     KIND_CODE,
 )
+from repro.mem.address import translate_chunk
 from repro.sim.simulator import LatencyBucket, SimResult
+from repro.workloads.base import Chunk
 
 #: minimum chunk length worth a numpy round-trip
 _NUMPY_MIN = 1024
 
 
 def _chunks_from_scalar(workload: Any, total: int, seed: int,
-                        chunk: int) -> Iterator[Tuple[List[int], List[int],
-                                                      List[int]]]:
+                        chunk: int) -> Iterator[Chunk]:
     """Generic chunker over a workload without :meth:`generate_batch`.
 
     Drains ``generate`` and repacks the stream into the same
-    ``(cores, kinds, vaddrs)`` tuples.
+    ``(cores, kinds, vaddrs, paddrs)`` tuples, translating each chunk
+    in stream order — through the workload's per-core address spaces
+    (``_spaces``) when it has them, else its ``translate``.
     """
     kind_code = KIND_CODE
     cores: List[int] = []
@@ -91,17 +96,28 @@ def _chunks_from_scalar(workload: Any, total: int, seed: int,
         kinds.append(kind_code[acc.kind])
         vaddrs.append(acc.vaddr)
         if len(cores) >= chunk:
-            yield cores, kinds, vaddrs
+            yield cores, kinds, vaddrs, _translated(workload, cores, vaddrs)
             cores = []
             kinds = []
             vaddrs = []
     if cores:
-        yield cores, kinds, vaddrs
+        yield cores, kinds, vaddrs, _translated(workload, cores, vaddrs)
+
+
+def _translated(workload: Any, cores: List[int],
+                vaddrs: List[int]) -> List[int]:
+    spaces = getattr(workload, "_spaces", None)
+    paddrs = (translate_chunk(spaces, cores, vaddrs) if spaces
+              else list(map(workload.translate, cores, vaddrs)))
+    if min(paddrs) < 0:
+        i = next(i for i, paddr in enumerate(paddrs) if paddr < 0)
+        raise TraceError(f"negative physical address for core {cores[i]} "
+                         f"vaddr {vaddrs[i]:#x}")
+    return paddrs
 
 
 def _chunk_stream(workload: Any, total: int, seed: int,
-                  chunk: int) -> Iterator[Tuple[List[int], List[int],
-                                                List[int]]]:
+                  chunk: int) -> Iterator[Chunk]:
     gen_batch = getattr(workload, "generate_batch", None)
     if gen_batch is not None:
         return gen_batch(total, seed, chunk)
@@ -114,27 +130,19 @@ def _shells(nodes: int) -> List[List[Access]]:
             for kind in CODE_KIND]
 
 
-def _translation(workload: Any, hierarchy: Any
-                 ) -> Tuple[Optional[List[Any]], int, int]:
-    """``(page_maps, page_bits, offset_mask)`` for inline translation.
-
-    When the workload exposes per-core :class:`AddressSpace` objects
-    (``_spaces``), a mapped page resolves without the ``translate`` call
-    — same bit math, same result; first-touch allocations still go
-    through ``translate`` in access order.
-    """
-    spaces = getattr(workload, "_spaces", None)
-    if spaces:
-        return ([sp._pages for sp in spaces], spaces[0]._page_bits,
-                spaces[0]._offset_mask)
-    return None, hierarchy.amap.page_bits, 0
+def _vector(values: Any, n: int) -> Any:
+    """A chunk column (a list, ``bytes`` or an ``array``) as numpy ints."""
+    if isinstance(values, list):
+        return _np.fromiter(values, _np.int64, n)
+    return _np.asarray(memoryview(values))
 
 
-def _shifted(vaddrs: List[int], va: Any, bits: int) -> List[int]:
-    """``[v >> bits for v in vaddrs]``, through numpy when ``va`` is set."""
-    if va is not None:
-        return (va >> bits).tolist()
-    return [v >> bits for v in vaddrs]
+def _shifted(values: Sequence[int], bits: int, n: int,
+             use_np: bool) -> List[int]:
+    """``[v >> bits for v in values]``, through numpy when ``use_np``."""
+    if use_np:
+        return (_vector(values, n) >> bits).tolist()
+    return [v >> bits for v in values]
 
 
 def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
@@ -206,8 +214,6 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
     outstanding = {(ln << core_shift) | c: v
                    for (c, ln), v in out_src.items()}
 
-    page_maps, page_bits, offset_mask = _translation(workload, hierarchy)
-    translate = workload.translate
     shells = _shells(nodes)
     mutate = object.__setattr__
 
@@ -227,30 +233,24 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
     accesses = 0
     b_i = b_d = 0  # recorded fast L1 hits per side (flushed per chunk)
 
-    for cores_c, kinds_c, vaddrs_c in _chunk_stream(
+    for cores_c, kinds_c, vaddrs_c, paddrs_c in _chunk_stream(
             workload, warmup + n_instructions, seed, chunk):
         n = len(cores_c)
         use_np = _np is not None and n >= _NUMPY_MIN
-        va = _np.fromiter(vaddrs_c, _np.int64, n) if use_np else None
-        vpgs = (_shifted(vaddrs_c, va, page_bits) if page_maps is not None
-                else vaddrs_c)
-        if probe is None:
-            vkeys = vaddrs_c
-        elif key_bits == page_bits and page_maps is not None:
-            vkeys = vpgs
-        else:
-            vkeys = _shifted(vaddrs_c, va, key_bits)
+        lines = _shifted(paddrs_c, line_bits, n, use_np)
+        vkeys = (_shifted(vaddrs_c, key_bits, n, use_np)
+                 if probe is not None else lines)
         # Chunk-level bookkeeping: when no ROI boundary or telemetry
         # tick can fire inside this chunk, the per-access instruction
         # and access counting folds into vector ops up front and the
         # loop prologue shrinks to the clock advance.
         book_inline = True
         if use_np and tick is None and not roi_pending:
-            ks = _np.fromiter(kinds_c, _np.int64, n)
+            ks = _vector(kinds_c, n)
             n_instr = n - int(_np.count_nonzero(ks))
             if recording:
                 if n_instr:
-                    cs = _np.fromiter(cores_c, _np.int64, n)
+                    cs = _vector(cores_c, n)
                     for c, v in enumerate(_np.bincount(
                             cs[ks == 0], minlength=nodes).tolist()):
                         if v:
@@ -262,8 +262,8 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
             elif warmup_left > n_instr:
                 warmup_left -= n_instr
                 book_inline = False
-        for core, kcode, vaddr, vpg, vkey in zip(
-                cores_c, kinds_c, vaddrs_c, vpgs, vkeys):
+        for core, kcode, vaddr, paddr, line, vkey in zip(
+                cores_c, kinds_c, vaddrs_c, paddrs_c, lines, vkeys):
             if book_inline:
                 if roi_pending:
                     # ROI starts here (see the scalar loop): drop
@@ -304,17 +304,6 @@ def run_batched(sim: Any, workload: Any, n_instructions: int, seed: int = 0,
             else:
                 now = core_times[core]
 
-            ppage = page_maps[core].get(vpg) if page_maps is not None \
-                else None
-            if ppage is not None:
-                paddr = (ppage << page_bits) | (vaddr & offset_mask)
-            else:
-                paddr = translate(core, vaddr)
-                if paddr < 0:
-                    raise TraceError(
-                        f"negative physical address for core {core} "
-                        f"vaddr {vaddr:#x}")
-            line = paddr >> line_bits
             if kcode == 2:
                 version = on_store(line) if check_values else 1
             else:

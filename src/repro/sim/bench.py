@@ -4,10 +4,12 @@
 about the simulated machines — over a fixed matrix of three systems
 (Base-2L, D2M-FS, D2M-NS-R) by three workloads (tpcc, swaptions, mix1)
 with pinned seeds and instruction budgets, so numbers are comparable
-across commits.  Each cell reports instructions/second plus a per-phase
-wall split (workload generation vs hierarchy access vs stats
-summarization), and the whole report lands in a machine-readable
-``BENCH_<date>.json`` with an environment fingerprint.
+across commits.  Each cell reports instructions/second twice — ``ips``
+over a replayed stream and ``cold_ips`` over a freshly drawn and
+translated one (see :func:`_time_cell`) — plus the wall time of stats
+summarization, and the whole report lands in a machine-readable
+``BENCH_<date>.json`` with an environment fingerprint.  The per-layer
+split lives in ``perfbench``'s traced run.
 
 The benchmark doubles as a correctness gate for the production path:
 every cell is run once through the *reference* loop
@@ -18,8 +20,8 @@ per-core totals, and model cycles — must be bit-identical.  Any
 divergence fails the run with a nonzero exit, which is what CI's
 bench-smoke job keys on.
 
-Each cell's ``ips`` measures the batched driver, the path every
-``repro run``, sweep and serve job takes.
+Each cell's ``ips`` and ``cold_ips`` measure the batched driver, the
+path every ``repro run``, sweep and serve job takes.
 
 Timing uses ``time.process_time`` (CPU time; robust against noisy
 co-tenants) with a best-of-``repetitions`` policy per cell.
@@ -39,6 +41,7 @@ from repro.common.params import SystemConfig, all_configs
 from repro.core.hierarchy import build_hierarchy
 from repro.sim.perf import PerfModel
 from repro.sim.simulator import SimResult, Simulator
+from repro.workloads.base import forget_replays
 from repro.workloads.registry import make_workload
 
 #: the pinned matrix — one representative per hierarchy family, three
@@ -117,46 +120,39 @@ def _run_once(config: SystemConfig, workload_name: str, instructions: int,
 
 def _time_cell(config: SystemConfig, workload_name: str, instructions: int,
                warmup: int, repetitions: int) -> Dict[str, float]:
-    """Best-of-``repetitions`` batched-driver phase timings for one cell.
+    """Batched-driver timings for one cell.
 
-    Phases:
-
-    * ``generate`` — draining the chunked :meth:`generate_batch` stream
-      alone (what the batched driver consumes);
-    * ``hierarchy`` — the simulation loop minus the generate share
-      (translation, protocol/hierarchy access, MSHR, recording);
-    * ``stats`` — flattening counters and the perf-model summary.
+    ``cold_s`` is the first ``Simulator.run`` after the replay cache is
+    emptied, so it draws and translates the stream — what a lone
+    ``repro run`` and the first cell of a sweep row pay.  ``simulate_s``
+    is the best of the next ``repetitions`` runs, which replay that
+    stream — what the other cells of a row pay in one process.
+    ``stats_s`` is flattening the counters plus the perf-model summary.
     """
     total = warmup + instructions
-    best_generate = best_simulate = best_stats = float("inf")
-    for _ in range(max(1, repetitions)):
+    forget_replays()
+    simulate: List[float] = []
+    best_stats = float("inf")
+    for _ in range(1 + max(1, repetitions)):
         hierarchy = build_hierarchy(config)
         workload = make_workload(workload_name, config.nodes, hierarchy.amap,
                                  seed=BENCH_SEED)
-        t0 = time.process_time()
-        for _chunk in workload.generate_batch(total, BENCH_SEED):
-            pass
-        t_generate = time.process_time() - t0
-
         simulator = Simulator(hierarchy, check_values=False)
         t0 = time.process_time()
         result = simulator.run(workload, instructions, seed=BENCH_SEED,
                                warmup=warmup, batched=True)
-        t_simulate = time.process_time() - t0
+        simulate.append(time.process_time() - t0)
 
         t0 = time.process_time()
         result.stats.flatten()
         PerfModel(config.ooo).summarize(result)
-        t_stats = time.process_time() - t0
-
-        best_generate = min(best_generate, t_generate)
-        best_simulate = min(best_simulate, t_simulate)
-        best_stats = min(best_stats, t_stats)
+        best_stats = min(best_stats, time.process_time() - t0)
+    cold, best_simulate = simulate[0], min(simulate[1:])
     return {
-        "generate_s": best_generate,
-        "hierarchy_s": max(best_simulate - best_generate, 0.0),
+        "cold_s": cold,
         "simulate_s": best_simulate,
         "stats_s": best_stats,
+        "cold_ips": total / cold if cold > 0 else 0.0,
         "ips": total / best_simulate if best_simulate > 0 else 0.0,
     }
 
@@ -230,17 +226,15 @@ def run_bench(quick: bool = False,
                 "config": config_name,
                 "workload": workload_name,
                 "ips": round(timing["ips"], 1),
-                "phases_s": {
-                    "generate": round(timing["generate_s"], 6),
-                    "hierarchy": round(timing["hierarchy_s"], 6),
-                    "stats": round(timing["stats_s"], 6),
-                },
+                "cold_ips": round(timing["cold_ips"], 1),
+                "phases_s": {"stats": round(timing["stats_s"], 6)},
                 "simulate_s": round(timing["simulate_s"], 6),
             }
             if equivalent is not None:
                 cell["equivalent"] = equivalent
             cells.append(cell)
-            print(f"bench: {cell_name}: {cell['ips']:.0f} instr/s"
+            print(f"bench: {cell_name}: {cell['ips']:.0f} instr/s "
+                  f"(cold {cell['cold_ips']:.0f})"
                   + ("" if equivalent is None
                      else f" (equivalence {'ok' if equivalent else 'FAIL'})"))
     geomean_ips = _geomean(float(c["ips"]) for c in cells)

@@ -15,15 +15,21 @@ shows 100 % private misses for them).
 
 from __future__ import annotations
 
+import os
 import random
+import threading
+from array import array
 from bisect import bisect
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import (Any, Callable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.common.types import (Access, AccessKind, IFETCH_CODE, LOAD_CODE,
                                 STORE_CODE)
-from repro.mem.address import AddressMap, AddressSpace, PageAllocator
+from repro.mem.address import (AddressMap, AddressSpace, PageAllocator,
+                               translate_chunk)
 from repro.workloads.synthetic import Stream
 
 #: standard virtual layout
@@ -34,6 +40,94 @@ PRIVATE_SPACING = 0x0800_0000
 
 #: factory: (core, cores, rng) -> Stream
 StreamFactory = Callable[[int, int, random.Random], Stream]
+
+#: one chunk of a translated stream: ``(cores, kinds, vaddrs, paddrs)``
+Chunk = Tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
+
+#: the replay cache holds at most this many accesses over all its
+#: streams (18 bytes each), evicting the least recently used stream
+REPLAY_CAP = 1 << 20
+
+
+class _Recording:
+    """One fully drained translated stream and the state it leaves.
+
+    ``columns`` are the cores and kinds (``bytes`` once sealed) and the
+    vaddrs and paddrs (``array('q')``); ``ends`` are the chunk
+    boundaries.  ``tables`` holds a page-table snapshot per distinct
+    address space and ``allocator`` the allocator's.  The spec reference
+    keeps the spec's ``id`` in the cache ``key`` from being reused.
+    """
+
+    __slots__ = ("key", "spec", "columns", "ends", "tables", "allocator")
+
+    def __init__(self, key: Tuple[int, ...], spec: "WorkloadSpec") -> None:
+        self.key = key
+        self.spec = spec
+        self.columns: List[Any] = [bytearray(), bytearray(), array("q"),
+                                   array("q")]
+        self.ends = array("q")
+        self.tables: List[Tuple[array, array]] = []
+        self.allocator: Tuple[int, array, array] = (0, array("q"),
+                                                    array("q"))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def append(self, cores: List[int], kinds: List[int],
+               vaddrs: List[int], paddrs: List[int]) -> Chunk:
+        """Record one chunk; returns it in the compact shape."""
+        chunk = (bytes(cores), bytes(kinds), array("q", vaddrs),
+                 array("q", paddrs))
+        for column, values in zip(self.columns, chunk):
+            column += values
+        self.ends.append(len(self))
+        return chunk
+
+    def seal(self, tables: List[Tuple[array, array]],
+             allocator: Tuple[int, array, array]) -> None:
+        self.columns[:2] = [bytes(column) for column in self.columns[:2]]
+        self.tables = tables
+        self.allocator = allocator
+
+    def chunks(self) -> Iterator[Chunk]:
+        cores, kinds, vaddrs, paddrs = self.columns
+        start = 0
+        for end in self.ends:
+            yield (cores[start:end], kinds[start:end], vaddrs[start:end],
+                   paddrs[start:end])
+            start = end
+
+
+_replays: "OrderedDict[Tuple[int, ...], _Recording]" = OrderedDict()
+_replay_lock = threading.Lock()
+
+
+def _reset_replay_lock() -> None:
+    # A child forked while another thread held the lock must not
+    # inherit it held.
+    global _replay_lock
+    _replay_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_replay_lock)
+
+
+def forget_replays() -> None:
+    """Empty this process's replay cache: the next drain generates."""
+    with _replay_lock:
+        _replays.clear()
+
+
+def _store(recording: _Recording) -> None:
+    with _replay_lock:
+        _replays[recording.key] = recording
+        _replays.move_to_end(recording.key)
+        total = sum(map(len, _replays.values()))
+        while total > REPLAY_CAP:
+            _old_key, old = _replays.popitem(last=False)
+            total -= len(old)
 
 
 def private_base(core: int) -> int:
@@ -148,7 +242,7 @@ class SyntheticWorkload:
         self.spec = spec
         self.nodes = nodes
         self.amap = amap
-        allocator = PageAllocator()
+        allocator = self._allocator = PageAllocator()
         if spec.shared_space:
             shared = AddressSpace(amap, asid=0, allocator=allocator)
             self._spaces = [shared] * nodes
@@ -197,26 +291,93 @@ class SyntheticWorkload:
             core = (core + 1) % self.nodes
 
     def generate_batch(self, n_instructions: int, seed: int = 0,
-                       chunk: int = 4096
-                       ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
-        """The :meth:`generate` stream as chunked flat parallel arrays.
+                       chunk: int = 4096) -> Iterator[Chunk]:
+        """The :meth:`generate` stream, translated, as chunked flat arrays.
 
-        Yields ``(cores, kinds, vaddrs)`` tuples of equal-length lists
-        covering consecutive slices of the *identical* access sequence
-        :meth:`generate` produces: same per-core RNGs, same draws, with
-        each ``rng.choices(streams, weights)`` call replaced by the
-        single ``rng.random()`` + ``bisect`` that call performs
+        Yields ``(cores, kinds, vaddrs, paddrs)`` tuples of equal-length
+        sequences covering consecutive slices of the *identical* access
+        sequence :meth:`generate` produces: same per-core RNGs, same
+        draws, with each ``rng.choices(streams, weights)`` call replaced
+        by the single ``rng.random()`` + ``bisect`` that call performs
         internally.  ``kinds`` holds the compact codes from
         :mod:`repro.common.types` (``IFETCH_CODE``/``LOAD_CODE``/
-        ``STORE_CODE``).  Chunk boundaries always fall between the data
-        ops of one instruction and the next IFETCH, but consumers must
-        not rely on that — a chunk is just a flush point.
+        ``STORE_CODE``); ``paddrs`` is what :meth:`translate` gives for
+        each access, translated per chunk in stream order through this
+        workload's own address spaces.  Chunk boundaries always fall
+        between the data ops of one instruction and the next IFETCH, but
+        consumers must not rely on that — a chunk is just a flush point.
 
-        This is the batched driver's (``repro.sim.batch``) native input:
-        plain int lists append faster than Access construction and bulk
-        operations (region ids, page ids) can be vectorized per chunk.
+        A stream is a pure function of the spec, the node count, the
+        effective seed, ``n_instructions``, ``chunk``, the page geometry
+        and the address-space model, so a process keeps the streams it
+        fully drained (up to :data:`REPLAY_CAP` accesses, least recently
+        used evicted first) and replays them.  Only a *pristine*
+        workload — no page mapped, allocator fresh — consults or fills
+        that cache; a replay installs the recorded page tables and
+        allocator state, so the workload ends as a generating run leaves
+        it.  A drain that records or replays yields compact chunks —
+        ``bytes`` (cores, kinds) and ``array('q')`` (addresses) — which
+        the batched driver wraps in numpy without a copy; any other
+        drain yields lists.
+
+        This is the batched driver's (``repro.sim.batch``) native input.
         """
-        rngs = [random.Random((seed or self._seed) * 1_000_003 + core)
+        seed = seed or self._seed
+        key = self._replay_key(n_instructions, seed, chunk)
+        if key is not None:
+            with _replay_lock:
+                recording = _replays.get(key)
+                if recording is not None:
+                    _replays.move_to_end(key)
+            if recording is not None:
+                yield from self._replay(recording)
+                return
+        record: Optional[_Recording] = None
+        if key is not None and n_instructions <= REPLAY_CAP \
+                and self.nodes <= 256:
+            record = _Recording(key, self.spec)
+        spaces = self._spaces
+        allocator = self._allocator
+        mapped = allocator.allocated
+        for cores, kinds, vaddrs in self._draws(n_instructions, seed, chunk):
+            if allocator.allocated != mapped:
+                record = None  # pages were mapped behind the stream
+            paddrs = translate_chunk(spaces, cores, vaddrs)
+            mapped = allocator.allocated
+            if record is None:
+                yield cores, kinds, vaddrs, paddrs
+                continue
+            yield record.append(cores, kinds, vaddrs, paddrs)
+            if len(record) > REPLAY_CAP:
+                record = None
+        if record is not None and allocator.allocated == mapped:
+            record.seal([space.snapshot() for space in self._own_spaces()],
+                        allocator.snapshot())
+            _store(record)
+
+    def _replay_key(self, n_instructions: int, seed: int,
+                    chunk: int) -> Optional[Tuple[int, ...]]:
+        """The stream's replay-cache key; None unless pristine."""
+        if self._allocator.allocated or any(
+                space.mapped_pages for space in self._own_spaces()):
+            return None
+        return (id(self.spec), self.nodes, seed, n_instructions, chunk,
+                self.amap.page_bits, int(self.spec.shared_space))
+
+    def _own_spaces(self) -> List[AddressSpace]:
+        """Each distinct address space once."""
+        return self._spaces[:1] if self.spec.shared_space else self._spaces
+
+    def _replay(self, recording: _Recording) -> Iterator[Chunk]:
+        for space, table in zip(self._own_spaces(), recording.tables):
+            space.restore(table)
+        self._allocator.restore(recording.allocator)
+        return recording.chunks()
+
+    def _draws(self, n_instructions: int, seed: int, chunk: int
+               ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
+        """The untranslated stream as ``(cores, kinds, vaddrs)`` lists."""
+        rngs = [random.Random(seed * 1_000_003 + core)
                 for core in range(self.nodes)]
         code = [self.spec.code.build(core, rngs[core])
                 for core in range(self.nodes)]

@@ -59,7 +59,15 @@ class TestHarnesses:
     def test_fig6(self, tiny_matrix, capsys):
         summary = fig6_edp.main(tiny_matrix)
         assert summary["Base-2L"] == pytest.approx(1.0)
-        assert "Figure 6" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "Figure 6" in out
+        # the printed change follows the paper's sign: ratio - 1
+        nsr = summary["D2M-NS-R"]
+        vs_3l = nsr / summary["Base-3L"]
+        assert (f"vs Base-2L: {(nsr - 1) * 100:+.0f}% (paper: -54%)"
+                in out)
+        assert (f"vs Base-3L: {(vs_3l - 1) * 100:+.0f}% (paper: -40%)"
+                in out)
 
     def test_fig7(self, tiny_matrix, capsys):
         stats = fig7_speedup.main(tiny_matrix)

@@ -36,8 +36,7 @@ def make_bench(ips_scale=1.0, mode="full", equivalent=True, **overrides):
             cells.append({
                 "config": config, "workload": workload,
                 "ips": round(40_000.0 * ips_scale, 1),
-                "phases_s": {"generate": 0.2, "hierarchy": 0.5,
-                             "stats": 0.01},
+                "phases_s": {"stats": 0.01},
                 "simulate_s": 0.7,
                 "equivalent": equivalent,
             })
@@ -154,15 +153,38 @@ class TestCompareBench:
         assert only[0].severity == WARN
         assert "only in baseline" in only[0].note
 
+    def test_cold_ips_drop_regresses(self):
+        baseline, candidate = make_bench(), make_bench()
+        for cell in baseline["cells"]:
+            cell["cold_ips"] = 30_000.0
+        for cell in candidate["cells"]:
+            cell["cold_ips"] = 20_000.0
+        report = compare_bench(baseline, candidate)
+        keys = {d.key for d in report.regressions()}
+        assert keys == {f"cold_ips.{c['config']}/{c['workload']}"
+                        for c in candidate["cells"]}
+        # a report without cold timings compares its ips alone
+        report = compare_bench(make_bench(), candidate)
+        assert not [d for d in report.deltas if d.key.startswith("cold_")]
+        assert report.worst == OK
+
     def test_phase_shift_is_noted(self):
         candidate = make_bench()
-        candidate["cells"][0]["phases_s"] = {"generate": 0.4,
-                                             "hierarchy": 0.5,
-                                             "stats": 0.01}
+        candidate["cells"][0]["phases_s"] = {"stats": 0.04}
         report = compare_bench(make_bench(), candidate)
         shifted = [d for d in report.deltas
-                   if d.key.startswith("phase.generate.")]
+                   if d.key.startswith("phase.stats.")]
         assert shifted and shifted[0].severity == NOTE
+
+    def test_phases_one_report_lacks_are_skipped(self):
+        # an older report also split generate/hierarchy; only the
+        # phases both reports time are compared
+        baseline = make_bench()
+        for cell in baseline["cells"]:
+            cell["phases_s"] = {"generate": 0.2, "hierarchy": 0.5,
+                                "stats": 0.01}
+        report = compare_bench(baseline, make_bench())
+        assert not [d for d in report.deltas if d.key.startswith("phase.")]
 
 
 class TestCompareRecords:

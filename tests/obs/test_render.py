@@ -195,7 +195,8 @@ class TestRenderDashboard:
         bench = {"schema": 1, "mode": "full", "matrix": {},
                  "env": {}, "geomean_ips": 100.0,
                  "cells": [{"config": "Base-2L", "workload": "tpcc",
-                            "ips": 100.0, "phases_s": {}}],
+                            "ips": 100.0,
+                            "phases_s": {"stats": 0.01}}],
                  "equivalence_checked": False, "equivalence_ok": True}
         report = compare_bench(bench, bench)
         html = render_dashboard(make_matrix(), focus=("water", "D2M-NS-R"),

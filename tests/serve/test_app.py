@@ -209,14 +209,33 @@ class TestCoalescer:
 
         async def scenario():
             coalescer = Coalescer()
-            coalescer.claim("k1")
+            _, owned = coalescer.claim("k1")
             _, shared = coalescer.claim("k1")
-            coalescer.fail("k1", "run died")
+            coalescer.fail("k1", "run died", owned)
             with pytest.raises(RuntimeError, match="run died"):
                 await shared
-            # failing an already-settled or unknown key is a no-op
-            coalescer.fail("k1", "again")
+            # failing an already-settled claim or resolving an unknown
+            # key is a no-op
+            coalescer.fail("k1", "again", owned)
             coalescer.resolve("k2", "orphan")
+
+        asyncio.run(scenario())
+
+    def test_owner_failure_leaves_a_later_claim_alone(self):
+        # the first owner's cleanup runs after its run landed and a
+        # second job claimed the key afresh: that claim must survive
+        from repro.serve.coalesce import Coalescer
+
+        async def scenario():
+            coalescer = Coalescer()
+            _, first = coalescer.claim("k1")
+            coalescer.resolve("k1", "record")
+            owned, second = coalescer.claim("k1")
+            assert owned
+            coalescer.fail("k1", "did not complete", first)
+            assert not second.done() and len(coalescer) == 1
+            coalescer.resolve("k1", "again")
+            assert await second == "again"
 
         asyncio.run(scenario())
 
@@ -279,6 +298,61 @@ class TestCoalescing:
                 assert payload["state"] == "failed"
                 assert "owner run exploded on water" in payload["error"], \
                     payload["error"]
+
+
+class TestLateLanding:
+    """A run landing between a job's cache lookup and its claim."""
+
+    @staticmethod
+    def _race(daemon, monkeypatch, late_body, early_body):
+        """Submit ``late_body`` and hold its first lookup until a job
+        for ``early_body`` has simulated and landed; return both
+        settled payloads (late first)."""
+        import repro.serve.app as app_module
+
+        real = app_module.plan_matrix
+        entered = threading.Event()
+        lookups = []
+
+        def stalling(**kwargs):
+            plan = real(**kwargs)
+            lookups.append(kwargs.get("timeline", 0))
+            if len(lookups) == 1:
+                entered.set()
+                deadline = time.monotonic() + DEADLINE_S
+                while (daemon.app.simulations < 1
+                       and time.monotonic() < deadline):
+                    time.sleep(0.01)
+            return plan
+
+        monkeypatch.setattr(app_module, "plan_matrix", stalling)
+        late = daemon.submit(late_body)[0]
+        assert entered.wait(DEADLINE_S)
+        early = daemon.submit(early_body)[0]
+        return daemon.wait_done(late), daemon.wait_done(early)
+
+    def test_landed_run_is_served_not_simulated_again(self, cache,
+                                                      monkeypatch):
+        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
+            late, early = self._race(daemon, monkeypatch, MATRIX, MATRIX)
+            assert late["state"] == early["state"] == "done"
+            assert [cell["state"] for cell in late["cells"]] == ["cached"]
+            assert daemon.app.simulations == 1
+
+    def test_timeline_job_does_not_take_a_record_without_one(
+            self, cache, monkeypatch):
+        # the cache key leaves the timeline out, so the plain job's
+        # record lands under the timeline job's key; the timeline job
+        # must still simulate its own series
+        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
+            late, early = self._race(daemon, monkeypatch,
+                                     dict(MATRIX, timeline=256), MATRIX)
+            assert late["state"] == early["state"] == "done"
+            [cell] = late["cells"]
+            assert cell["state"] == "simulated"
+            assert daemon.app.simulations == 2
+            status, _, raw = daemon.http("GET", f"/records/{cell['key']}")
+            assert status == 200 and json.loads(raw)["timeline"]
 
 
 class TestEndpointLabels:

@@ -207,17 +207,49 @@ class TestFallbacks:
     ], ids=["tpcc-2n", "water-4n", "tpcc-4n", "mix1-4n",
             "water-default-seed"])
     def test_generic_chunker_matches_generate_batch(self, name, nodes,
-                                                    wl_seed, total, seed):
-        # the hand-tuned generate_batch must replay the plain generate
-        # stream exactly (the generic chunker repacks generate, and is
-        # what a workload without generate_batch goes through)
+                                                    wl_seed, total, seed,
+                                                    monkeypatch):
+        # the hand-tuned generate_batch must give the plain generate +
+        # translate stream exactly, whether it generates without keeping
+        # the stream (list chunks), generates and records it, or replays
+        # it (compact chunks); the generic chunker repacks generate, and
+        # is what a workload without generate_batch goes through
         from repro.sim.batch import _chunks_from_scalar
-        workload = make_workload(name, nodes, seed=wl_seed)
-        via_batch = [tuple(map(tuple, c)) for c in
-                     workload.generate_batch(total, seed, chunk=128)]
-        via_scalar = [tuple(map(tuple, c)) for c in
-                      _chunks_from_scalar(workload, total, seed, 128)]
-        assert via_batch == via_scalar
+        from repro.workloads import base
+        base._replays.clear()
+
+        def drain():
+            return list(make_workload(name, nodes, seed=wl_seed)
+                        .generate_batch(total, seed, chunk=128))
+
+        with monkeypatch.context() as patch:
+            patch.setattr(base, "REPLAY_CAP", 0)  # too long to keep
+            live = drain()
+        recorded, replayed = drain(), drain()
+        assert isinstance(live[0][3], list)
+        assert isinstance(recorded[0][0], bytes)
+        assert isinstance(replayed[0][0], bytes)
+        via_scalar = [tuple(map(tuple, c)) for c in _chunks_from_scalar(
+            make_workload(name, nodes, seed=wl_seed), total, seed, 128)]
+        for via_batch in (live, recorded, replayed):
+            assert [tuple(map(tuple, c)) for c in via_batch] == via_scalar
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_negative_physical_address_is_a_trace_error(self, batched):
+        # a workload without generate_batch whose translate misbehaves:
+        # both drivers refuse the access
+        from repro.common.errors import TraceError
+
+        class Broken:
+            def generate(self, n, seed):
+                return make_workload("water", 8, seed=3).generate(n, seed)
+
+            def translate(self, core, vaddr):
+                return -1
+
+        simulator = Simulator(build_hierarchy(_config("Base-2L")))
+        with pytest.raises(TraceError, match="negative physical address"):
+            simulator.run(Broken(), 50, seed=3, batched=batched)
 
     @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-NS-R"])
     def test_machine_without_probe_runs_all_slow(self, config_name):

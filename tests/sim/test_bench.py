@@ -63,11 +63,11 @@ class TestReport:
         assert len(report["cells"]) == (
             len(bench.BENCH_CONFIGS) * len(bench.BENCH_WORKLOADS))
         for cell in report["cells"]:
-            assert cell["ips"] > 0
+            assert cell["ips"] > 0 and cell["cold_ips"] > 0
             phases = cell["phases_s"]
-            assert set(phases) == {"generate", "hierarchy", "stats"}
-            assert set(cell) == {"config", "workload", "ips", "phases_s",
-                                 "simulate_s"}
+            assert set(phases) == {"stats"}
+            assert set(cell) == {"config", "workload", "ips", "cold_ips",
+                                 "phases_s", "simulate_s"}
         assert report["geomean_ips"] > 0
         for key in ("python", "platform", "cpu_count", "commit"):
             assert key in report["env"]

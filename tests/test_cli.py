@@ -233,7 +233,7 @@ class TestLogJson:
 def _bench_payload(ips_scale=1.0):
     cells = [{"config": config, "workload": workload,
               "ips": round(50_000.0 * ips_scale, 1),
-              "phases_s": {"generate": 0.2, "hierarchy": 0.5},
+              "phases_s": {"stats": 0.01},
               "simulate_s": 0.7, "equivalent": True}
              for config in ("Base-2L", "D2M-NS-R")
              for workload in ("tpcc", "mix1")]
