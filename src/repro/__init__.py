@@ -31,7 +31,7 @@ from repro.common.params import (
 from repro.common.types import Access, AccessKind, AccessResult, HitLevel
 from repro.core.hierarchy import D2MHierarchy, build_hierarchy
 from repro.baseline.hierarchy import BaselineHierarchy
-from repro.sim.runner import run_matrix, run_workload
+from repro.sim.runner import run_workload
 from repro.sim.simulator import Simulator
 from repro.workloads.registry import make_workload, workload_names
 
@@ -54,7 +54,6 @@ __all__ = [
     "d2m_ns",
     "d2m_ns_r",
     "make_workload",
-    "run_matrix",
     "run_workload",
     "workload_names",
 ]

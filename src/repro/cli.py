@@ -38,13 +38,14 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.params import SystemConfig, all_configs
+from repro.experiments.records import RunRecord
 from repro.obs import runlog
 from repro.obs.profile import profile_text
 from repro.sim.runner import run_workload
-from repro.workloads.registry import get_spec, workload_names, workloads_by_category
+from repro.workloads.registry import get_spec, workloads_by_category
 
 #: artifact name -> experiment module (lazily imported)
 ARTIFACTS = {
@@ -89,6 +90,42 @@ def _resolve_config(name: str) -> Optional[SystemConfig]:
     return config
 
 
+def _resolve_cell(args: argparse.Namespace) -> Optional[SystemConfig]:
+    """``--config``'s system when ``--workload`` names a workload too;
+    otherwise None, after printing why."""
+    config = _resolve_config(args.config)
+    if config is None:
+        return None
+    try:
+        get_spec(args.workload)
+    except KeyError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    return config
+
+
+def _cached_record(args: argparse.Namespace, config: SystemConfig,
+                   extra: str) -> Optional[RunRecord]:
+    """The cached record of ``args``' cell on ``config`` that carries
+    ``extra`` (``"hist"`` or ``"timeline"``), looked up as a sweep
+    would (:func:`~repro.experiments.runner.plan_matrix`); None after
+    printing the sweep command that fills the cell."""
+    from repro.experiments.runner import plan_matrix
+
+    plan = plan_matrix([args.workload], [config], args.instructions,
+                       args.seed, fresh=False, telemetry=extra == "hist",
+                       timeline=int(extra == "timeline"))  # any epoch serves
+    if not plan.pending:
+        return plan.matrix[args.workload][config.name]
+    flag = " --timeline" if extra == "timeline" else ""
+    print(f"no cached run record with {extra} data for {args.workload} on "
+          f"{config.name} (instructions={plan.instructions}, "
+          f"seed={args.seed}); run `repro sweep --workloads "
+          f"{args.workload} --instructions {plan.instructions} "
+          f"--seed {args.seed}{flag}` first", file=sys.stderr)
+    return None
+
+
 def _cmd_list(args: argparse.Namespace) -> int:
     del args
     print("systems:")
@@ -102,13 +139,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _resolve_config(args.config)
+    config = _resolve_cell(args)
     if config is None:
-        return 2
-    try:
-        get_spec(args.workload)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
         return 2
     outcome = run_workload(config, args.workload,
                            instructions=args.instructions, seed=args.seed,
@@ -141,7 +173,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                      f"{result.ns_hit_ratio(False):.0%}"))
     if outcome.sanitized:
         rows.append(("sanitizer", "clean"))
-    if outcome.invariants_checked:
+    if outcome.spec.check_invariants:
         rows.append(("final invariants",
                      "ok" if outcome.invariants_ok else "VIOLATED"))
     for label, value in rows:
@@ -160,7 +192,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         print()
         print(timeline_text(outcome.timeline_summary()))
-    if outcome.invariants_checked and not outcome.invariants_ok:
+    if not outcome.invariants_ok:
         print(outcome.invariant_error, file=sys.stderr)
         return 1
     return 0
@@ -187,33 +219,14 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _report_hist(args: argparse.Namespace) -> int:
     """``repro report --hist``: histogram digests from the run cache."""
-    config = _resolve_config(args.config)
+    config = _resolve_cell(args)
     if config is None:
         return 2
-    try:
-        get_spec(args.workload)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
+    record = _cached_record(args, config, "hist")
+    if record is None:
         return 2
     from repro.experiments.report import hist_table
-    from repro.experiments.runner import _load_record, run_record_path
-    from repro.sim.runner import instruction_budget, warmup_budget
 
-    budget = args.instructions or instruction_budget()
-    warmup = warmup_budget(budget)
-    record = _load_record(run_record_path(args.workload, config.name, budget,
-                                          args.seed, warmup))
-    if record is None:
-        print(f"no cached run record for {args.workload} on {config.name} "
-              f"(instructions={budget}, seed={args.seed}); run "
-              f"`repro sweep --workloads {args.workload}` first",
-              file=sys.stderr)
-        return 2
-    if not record.hists:
-        print(f"cached record for {args.workload} on {config.name} has no "
-              f"histogram telemetry; regenerate it with REPRO_FRESH=1 "
-              f"repro sweep --workloads {args.workload}", file=sys.stderr)
-        return 2
     print(hist_table(record.hists,
                      title=f"Telemetry histograms: {args.workload} on "
                            f"{config.name}"))
@@ -223,13 +236,8 @@ def _report_hist(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     if args.job:
         return _trace_job(args)
-    config = _resolve_config(args.config)
+    config = _resolve_cell(args)
     if config is None:
-        return 2
-    try:
-        get_spec(args.workload)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
         return 2
     from repro.analysis.events import EventRing
     from repro.obs.trace import write_chrome, write_jsonl
@@ -326,32 +334,17 @@ def _cmd_timeline(args: argparse.Namespace) -> int:
                     else payload.get("timeline", {}))
         title = path.name
     else:
-        config = _resolve_config(args.config)
+        config = _resolve_cell(args)
         if config is None:
             return 2
-        try:
-            get_spec(args.workload)
-        except KeyError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        from repro.experiments.runner import _load_record, run_record_path
-        from repro.sim.runner import instruction_budget, warmup_budget
-
-        budget = args.instructions or instruction_budget()
-        warmup = warmup_budget(budget)
-        record = _load_record(run_record_path(args.workload, config.name,
-                                              budget, args.seed, warmup))
+        record = _cached_record(args, config, "timeline")
         if record is None:
-            print(f"no cached run record for {args.workload} on "
-                  f"{config.name} (instructions={budget}, "
-                  f"seed={args.seed}); run `repro sweep --workloads "
-                  f"{args.workload} --timeline` first", file=sys.stderr)
             return 2
         timeline = record.timeline
         title = f"{args.workload} on {config.name}"
     if not isinstance(timeline, dict) or not timeline:
         print("timeline: the record carries no epoch series; resimulate "
-              "with --timeline (REPRO_FRESH=1 forces it)", file=sys.stderr)
+              "with `repro sweep --timeline`", file=sys.stderr)
         return 2
     problems = validate_timeline(timeline)
     if problems:
@@ -427,41 +420,15 @@ def _timeline_job(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from repro.experiments.runner import (
-        SweepError,
-        get_matrix,
-        reap_orphan_tmp,
-    )
+    from repro.experiments.runner import reap_orphan_tmp
 
     reap_orphan_tmp()  # clear crash litter before adding our own writes
-    workloads = None
-    if args.workloads:
-        workloads = [w.strip() for w in args.workloads.split(",")
-                     if w.strip()]
-        for name in workloads:
-            try:
-                get_spec(name)  # fail early on typos
-            except KeyError as exc:
-                print(exc, file=sys.stderr)
-                return 2
-        if not workloads:
-            print("no workloads selected", file=sys.stderr)
-            return 2
-    try:
-        matrix = get_matrix(workloads=workloads,
-                            instructions=args.instructions, seed=args.seed,
-                            jobs=args.jobs or None,
-                            sanitize=args.sanitize,
-                            sanitize_every=args.sanitize_every,
-                            check_invariants=args.check_invariants,
-                            profile=args.profile_attrib,
-                            timeline=_timeline_epoch(args))
-    except SweepError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    if not matrix:
-        print("empty sweep: no workloads selected", file=sys.stderr)
-        return 2
+    matrix, code = _sweep_matrix(args, sanitize=args.sanitize,
+                                 sanitize_every=args.sanitize_every,
+                                 check_invariants=args.check_invariants,
+                                 profile=args.profile_attrib)
+    if matrix is None:
+        return code
     print(f"matrix ready: {len(matrix)} workloads x "
           f"{len(next(iter(matrix.values())))} systems")
     broken = [(workload, name) for workload, row in matrix.items()
@@ -490,8 +457,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     return bench_main(quick=args.quick, out=args.out,
                       check_equivalence=not args.no_equivalence,
-                      baseline=args.baseline,
-                      profile_attrib=args.profile_attrib)
+                      baseline=args.baseline)
 
 
 def _parse_workloads_arg(raw: str) -> Optional[list]:
@@ -501,7 +467,35 @@ def _parse_workloads_arg(raw: str) -> Optional[list]:
     workloads = [w.strip() for w in raw.split(",") if w.strip()]
     for name in workloads:
         get_spec(name)  # KeyError on typos, caught by callers
-    return workloads or None
+    return workloads
+
+
+def _sweep_matrix(args: argparse.Namespace, **settings: object
+                  ) -> Tuple[Optional[Dict[str, Dict[str, RunRecord]]], int]:
+    """The run matrix of a command's ``--workloads``, ``--instructions``,
+    ``--seed``, ``--jobs`` and ``--timeline`` flags plus the run
+    ``settings``: ``(matrix, 0)``, or ``(None, exit code)`` after
+    printing why."""
+    from repro.experiments.runner import SweepError, get_matrix
+
+    try:
+        workloads = _parse_workloads_arg(args.workloads)
+    except KeyError as exc:
+        print(exc, file=sys.stderr)
+        return None, 2
+    try:
+        matrix = get_matrix(workloads=workloads,
+                            instructions=args.instructions, seed=args.seed,
+                            jobs=args.jobs or None,
+                            timeline=_timeline_epoch(args),
+                            **settings) if workloads != [] else {}
+    except SweepError as exc:
+        print(exc, file=sys.stderr)
+        return None, 1
+    if not matrix:
+        print("empty sweep: no workloads selected", file=sys.stderr)
+        return None, 2
+    return matrix, 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
@@ -599,7 +593,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     """Render the static HTML observability dashboard."""
-    from repro.experiments.runner import SweepError, get_matrix
     from repro.obs import compare as cmp
     from repro.obs.render import render_dashboard
 
@@ -607,22 +600,9 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
     against = _resolve_config(args.against)
     if focus_config is None or against is None:
         return 2
-    try:
-        workloads = _parse_workloads_arg(args.workloads)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    try:
-        matrix = get_matrix(workloads=workloads,
-                            instructions=args.instructions, seed=args.seed,
-                            jobs=args.jobs or None,
-                            timeline=_timeline_epoch(args))
-    except SweepError as exc:
-        print(exc, file=sys.stderr)
-        return 1
-    if not matrix:
-        print("empty sweep: no workloads selected", file=sys.stderr)
-        return 2
+    matrix, code = _sweep_matrix(args)
+    if matrix is None:
+        return code
 
     focus_wl = args.workload or sorted(matrix)[0]
     if focus_wl not in matrix:
@@ -787,7 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print the longitudinal trend table over "
                               "every BENCH_*.json here instead of "
                               "benching (tools/bench_history.py)")
-    _add_profile_flag(bench_p)
 
     compare_p = sub.add_parser(
         "compare",

@@ -8,9 +8,10 @@ cached on disk and shared across all experiment harnesses.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Dict
+from typing import Dict, FrozenSet
 
 from repro.common.types import HitLevel
+from repro.sim.runner import extras_of
 
 #: every scalar metric field of :class:`RunRecord`, in declaration order —
 #: the flat-diffable surface consumed by ``repro.obs.compare`` (events and
@@ -105,12 +106,16 @@ class RunRecord:
     # simulated without --timeline, {"epochs": 0} when sampled but empty)
     timeline: Dict[str, object] = field(default_factory=dict)
 
+    @property
+    def extras(self) -> FrozenSet[str]:
+        """The extras this record carries; it serves any request whose
+        :attr:`~repro.sim.runner.RunSpec.extras` are a subset."""
+        return extras_of(hist=self.hists, profile=self.profile,
+                         timeline=self.timeline, sanitize=self.sanitized,
+                         invariants=self.invariants_checked)
+
     def to_json(self) -> dict:
         return asdict(self)
-
-    def scalar_metrics(self) -> Dict[str, float]:
-        """The flat ``{name: value}`` view diffed by ``repro compare``."""
-        return {name: float(getattr(self, name)) for name in SCALAR_METRICS}
 
     @staticmethod
     def from_json(data: dict) -> "RunRecord":
@@ -163,7 +168,7 @@ def record_from_outcome(outcome, category: str) -> RunRecord:
         mem_reads_redirected=stats.get("mem_reads_redirected"),
         direct_ns_fraction=md1 / accesses if accesses else 0.0,
         sanitized=outcome.sanitized,
-        invariants_checked=outcome.invariants_checked,
+        invariants_checked=outcome.spec.check_invariants,
         invariants_ok=outcome.invariants_ok,
         invariant_error=outcome.invariant_error,
         hists=outcome.hist_summaries(),

@@ -26,7 +26,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 from repro.common.params import SystemConfig, all_configs
 from repro.experiments.records import RunRecord, record_from_outcome
@@ -35,6 +35,7 @@ from repro.obs.progress import SweepProgress
 from repro.sim.parallel import RunFailure, execute_runs
 from repro.sim.runner import (
     RunSpec,
+    extras_of,
     instruction_budget,
     run_spec,
     warmup_budget,
@@ -112,13 +113,6 @@ def run_cache_key(workload: str, config_name: str, instructions: int,
         "format": RUN_FORMAT,
     }, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:24]
-
-
-def run_record_path(workload: str, config_name: str, instructions: int,
-                    seed: int, warmup: int) -> Path:
-    return runs_dir() / (
-        run_cache_key(workload, config_name, instructions, seed, warmup)
-        + ".json")
 
 
 def _load_record(path: Path) -> Optional[RunRecord]:
@@ -235,14 +229,21 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     """Split a matrix request into cached records and pending runs.
 
     Loads every already-cached record into ``plan.matrix`` and lists the
-    rest as :class:`PendingRun`s.  A cached record that lacks a
-    requested check (``sanitize``/``check_invariants``/``telemetry``/
-    ``profile``) — or lacks the epoch time-series when ``timeline`` (an
-    epoch length) is requested — is a miss.  ``fresh=None`` defaults
-    from ``REPRO_FRESH``;
-    ``warmup=None`` derives the warm-up budget from ``REPRO_WARMUP`` or
-    the default fraction, while an explicit value pins the cache keys
-    regardless of the environment (the daemon does this per request).
+    rest as :class:`PendingRun`s.  The run settings are
+    :class:`~repro.sim.runner.RunSpec`'s, except that ``telemetry``
+    (histogram digests) defaults on.  One rule decides a hit: a cached
+    record serves the request exactly when the extras the settings ask
+    for (:attr:`RunSpec.extras <repro.sim.runner.RunSpec.extras>` —
+    ``hist``, ``profile``, ``timeline``, ``sanitize``, ``invariants``)
+    are a subset of the extras it carries (``RunRecord.extras``).  None
+    of them changes a run's statistics, so a record with more extras
+    serves a request for fewer, and one lacking a requested extra is
+    simulated again.
+
+    ``fresh=None`` defaults from ``REPRO_FRESH``; ``warmup=None``
+    derives the warm-up budget from ``REPRO_WARMUP`` or the default
+    fraction, while an explicit value pins the cache keys regardless of
+    the environment (the daemon does this per request).
     """
     workload_list = list(workloads) if workloads else sweep_workloads()
     config_list = list(configs) if configs else list(all_configs())
@@ -251,6 +252,8 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
         warmup = warmup_budget(budget)
     if fresh is None:
         fresh = bool(os.environ.get("REPRO_FRESH"))
+    wanted = extras_of(hist=telemetry, profile=profile, timeline=timeline,
+                       sanitize=sanitize, invariants=check_invariants)
 
     plan = SweepPlan(workloads=workload_list, configs=config_list,
                      instructions=budget, seed=seed, warmup=warmup,
@@ -262,23 +265,16 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
                                 nodes=config.nodes)
             path = runs_dir() / (key + ".json")
             record = None if fresh else _load_record(path)
-            if record is not None and ((sanitize and not record.sanitized) or
-                                       (check_invariants
-                                        and not record.invariants_checked) or
-                                       (telemetry and not record.hists) or
-                                       (profile and not record.profile) or
-                                       (timeline and not record.timeline)):
-                record = None  # cached run skipped a requested check
-            if record is None:
-                plan.pending.append(PendingRun(
-                    RunSpec(config, workload, budget, seed, warmup=warmup,
-                            sanitize=sanitize, sanitize_every=sanitize_every,
-                            check_invariants=check_invariants,
-                            telemetry=telemetry, profile=profile,
-                            timeline=timeline),
-                    path, key))
-            else:
+            if record is not None and wanted <= record.extras:
                 plan.matrix[workload][config.name] = record
+                continue
+            plan.pending.append(PendingRun(
+                RunSpec(config, workload, budget, seed, warmup=warmup,
+                        sanitize=sanitize, sanitize_every=sanitize_every,
+                        check_invariants=check_invariants,
+                        telemetry=telemetry, profile=profile,
+                        timeline=timeline),
+                path, key))
     return plan
 
 
@@ -356,33 +352,17 @@ def get_matrix(workloads: Optional[Iterable[str]] = None,
                configs: Optional[Iterable[SystemConfig]] = None,
                instructions: int = 0, seed: int = 1,
                quiet: bool = False, jobs: Optional[int] = None,
-               sanitize: bool = False, sanitize_every: int = 0,
-               check_invariants: bool = False,
-               telemetry: bool = True,
-               profile: bool = False,
-               timeline: int = 0) -> Matrix:
+               **settings: Any) -> Matrix:
     """The shared run matrix, assembled from per-run cache records.
 
-    Missing runs are simulated — in parallel when ``jobs`` (or
-    ``REPRO_JOBS``, or the CPU count) exceeds one — and each record is
-    persisted the moment it lands, so interrupting the sweep never loses
-    completed work.  If any run fails, the rest still complete and a
-    :class:`SweepError` listing the failures is raised at the end.
-
-    ``sanitize``/``check_invariants`` attach the coherence sanitizer /
-    run a final-state invariant walk on each simulated run.  A sanitized
-    run produces identical statistics, so its record also serves
-    unchecked sweeps — but a cached record that *lacks* a requested
-    check is treated as a miss and re-simulated.  ``telemetry`` (default
-    on: neither it nor the sanitizer perturbs a run's statistics) stores
-    histogram percentile digests on each record; like the checks, a
-    cached record without them is a miss when they are requested.
-    ``profile`` runs each simulation under the slow-tail attribution
-    profiler (:mod:`repro.obs.profile`) and persists its digest on the
-    record — statistics stay bit-identical; only wall-time attribution
-    is added.  ``timeline`` (an epoch length in accesses, 0 = off)
-    samples per-epoch stat deltas (:mod:`repro.obs.timeline`) onto each
-    record, also without perturbing the statistics.
+    ``settings`` are :func:`plan_matrix`'s run settings (sanitizer,
+    invariant walk, telemetry, profile, timeline), which also decide
+    which cached records serve the request.  Missing runs are
+    simulated — in parallel when ``jobs`` (or ``REPRO_JOBS``, or the
+    CPU count) exceeds one — and each record is persisted the moment it
+    lands, so interrupting the sweep never loses completed work.  If any
+    run fails, the rest still complete and a :class:`SweepError` listing
+    the failures is raised at the end.
 
     Live progress goes through :class:`repro.obs.progress.SweepProgress`:
     per-run completion lines (or an in-place line on a TTY, fed by
@@ -393,12 +373,7 @@ def get_matrix(workloads: Optional[Iterable[str]] = None,
     :func:`execute_plan`; long-lived callers (the serving daemon) use
     those directly for per-job heartbeat directories and coalescing.
     """
-    plan = plan_matrix(workloads=workloads, configs=configs,
-                       instructions=instructions, seed=seed,
-                       sanitize=sanitize, sanitize_every=sanitize_every,
-                       check_invariants=check_invariants,
-                       telemetry=telemetry, profile=profile,
-                       timeline=timeline)
+    plan = plan_matrix(workloads, configs, instructions, seed, **settings)
     failures = execute_plan(plan, jobs=jobs, quiet=quiet)
     if failures:
         raise SweepError(failures)

@@ -22,6 +22,7 @@ import asyncio
 import json
 import shutil
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -222,8 +223,13 @@ class ServeApp:
         owned: List[PendingRun] = []
         claims: Dict[str, "asyncio.Future[object]"] = {}
         waited: Dict[str, "asyncio.Future[object]"] = {}
+        # Let in-flight runs that lack an extra this job asks for land
+        # first; the re-lookup below then finds them short of it.
+        await self.coalescer.settle({item.key: item.spec.extras
+                                     for item in plan.pending})
         for item in plan.pending:
-            is_owner, future = self.coalescer.claim(item.key)
+            is_owner, future = self.coalescer.claim(item.key,
+                                                    item.spec.extras)
             if is_owner:
                 owned.append(item)
                 claims[item.key] = future
@@ -235,7 +241,7 @@ class ServeApp:
             # A run of an owned key may have landed between the lookup
             # and the claim; look the owned cells up again, under the
             # claims, and serve what is on disk now (by the lookup's
-            # acceptance rules) rather than simulating it twice.
+            # acceptance rule) rather than simulating it twice.
             again: SweepPlan = await loop.run_in_executor(
                 None, lookup,
                 list(dict.fromkeys(item.spec.workload for item in owned)),
@@ -262,11 +268,7 @@ class ServeApp:
 
         failures_by_key: Dict[str, str] = {}
         if owned:
-            sub_plan = SweepPlan(workloads=plan.workloads,
-                                 configs=plan.configs,
-                                 instructions=plan.instructions,
-                                 seed=plan.seed, warmup=plan.warmup,
-                                 matrix=plan.matrix, pending=owned)
+            sub_plan = replace(plan, pending=owned)  # shares plan.matrix
             hb_dir = self.heartbeat_dir_for(job.id)
             hb_dir.mkdir(parents=True, exist_ok=True)
 

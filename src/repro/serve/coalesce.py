@@ -3,17 +3,23 @@
 Two jobs asking for the same ``(workload, config, nodes, instructions,
 seed, warmup)`` cell share one cache key (see
 :func:`repro.experiments.runner.run_cache_key`).  The first job to
-claim a key *owns* it and simulates; every later claimant gets the
-owner's future and just awaits.  The owner resolves (or fails) the
-future as the run lands, fanning one result out to all waiters — so N
-identical submissions, in flight or queued, cost exactly one
-simulation on top of the disk cache.
+claim a key *owns* it and simulates; a later claimant whose requested
+extras (histograms, timeline; :attr:`repro.sim.runner.RunSpec.extras`)
+the owner's cover gets the owner's future and just awaits.  The owner
+resolves (or fails) the future as the run lands, fanning one result
+out to all waiters — so N identical submissions, in flight or queued,
+cost exactly one simulation on top of the disk cache.
+
+The key leaves the extras out, so a job that asks for more than an
+in-flight owner does must not take that owner's record: it first lets
+such runs land (:meth:`Coalescer.settle`), then claims the key itself
+and simulates with its own extras.
 
 A job looks its keys up in the disk cache before it claims them, so a
 run can land in between; the app therefore looks the keys it owns up
 again after claiming them, and simulates only those still missing.
 
-The registry lives on the event loop: :meth:`claim` and
+The registry lives on the event loop: :meth:`claim`, :meth:`settle` and
 :meth:`resolve`/:meth:`fail` must be called from the loop thread
 (worker threads hand results back via ``call_soon_threadsafe``, which
 the app does).
@@ -22,7 +28,7 @@ the app does).
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Mapping, Tuple
 
 
 class Coalescer:
@@ -34,31 +40,57 @@ class Coalescer:
     """
 
     def __init__(self) -> None:
-        self._inflight: Dict[str, "asyncio.Future[object]"] = {}
+        # key -> (the owner's future, the owner's extras)
+        self._inflight: Dict[str, Tuple["asyncio.Future[object]",
+                                        FrozenSet[str]]] = {}
         self.owned_total = 0
         self.hits_total = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
 
-    def claim(self, key: str) -> Tuple[bool, "asyncio.Future[object]"]:
+    async def settle(self, wanted: Mapping[str, AbstractSet[str]]) -> None:
+        """Wait until no key of ``wanted`` (key -> requested extras) is in
+        flight under an owner whose extras miss some of the requested
+        ones.  With no ``await`` between this and :meth:`claim`, every
+        claim then owns its key or joins a covering owner."""
+        while True:
+            blocking = []
+            for key, extras in wanted.items():
+                entry = self._inflight.get(key)
+                if entry is not None and not extras <= entry[1]:
+                    blocking.append(entry[0])
+            if not blocking:
+                return
+            await asyncio.wait(blocking)
+
+    def claim(self, key: str, extras: AbstractSet[str] = frozenset()
+              ) -> Tuple[bool, "asyncio.Future[object]"]:
         """``(owned, future)``: ``owned`` is True when the caller must
-        simulate this key; False means another job already is — await
-        the shared future instead."""
-        future = self._inflight.get(key)
-        if future is not None:
+        simulate this key; False means another job already is, with
+        extras covering ``extras`` — await the shared future instead.
+
+        A key in flight under an owner that does not cover ``extras``
+        cannot be claimed; :meth:`settle` waits those out.
+        """
+        entry = self._inflight.get(key)
+        if entry is not None:
+            future, have = entry
+            if not extras <= have:
+                raise RuntimeError(f"run {key} is in flight without "
+                                   f"{sorted(extras - have)}; settle first")
             self.hits_total += 1
             return False, future
         future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = future
+        self._inflight[key] = (future, frozenset(extras))
         self.owned_total += 1
         return True, future
 
     def resolve(self, key: str, result: object) -> None:
         """Owner callback: the run landed; fan ``result`` out."""
-        future = self._inflight.pop(key, None)
-        if future is not None and not future.done():
-            future.set_result(result)
+        entry = self._inflight.pop(key, None)
+        if entry is not None and not entry[0].done():
+            entry[0].set_result(result)
 
     def fail(self, key: str, message: str,
              future: "asyncio.Future[object]") -> None:
@@ -69,7 +101,8 @@ class Coalescer:
         cell failed rather than hanging forever.  A later owner's claim
         of the same key is left alone.
         """
-        if self._inflight.get(key) is future:
+        entry = self._inflight.get(key)
+        if entry is not None and entry[0] is future:
             del self._inflight[key]
         if not future.done():
             future.set_exception(RuntimeError(message))

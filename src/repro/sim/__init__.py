@@ -2,7 +2,7 @@
 
 from repro.sim.simulator import Simulator, SimResult
 from repro.sim.perf import PerfModel, PerfSummary
-from repro.sim.runner import run_workload, run_matrix, run_spec, RunSpec
+from repro.sim.runner import run_workload, run_spec, RunSpec
 from repro.sim.parallel import RunFailure, execute_runs, job_count
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "PerfModel",
     "PerfSummary",
     "run_workload",
-    "run_matrix",
     "run_spec",
     "RunSpec",
     "RunFailure",

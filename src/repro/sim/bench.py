@@ -324,73 +324,14 @@ def compare_against_baseline(report: Dict[str, object],
     return comparison.exit_code()
 
 
-def profile_bench(quick: bool = False) -> Dict[str, object]:
-    """Run the pinned matrix under the slow-tail attribution profiler.
-
-    Goes through the shared sweep machinery (``plan_matrix`` /
-    ``execute_plan`` with ``profile=True``) at the bench budgets, so
-    each cell's profile digest is *persisted in its run record* — the
-    dashboard's attribution panel reads those records straight from the
-    cache.  Returns one aggregate digest (classes summed across every
-    cell) in the :data:`repro.obs.profile.PROFILE_KEYS` shape.
-    """
-    from repro.experiments.runner import (
-        SweepError,
-        execute_plan,
-        plan_matrix,
-    )
-
-    instructions = QUICK_INSTRUCTIONS if quick else FULL_INSTRUCTIONS
-    warmup = QUICK_WARMUP if quick else FULL_WARMUP
-    configs = {c.name: c for c in all_configs()}
-    plan = plan_matrix(workloads=list(BENCH_WORKLOADS),
-                       configs=[configs[name] for name in BENCH_CONFIGS],
-                       instructions=instructions, seed=BENCH_SEED,
-                       warmup=warmup, profile=True)
-    failures = execute_plan(plan, quiet=True)
-    if failures:
-        raise SweepError(failures)
-    aggregate: Dict[str, object] = {
-        "driver": "batched", "wall_s": 0.0, "fast_s": 0.0, "slow_s": 0.0,
-        "chunks": 0, "slow_accesses": 0, "classes": {}, "hists": {},
-    }
-    classes = aggregate["classes"]
-    assert isinstance(classes, dict)
-    for row in plan.matrix.values():
-        for record in row.values():
-            profile = record.profile or {}
-            for key in ("wall_s", "fast_s", "slow_s"):
-                aggregate[key] = round(
-                    float(aggregate[key])  # type: ignore[arg-type]
-                    + float(profile.get(key, 0.0)), 6)
-            for key in ("chunks", "slow_accesses"):
-                aggregate[key] = (int(aggregate[key])  # type: ignore[arg-type]
-                                  + int(profile.get(key, 0)))
-            cell_classes = profile.get("classes", {})
-            if not isinstance(cell_classes, dict):
-                continue
-            for tid, entry in cell_classes.items():
-                slot = classes.setdefault(str(tid), {"s": 0.0, "n": 0})
-                slot["s"] = round(slot["s"] + float(entry.get("s", 0.0)), 6)
-                slot["n"] += int(entry.get("n", 0))
-    return aggregate
-
-
 def main(quick: bool = False, out: str = "",
-         check_equivalence: bool = True, baseline: str = "",
-         profile_attrib: bool = False) -> int:
+         check_equivalence: bool = True, baseline: str = "") -> int:
     """Entry point of ``repro bench``.
 
     From a checkout without installing the package, run it as
     ``PYTHONPATH=src python -m repro bench [--quick] [--out PATH]``.
     """
     report = run_bench(quick=quick, check_equivalence=check_equivalence)
-    if profile_attrib:
-        from repro.obs.profile import profile_text
-
-        aggregate = profile_bench(quick=quick)
-        report["profile"] = aggregate
-        print("bench: " + profile_text(aggregate).replace("\n", "\nbench: "))
     path = out or default_output_path()
     write_report(report, path)
     print(f"bench: report written to {path}")

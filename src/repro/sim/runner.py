@@ -1,15 +1,15 @@
-"""Run matrices of (config x workload) and derive paper metrics."""
+"""Run one (config x workload) simulation and derive paper metrics."""
 
 from __future__ import annotations
 
 import os
 import time as _time
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from itertools import compress
+from typing import Any, Dict, FrozenSet, Optional, Sequence
 
 from repro.common.errors import InvariantViolation
 from repro.common.params import SystemConfig
-from repro.common.types import HitLevel
 from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import check_invariants as _full_invariant_walk
 from repro.sim.perf import PerfModel, PerfSummary
@@ -36,9 +36,21 @@ def warmup_budget(instructions: int) -> int:
     return int(instructions * DEFAULT_WARMUP_FRACTION)
 
 
+def extras_of(hist: object = False, profile: object = False,
+              timeline: object = False, sanitize: object = False,
+              invariants: object = False) -> FrozenSet[str]:
+    """The extras whose flag or payload is truthy: one vocabulary for
+    what a request asks for (:attr:`RunSpec.extras`) and what a cached
+    record carries (``RunRecord.extras``)."""
+    names = ("hist", "profile", "timeline", "sanitize", "invariants")
+    return frozenset(compress(names, (hist, profile, timeline, sanitize,
+                                      invariants)))
+
+
 @dataclass
 class RunSpec:
-    """One (system, workload) simulation request."""
+    """One (system, workload) simulation request.  ``instructions=0``
+    and ``warmup=None`` resolve on construction (env or defaults)."""
 
     config: SystemConfig
     workload: str
@@ -55,6 +67,18 @@ class RunSpec:
     timeline: int = 0             # epoch length for interval sampling (0 = off)
     progress_dir: str = ""        # sweep heartbeat directory ("" = none)
 
+    def __post_init__(self) -> None:
+        self.instructions = self.instructions or instruction_budget()
+        if self.warmup is None:
+            self.warmup = warmup_budget(self.instructions)
+
+    @property
+    def extras(self) -> FrozenSet[str]:
+        """The extras this request asks for (see :func:`extras_of`)."""
+        return extras_of(hist=self.telemetry, profile=self.profile,
+                         timeline=self.timeline, sanitize=self.sanitize,
+                         invariants=self.check_invariants)
+
 
 @dataclass
 class RunOutcome:
@@ -65,8 +89,7 @@ class RunOutcome:
     perf: PerfSummary
     hierarchy: object
     sanitized: bool = False         # ran with the coherence sanitizer attached
-    invariants_checked: bool = False  # final-state invariant walk performed
-    invariants_ok: bool = True      # walk passed (vacuously True otherwise)
+    invariants_ok: bool = True      # walk passed (vacuously True if not run)
     invariant_error: str = ""       # first violation message when not ok
     telemetry: Optional[object] = None  # obs.telemetry.Telemetry when collected
     profile: Optional[Dict[str, object]] = None  # slow-tail attribution digest
@@ -174,14 +197,15 @@ def run_workload(config: SystemConfig, workload_name: str,
                  timeline: int = 0) -> RunOutcome:
     """Simulate one workload on one system configuration.
 
-    ``warmup=None`` derives the warm-up budget from ``REPRO_WARMUP`` (or
-    the default fraction); passing it explicitly pins the run so workers
-    in other processes reproduce it bit-for-bit regardless of their
-    environment.  ``sanitize`` attaches the coherence sanitizer (with a
-    whole-machine walk every ``sanitize_every`` accesses when nonzero);
-    a sanitizer violation raises out of the run, while
-    ``check_invariants`` records the final-state walk's pass/fail on the
-    outcome instead of raising.
+    The run settings are :class:`RunSpec`'s fields; the spec built from
+    them is the outcome's ``spec``.  ``warmup=None`` derives the warm-up
+    budget from ``REPRO_WARMUP`` (or the default fraction); passing it
+    explicitly pins the run so workers in other processes reproduce it
+    bit-for-bit regardless of their environment.  ``sanitize`` attaches
+    the coherence sanitizer (with a whole-machine walk every
+    ``sanitize_every`` accesses when nonzero); a sanitizer violation
+    raises out of the run, while ``check_invariants`` records the
+    final-state walk's pass/fail on the outcome instead of raising.
 
     ``telemetry`` turns on a :class:`repro.obs.telemetry.Telemetry`
     that collects latency / occupancy / dwell histograms and lands on
@@ -208,68 +232,11 @@ def run_workload(config: SystemConfig, workload_name: str,
     each epoch to a ``tl-<pid>.jsonl`` next to the heartbeat file, which
     ``repro serve`` tails for live timelines.
     """
-    budget = instructions or instruction_budget()
-    roi_warmup = warmup if warmup is not None else warmup_budget(budget)
-    do_batched = batched or profile
-    hierarchy = build_hierarchy(config)
-    protocol = getattr(hierarchy, "protocol", None)
-    sanitizer = None
-    if sanitize:
-        from repro.analysis.sanitizer import attach_sanitizer
-        sanitizer = attach_sanitizer(hierarchy, every=sanitize_every)
-    from repro.obs import run_observers, runlog
-    watch = run_observers(telemetry=telemetry, profile=profile,
-                          timeline=timeline, heartbeat=heartbeat)
-    workload = make_workload(workload_name, config.nodes, hierarchy.amap,
-                             seed=seed)
-    log_extra: Dict[str, object] = {"trace": trace} if trace else {}
-    runlog.emit("run.start", workload=workload_name, config=config.name,
-                instructions=budget, warmup=roi_warmup, seed=seed,
-                sanitize=sanitize, telemetry=telemetry,
-                batched=do_batched, **log_extra)
-    started = _time.monotonic()
-    simulator = Simulator(hierarchy, check_values=check_values,
-                          observers=[*watch.values(), *observers])
-    result = simulator.run(workload, budget, seed=seed, warmup=roi_warmup,
-                           batched=do_batched)
-    perf = PerfModel(config.ooo).summarize(result)
-    elapsed = _time.monotonic() - started
-    runlog.emit("run.end", workload=workload_name, config=config.name,
-                instructions=result.instructions, accesses=result.accesses,
-                cycles=perf.cycles, elapsed_s=round(elapsed, 3),
-                ips=round(result.accesses / elapsed, 1) if elapsed else 0.0,
-                **log_extra)
-    invariants_checked = False
-    invariants_ok = True
-    invariant_error = ""
-    if check_invariants:
-        invariants_checked = True
-        if protocol is not None:  # baselines pass vacuously
-            try:
-                _full_invariant_walk(protocol)
-            except InvariantViolation as exc:
-                invariants_ok = False
-                invariant_error = str(exc)
-    return RunOutcome(
-        spec=RunSpec(config, workload_name, budget, seed, check_values,
-                     roi_warmup, sanitize=sanitize,
-                     sanitize_every=sanitize_every,
-                     check_invariants=check_invariants,
-                     telemetry=telemetry, profile=profile, trace=trace,
-                     timeline=timeline),
-        result=result,
-        perf=perf,
-        hierarchy=hierarchy,
-        # Baselines have no protocol to sanitize; a requested sanitize is
-        # vacuously satisfied for them (mirrors the invariant walk).
-        sanitized=sanitizer is not None or (sanitize and protocol is None),
-        invariants_checked=invariants_checked,
-        invariants_ok=invariants_ok,
-        invariant_error=invariant_error,
-        telemetry=watch.get("telemetry"),
-        profile=watch["profile"].summary() if profile else None,
-        timeline=watch["timeline"].summary() if timeline else None,
-    )
+    spec = RunSpec(config, workload_name, instructions, seed, check_values,
+                   warmup, sanitize=sanitize, sanitize_every=sanitize_every,
+                   check_invariants=check_invariants, telemetry=telemetry,
+                   profile=profile, trace=trace, timeline=timeline)
+    return _simulate(spec, observers, heartbeat, batched)
 
 
 def run_spec(spec: RunSpec) -> RunOutcome:
@@ -283,54 +250,63 @@ def run_spec(spec: RunSpec) -> RunOutcome:
     heartbeat = heartbeat_in_directory(
         spec.progress_dir, f"{spec.workload}/{spec.config.name}",
         trace=spec.trace)
-    return run_workload(spec.config, spec.workload, spec.instructions,
-                        spec.seed, check_values=spec.check_values,
-                        warmup=spec.warmup, sanitize=spec.sanitize,
-                        sanitize_every=spec.sanitize_every,
-                        check_invariants=spec.check_invariants,
-                        telemetry=spec.telemetry,
-                        heartbeat=heartbeat,
-                        profile=spec.profile,
-                        trace=spec.trace,
-                        timeline=spec.timeline)
+    return _simulate(spec, (), heartbeat, True)
 
 
-def run_matrix(configs: Iterable[SystemConfig], workloads: Iterable[str],
-               instructions: int = 0, seed: int = 1,
-               progress: Optional[Callable[[str, str], None]] = None,
-               check_values: bool = False,
-               jobs: int = 1, sanitize: bool = False,
-               sanitize_every: int = 0,
-               check_invariants: bool = False
-               ) -> Dict[str, Dict[str, RunOutcome]]:
-    """All (workload, config) runs: ``matrix[workload][config.name]``.
-
-    ``jobs > 1`` fans the runs out over worker processes (see
-    :mod:`repro.sim.parallel`); the default stays serial and in-process.
-    A failed run raises after every other run has finished.
-    """
-    from repro.sim.parallel import execute_runs
-
-    configs = list(configs)
-    specs = [RunSpec(config, workload_name, instructions, seed, check_values,
-                     sanitize=sanitize, sanitize_every=sanitize_every,
-                     check_invariants=check_invariants)
-             for workload_name in workloads for config in configs]
-    wrapped: Optional[Callable[[int, int, RunSpec], None]] = None
-    if progress is not None:
-        callback = progress
-
-        def wrapped(done: int, total: int, spec: RunSpec) -> None:
-            del done, total
-            callback(spec.workload, spec.config.name)
-    results, failures = execute_runs(specs, run_spec, jobs=jobs,
-                                     progress=wrapped)
-    if failures:
-        raise RuntimeError(
-            "run_matrix: %d run(s) failed:\n%s"
-            % (len(failures), "\n".join(str(f) for f in failures)))
-    matrix: Dict[str, Dict[str, RunOutcome]] = {}
-    for index, spec in enumerate(specs):
-        outcome = results[index]
-        matrix.setdefault(spec.workload, {})[spec.config.name] = outcome
-    return matrix
+def _simulate(spec: RunSpec, observers: Sequence[Any],
+              heartbeat: Optional[Any], batched: bool) -> RunOutcome:
+    """Run ``spec`` (see :func:`run_workload` for the settings)."""
+    config = spec.config
+    assert spec.warmup is not None  # resolved by RunSpec.__post_init__
+    do_batched = batched or spec.profile
+    hierarchy = build_hierarchy(config)
+    protocol = getattr(hierarchy, "protocol", None)
+    sanitizer = None
+    if spec.sanitize:
+        from repro.analysis.sanitizer import attach_sanitizer
+        sanitizer = attach_sanitizer(hierarchy, every=spec.sanitize_every)
+    from repro.obs import run_observers, runlog
+    watch = run_observers(telemetry=spec.telemetry, profile=spec.profile,
+                          timeline=spec.timeline, heartbeat=heartbeat)
+    workload = make_workload(spec.workload, config.nodes, hierarchy.amap,
+                             seed=spec.seed)
+    log_extra: Dict[str, object] = {"trace": spec.trace} if spec.trace else {}
+    runlog.emit("run.start", workload=spec.workload, config=config.name,
+                instructions=spec.instructions, warmup=spec.warmup,
+                seed=spec.seed, sanitize=spec.sanitize,
+                telemetry=spec.telemetry, batched=do_batched, **log_extra)
+    started = _time.monotonic()
+    simulator = Simulator(hierarchy, check_values=spec.check_values,
+                          observers=[*watch.values(), *observers])
+    result = simulator.run(workload, spec.instructions, seed=spec.seed,
+                           warmup=spec.warmup, batched=do_batched)
+    perf = PerfModel(config.ooo).summarize(result)
+    elapsed = _time.monotonic() - started
+    runlog.emit("run.end", workload=spec.workload, config=config.name,
+                instructions=result.instructions, accesses=result.accesses,
+                cycles=perf.cycles, elapsed_s=round(elapsed, 3),
+                ips=round(result.accesses / elapsed, 1) if elapsed else 0.0,
+                **log_extra)
+    invariants_ok = True
+    invariant_error = ""
+    if spec.check_invariants and protocol is not None:
+        try:  # baselines pass vacuously
+            _full_invariant_walk(protocol)
+        except InvariantViolation as exc:
+            invariants_ok = False
+            invariant_error = str(exc)
+    return RunOutcome(
+        spec=spec,
+        result=result,
+        perf=perf,
+        hierarchy=hierarchy,
+        # Baselines have no protocol to sanitize; a requested sanitize is
+        # vacuously satisfied for them (mirrors the invariant walk).
+        sanitized=sanitizer is not None or (spec.sanitize
+                                            and protocol is None),
+        invariants_ok=invariants_ok,
+        invariant_error=invariant_error,
+        telemetry=watch.get("telemetry"),
+        profile=watch["profile"].summary() if spec.profile else None,
+        timeline=watch["timeline"].summary() if spec.timeline else None,
+    )

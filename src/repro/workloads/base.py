@@ -26,8 +26,8 @@ from itertools import accumulate
 from typing import (Any, Callable, Iterator, List, Optional, Sequence,
                     Tuple)
 
-from repro.common.types import (Access, AccessKind, IFETCH_CODE, LOAD_CODE,
-                                STORE_CODE)
+from repro.common.types import (CODE_KIND, IFETCH_CODE, LOAD_CODE,
+                                STORE_CODE, Access)
 from repro.mem.address import (AddressMap, AddressSpace, PageAllocator,
                                translate_chunk)
 from repro.workloads.synthetic import Stream
@@ -265,45 +265,28 @@ class SyntheticWorkload:
         return self._spaces[core].translate(vaddr)
 
     def generate(self, n_instructions: int, seed: int = 0) -> Iterator[Access]:
-        """Interleaved access stream totalling ``n_instructions``."""
-        rngs = [random.Random((seed or self._seed) * 1_000_003 + core)
-                for core in range(self.nodes)]
-        code = [self.spec.code.build(core, rngs[core])
-                for core in range(self.nodes)]
-        mixes = [self.spec.data.build(core, self.nodes, rngs[core])
-                 for core in range(self.nodes)]
-        debt = [0.0] * self.nodes
+        """Interleaved access stream totalling ``n_instructions``.
 
-        issued = 0
-        core = 0
-        while issued < n_instructions:
-            rng = rngs[core]
-            yield Access(core, AccessKind.IFETCH, code[core].next_pc(rng))
-            issued += 1
-            debt[core] += self.spec.mem_ratio
-            while debt[core] >= 1.0:
-                debt[core] -= 1.0
-                weights, streams = mixes[core]
-                stream = rng.choices(streams, weights=weights)[0]
-                vaddr, is_write = stream.next_op(rng)
-                kind = AccessKind.STORE if is_write else AccessKind.LOAD
-                yield Access(core, kind, vaddr)
-            core = (core + 1) % self.nodes
+        The reference loop's input: the draws :meth:`generate_batch`
+        translates, one untranslated :class:`Access` at a time.
+        """
+        for cores, kinds, vaddrs in self._draws(n_instructions,
+                                                seed or self._seed, 4096):
+            for core, kind, vaddr in zip(cores, kinds, vaddrs):
+                yield Access(core, CODE_KIND[kind], vaddr)
 
     def generate_batch(self, n_instructions: int, seed: int = 0,
                        chunk: int = 4096) -> Iterator[Chunk]:
         """The :meth:`generate` stream, translated, as chunked flat arrays.
 
         Yields ``(cores, kinds, vaddrs, paddrs)`` tuples of equal-length
-        sequences covering consecutive slices of the *identical* access
-        sequence :meth:`generate` produces: same per-core RNGs, same
-        draws, with each ``rng.choices(streams, weights)`` call replaced
-        by the single ``rng.random()`` + ``bisect`` that call performs
-        internally.  ``kinds`` holds the compact codes from
-        :mod:`repro.common.types` (``IFETCH_CODE``/``LOAD_CODE``/
-        ``STORE_CODE``); ``paddrs`` is what :meth:`translate` gives for
-        each access, translated per chunk in stream order through this
-        workload's own address spaces.  Chunk boundaries always fall
+        sequences covering consecutive slices of the access sequence
+        :meth:`generate` produces (both drain :meth:`_draws`).  ``kinds``
+        holds the compact codes from :mod:`repro.common.types`
+        (``IFETCH_CODE``/``LOAD_CODE``/``STORE_CODE``); ``paddrs`` is
+        what :meth:`translate` gives for each access, translated per
+        chunk in stream order through this workload's own address
+        spaces.  Chunk boundaries always fall
         between the data ops of one instruction and the next IFETCH, but
         consumers must not rely on that — a chunk is just a flush point.
 
@@ -376,7 +359,13 @@ class SyntheticWorkload:
 
     def _draws(self, n_instructions: int, seed: int, chunk: int
                ) -> Iterator[Tuple[List[int], List[int], List[int]]]:
-        """The untranslated stream as ``(cores, kinds, vaddrs)`` lists."""
+        """The untranslated stream as ``(cores, kinds, vaddrs)`` lists.
+
+        Instructions interleave round-robin over the cores, each core
+        drawing from its own RNG; an op's data stream is picked by the
+        one ``rng.random()`` + ``bisect`` that
+        ``rng.choices(streams, weights)`` would make.
+        """
         rngs = [random.Random(seed * 1_000_003 + core)
                 for core in range(self.nodes)]
         code = [self.spec.code.build(core, rngs[core])

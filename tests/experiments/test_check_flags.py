@@ -4,7 +4,14 @@ import pytest
 
 import repro.experiments.runner as runner
 from repro.common.params import base_2l, d2m_fs
-from repro.experiments.runner import get_matrix
+from repro.experiments.records import RunRecord
+from repro.experiments.runner import (
+    atomic_write_json,
+    get_matrix,
+    plan_matrix,
+    run_cache_key,
+)
+from repro.sim.runner import RunSpec
 
 
 @pytest.fixture
@@ -94,3 +101,65 @@ class TestCheckedSweep:
         for workload in ("water", "lu"):
             record = matrix[workload]["D2M-FS"]
             assert record.sanitized and record.invariants_ok
+
+
+#: each extra: the run settings that request it, and the record fields
+#: that carry it
+EXTRAS = {
+    "hist": ({"telemetry": True},
+             {"hists": {"latency.L1": {"count": 1.0}}}),
+    "profile": ({"profile": True}, {"profile": {"driver": "batched"}}),
+    "timeline": ({"timeline": 256}, {"timeline": {"epochs": 0}}),
+    "sanitize": ({"sanitize": True}, {"sanitized": True}),
+    "invariants": ({"check_invariants": True},
+                   {"invariants_checked": True}),
+}
+
+
+def record_with(extras):
+    fields = {}
+    for name in extras:
+        fields.update(EXTRAS[name][1])
+    return RunRecord(workload="water", category="Splash2x", config="D2M-FS",
+                     instructions=1_500, **fields)
+
+
+class TestAcceptanceRule:
+    """A cached record serves a request iff requested extras ⊆ present."""
+
+    CELL = dict(workloads=["water"], configs=[d2m_fs(2)],
+                instructions=1_500, seed=3, warmup=750)
+
+    def plant(self, extras):
+        record = record_with(extras)
+        key = run_cache_key("water", "D2M-FS", 1_500, 3, 750, nodes=2)
+        atomic_write_json(runner.runs_dir() / (key + ".json"),
+                          record.to_json())
+        return record
+
+    def plan(self, extra=None):
+        settings = EXTRAS[extra][0] if extra else {}
+        return plan_matrix(**self.CELL, **{"telemetry": False, **settings})
+
+    @pytest.mark.parametrize("extra", sorted(EXTRAS))
+    def test_request_and_record_name_the_same_extra(self, extra):
+        spec = RunSpec(d2m_fs(2), "water", 1_500, **EXTRAS[extra][0])
+        assert spec.extras == record_with({extra}).extras == {extra}
+
+    @pytest.mark.parametrize("extra", sorted(EXTRAS))
+    def test_record_lacking_the_extra_is_a_miss(self, cache, extra):
+        self.plant(set(EXTRAS) - {extra})
+        plan = self.plan(extra)
+        assert (len(plan.pending), plan.cached) == (1, 0)
+        assert plan.pending[0].spec.extras == {extra}
+
+    @pytest.mark.parametrize("extra", sorted(EXTRAS))
+    def test_record_with_a_superset_is_a_hit(self, cache, extra):
+        record = self.plant(set(EXTRAS))
+        plan = self.plan(extra)
+        assert (len(plan.pending), plan.cached) == (0, 1)
+        assert plan.matrix["water"]["D2M-FS"].to_json() == record.to_json()
+
+    def test_plain_request_takes_any_record(self, cache):
+        self.plant(set())
+        assert self.plan().cached == 1

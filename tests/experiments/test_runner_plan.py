@@ -119,6 +119,17 @@ class TestPlanMatrix:
         assert ({c: r.to_json() for c, r in via_get["water"].items()}
                 == {c: r.to_json() for c, r in via_plan.matrix["water"].items()})
 
+    def test_matrix_parallel_matches_serial(self, cache):
+        args = dict(workloads=["water", "lu"],
+                    configs=[base_2l(2), d2m_fs(2)], instructions=1_000,
+                    seed=2, quiet=True)
+        serial = get_matrix(jobs=1, **args)
+        parallel = get_matrix(jobs=2, fresh=True, **args)
+        assert ({w: {c: r.to_json() for c, r in row.items()}
+                 for w, row in parallel.items()}
+                == {w: {c: r.to_json() for c, r in row.items()}
+                    for w, row in serial.items()})
+
     def test_on_record_fires_per_landing(self, cache):
         landed = []
         plan = plan_matrix(workloads=["water"],

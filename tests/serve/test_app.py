@@ -239,6 +239,33 @@ class TestCoalescer:
 
         asyncio.run(scenario())
 
+    def test_claim_joins_only_an_owner_covering_its_extras(self):
+        from repro.serve.coalesce import Coalescer
+
+        async def scenario():
+            coalescer = Coalescer()
+            plain = frozenset({"hist"})
+            timeline = frozenset({"hist", "timeline"})
+            _, rich = coalescer.claim("k1", timeline)
+            joined, shared = coalescer.claim("k1", plain)
+            assert not joined and shared is rich
+            coalescer.claim("k2", plain)
+            with pytest.raises(RuntimeError, match="settle"):
+                coalescer.claim("k2", timeline)
+            # settle returns at once for a covered request, and waits
+            # for the run of an owner that does not cover it
+            await coalescer.settle({"k1": timeline, "k2": plain})
+            waiting = asyncio.ensure_future(
+                coalescer.settle({"k1": plain, "k2": timeline}))
+            await asyncio.sleep(0)
+            assert not waiting.done()
+            coalescer.resolve("k2", "record without a series")
+            await asyncio.wait_for(waiting, DEADLINE_S)
+            owned, _ = coalescer.claim("k2", timeline)
+            assert owned
+
+        asyncio.run(scenario())
+
 
 class TestCoalescing:
     def test_identical_concurrent_submissions_share_one_simulation(
@@ -348,6 +375,48 @@ class TestLateLanding:
             late, early = self._race(daemon, monkeypatch,
                                      dict(MATRIX, timeline=256), MATRIX)
             assert late["state"] == early["state"] == "done"
+            [cell] = late["cells"]
+            assert cell["state"] == "simulated"
+            assert daemon.app.simulations == 2
+            status, _, raw = daemon.http("GET", f"/records/{cell['key']}")
+            assert status == 200 and json.loads(raw)["timeline"]
+
+
+    def test_timeline_job_does_not_join_a_run_without_one(
+            self, cache, monkeypatch):
+        # the plain job's run stays in flight until the timeline job has
+        # looked the cell up and reached the coalescer: joining that run
+        # would hand the timeline job a record without a series
+        import repro.serve.app as app_module
+
+        real_plan, real_execute = (app_module.plan_matrix,
+                                   app_module.execute_plan)
+        looked_up = threading.Event()
+        held = []
+
+        def lookup(**kwargs):
+            plan = real_plan(**kwargs)
+            if kwargs.get("timeline"):
+                looked_up.set()
+            return plan
+
+        def execute(plan, **kwargs):
+            if not held:
+                held.append(plan)
+                assert looked_up.wait(DEADLINE_S)
+                time.sleep(0.3)  # the lookup's result reaches the loop
+                for _ in range(3):  # and the loop has acted on it
+                    asyncio.run_coroutine_threadsafe(
+                        asyncio.sleep(0), daemon.loop).result(DEADLINE_S)
+            return real_execute(plan, **kwargs)
+
+        monkeypatch.setattr(app_module, "plan_matrix", lookup)
+        monkeypatch.setattr(app_module, "execute_plan", execute)
+        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
+            plain = daemon.submit(MATRIX)[0]
+            late = daemon.submit(dict(MATRIX, timeline=256))[0]
+            late, plain = daemon.wait_done(late), daemon.wait_done(plain)
+            assert late["state"] == plain["state"] == "done"
             [cell] = late["cells"]
             assert cell["state"] == "simulated"
             assert daemon.app.simulations == 2

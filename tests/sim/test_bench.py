@@ -89,25 +89,3 @@ class TestReport:
     def test_geomean(self):
         assert bench._geomean([4.0, 9.0]) == 6.0
         assert bench._geomean([]) == 0.0
-
-
-class TestProfileBench:
-    def test_aggregate_digest_and_persisted_records(self, tmp_path,
-                                                    monkeypatch):
-        from repro.obs.profile import validate_profile
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setattr(bench, "QUICK_INSTRUCTIONS", 400)
-        monkeypatch.setattr(bench, "QUICK_WARMUP", 200)
-        aggregate = bench.profile_bench(quick=True)
-        assert validate_profile(aggregate) == []
-        cells = len(bench.BENCH_CONFIGS) * len(bench.BENCH_WORKLOADS)
-        assert aggregate["chunks"] >= cells  # every cell contributed
-        assert aggregate["classes"]  # D2M configs rank real classes
-        # the per-cell digests landed in the cached run records
-        records = [json.loads(p.read_text())
-                   for p in sorted((tmp_path / "runs").glob("*.json"))]
-        assert len(records) == cells
-        for record in records:
-            assert validate_profile(record["profile"]) == []
-            assert record["profile"], record["config"]

@@ -285,7 +285,9 @@ class TestHeartbeatDirThreading:
         import repro.sim.runner as runner
 
         seen = {}
-        monkeypatch.setattr(runner, "run_workload",
-                            lambda *args, **kwargs: seen.update(kwargs))
+        monkeypatch.setattr(
+            runner, "_simulate",
+            lambda spec, observers, heartbeat, batched: seen.update(
+                heartbeat=heartbeat))
         runner.run_spec(_specs("water")[0])
         assert seen["heartbeat"] is None

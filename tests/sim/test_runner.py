@@ -1,14 +1,11 @@
 """Unit tests for the run harness."""
 
-import os
-
 import pytest
 
 from repro.common.params import base_2l, d2m_ns_r
 from repro.sim.runner import (
     RunSpec,
     instruction_budget,
-    run_matrix,
     run_spec,
     run_workload,
     warmup_budget,
@@ -43,28 +40,16 @@ class TestRunWorkload:
         assert 0 <= out.private_miss_fraction <= 1
         assert out.d2m_msgs_per_ki >= 0
 
-    def test_matrix_shape(self):
-        matrix = run_matrix([base_2l(4)], ["water", "lu"],
-                            instructions=1_500, seed=2)
-        assert set(matrix) == {"water", "lu"}
-        assert set(matrix["water"]) == {"Base-2L"}
-
-    def test_matrix_forwards_check_values(self):
-        matrix = run_matrix([base_2l(2)], ["water"], instructions=1_000,
-                            seed=2, check_values=True)
-        assert matrix["water"]["Base-2L"].spec.check_values is True
-
-    def test_matrix_parallel_matches_serial(self):
-        serial = run_matrix([base_2l(2)], ["water", "lu"],
-                            instructions=1_000, seed=2, jobs=1)
-        parallel = run_matrix([base_2l(2)], ["water", "lu"],
-                              instructions=1_000, seed=2, jobs=2)
-        for workload in serial:
-            ours = parallel[workload]["Base-2L"]
-            theirs = serial[workload]["Base-2L"]
-            assert ours.perf.cycles == theirs.perf.cycles
-            assert ours.msgs_per_ki == theirs.msgs_per_ki
-            assert ours.edp == theirs.edp
+    def test_outcome_spec_is_the_request(self, monkeypatch):
+        monkeypatch.setenv("REPRO_WARMUP", "300")
+        out = run_workload(base_2l(2), "water", instructions=1_000, seed=2,
+                           check_values=True, timeline=128)
+        spec = out.spec
+        assert (spec.instructions, spec.seed, spec.warmup) == (1_000, 2, 300)
+        assert spec.check_values and spec.timeline == 128
+        assert spec.extras == {"timeline"}
+        request = RunSpec(base_2l(2), "water", 1_000, seed=2)
+        assert run_spec(request).spec is request
 
     def test_explicit_warmup_pins_the_run(self, monkeypatch):
         monkeypatch.setenv("REPRO_WARMUP", "900")

@@ -197,6 +197,23 @@ class TestReportHist:
         assert "latency.L1" in out
         assert "p99" in out
 
+    def test_hist_lookup_keys_on_the_node_count(self, tmp_path, monkeypatch,
+                                                capsys):
+        # the lookup takes the config object: a 4-node system finds the
+        # record a 4-node sweep wrote, not an 8-node key
+        import repro.cli as cli
+        from repro.common.params import d2m_ns_r
+        from repro.experiments.runner import get_matrix
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        four = d2m_ns_r(4)
+        get_matrix(workloads=["water"], configs=[four], instructions=1200,
+                   quiet=True, jobs=1)
+        monkeypatch.setattr(cli, "all_configs", lambda: [four])
+        assert main(["report", "--hist", "--workload", "water",
+                     "--config", "d2m-ns-r", "--instructions", "1200"]) == 0
+        assert "water on D2M-NS-R" in capsys.readouterr().out
+
     def test_report_without_artifact_or_hist(self, capsys):
         assert main(["report"]) == 2
         assert "artifact" in capsys.readouterr().err

@@ -116,7 +116,9 @@ class TestReplay:
                            for _ in range(2))
         assert _run(config, batched, True) == _run(config, scalar, False)
         assert _run(config, batched, True) == _run(config, scalar, False)
-        assert len(draws) == 2  # the second batched run generated live
+        # each run drew its stream: the second batched run generated
+        # live, and the scalar loop's generate drains _draws too
+        assert len(draws) == 4
         assert _state(batched) == _state(scalar)
 
 
