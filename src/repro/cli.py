@@ -37,6 +37,7 @@ run logging to any command; ``-`` logs to stderr.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
@@ -378,14 +379,14 @@ def _timeline_job(args: argparse.Namespace) -> int:
     from repro.experiments.runner import cache_dir
     from repro.obs.timeline import rebucket_timeline, timeline_text
     from repro.serve.handlers import timeline_payload
-    from repro.serve.queue import JobQueue
+    from repro.serve.queue import read_job
 
     if args.format == "html":
         print("timeline: --format html renders one record; use text or "
               "json with --job", file=sys.stderr)
         return 2
     root = Path(args.serve_cache) if args.serve_cache else cache_dir()
-    job = JobQueue(root / "queue").load(args.job)
+    job = read_job(root / "queue", args.job)
     if job is None:
         print(f"no such job {args.job!r} under {root}", file=sys.stderr)
         return 2
@@ -488,7 +489,7 @@ def _sweep_matrix(args: argparse.Namespace, **settings: object
                             instructions=args.instructions, seed=args.seed,
                             jobs=args.jobs or None,
                             timeline=_timeline_epoch(args),
-                            **settings) if workloads != [] else {}
+                            **settings)
     except SweepError as exc:
         print(exc, file=sys.stderr)
         return None, 1
@@ -577,8 +578,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-as-a-service daemon (see docs/SERVING.md)."""
-    import os
-
     if args.cache_dir:
         # The outermost default for every cache consumer in this
         # process and its simulation workers.
@@ -936,7 +935,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.log_json:
         runlog.configure(args.log_json)
     runlog.emit("cli.start", command=args.command, version=_version())
-    exit_code = _HANDLERS[args.command](args)
+    try:
+        exit_code = _HANDLERS[args.command](args)
+        sys.stdout.flush()  # a buffered tail fails here, not at exit
+    except BrokenPipeError:
+        # The reader closed the pipe (``repro ... | head``).  Point
+        # stdout at devnull so the interpreter's final flush cannot
+        # raise again, and exit non-zero (the recipe in Python's
+        # ``signal`` module docs).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     runlog.emit("cli.end", command=args.command, exit_code=exit_code)
     return exit_code
 

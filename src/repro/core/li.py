@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.common.errors import ConfigError
 

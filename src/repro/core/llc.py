@@ -15,7 +15,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, InvariantViolation
 from repro.common.params import SystemConfig
-from repro.core.datastore import DataArray, DataLine, LineRole
+from repro.core.datastore import DataArray, DataLine
 from repro.core.li import LI, LIKind
 from repro.noc.topology import FAR_SIDE_HUB
 

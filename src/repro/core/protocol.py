@@ -39,7 +39,7 @@ choice below is exercised by tests and recorded in DESIGN.md):
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation, ProtocolError
 from repro.common.params import LLCPlacement, SystemConfig, SystemKind
@@ -62,7 +62,7 @@ from repro.core.llc import (
 )
 from repro.core.md3 import MD3Store
 from repro.core.node import D2MNode, LookupPath
-from repro.core.regions import ActiveSite, MD2Entry, MD3Entry, RegionClass
+from repro.core.regions import MD2Entry, MD3Entry
 from repro.energy.model import EnergyAccountant, sram_structure
 from repro.mem.address import AddressMap
 from repro.mem.mainmem import MainMemory

@@ -240,12 +240,14 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     serves a request for fewer, and one lacking a requested extra is
     simulated again.
 
-    ``fresh=None`` defaults from ``REPRO_FRESH``; ``warmup=None``
+    ``workloads=None`` plans every sweep workload; an empty list plans
+    nothing.  ``fresh=None`` defaults from ``REPRO_FRESH``; ``warmup=None``
     derives the warm-up budget from ``REPRO_WARMUP`` or the default
     fraction, while an explicit value pins the cache keys regardless of
     the environment (the daemon does this per request).
     """
-    workload_list = list(workloads) if workloads else sweep_workloads()
+    workload_list = (sweep_workloads() if workloads is None
+                     else list(workloads))
     config_list = list(configs) if configs else list(all_configs())
     budget = instructions or instruction_budget()
     if warmup is None:

@@ -6,7 +6,7 @@ PB-count classification, Table III the modeled system configuration.
 
 from __future__ import annotations
 
-from repro.common.params import SystemConfig, all_configs, d2m_fs, d2m_ns
+from repro.common.params import all_configs, d2m_fs, d2m_ns
 from repro.core.li import LI, LICodec
 from repro.core.regions import RegionClass
 from repro.experiments.tables import render_table

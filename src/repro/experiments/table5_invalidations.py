@@ -9,8 +9,6 @@ of the misses (100 % for the Server mixes).
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.experiments.runner import Matrix, by_category, get_matrix
 from repro.experiments.tables import render_table
 

@@ -9,8 +9,8 @@ dependencies):
 * ``POST /runs`` submits a run matrix (workloads × configs ×
   instructions/seed/warmup), validated against the workload and system
   registries, and returns a persistent job;
-* ``GET /runs/<id>`` streams job status from the job file, the job's
-  live worker heartbeats, and ``progress.jsonl``;
+* ``GET /runs/<id>`` streams job status from the queue's job index,
+  the job's live worker heartbeats, and ``progress.jsonl``;
 * ``GET /records/<key>`` serves cached :class:`RunRecord` JSON with
   strong ETags — the run cache key *is* the ETag, so ``If-None-Match``
   round-trips as ``304 Not Modified``;
@@ -18,10 +18,11 @@ dependencies):
   whatever records the cache currently holds;
 * ``GET /healthz`` reports queue depths and the simulation counter.
 
-Behind the API sit a **persistent job queue** (``.repro_cache/queue/``,
-the same atomic-write discipline as run records, so a daemon restart
-resumes pending jobs), a worker pool reusing
-:func:`repro.sim.parallel.execute_runs`, and **request coalescing**:
+Behind the API sit a **persistent job queue** (an in-memory index
+journalled to ``.repro_cache/queue/`` with the same atomic-write
+discipline as run records, so a daemon restart resumes pending jobs),
+a worker pool reusing :func:`repro.sim.parallel.execute_runs`, and
+**request coalescing**:
 identical ``(workload, config, instructions, seed, warmup)`` cells —
 in-flight or queued — dedupe into one simulation whose result fans out
 to every waiting job.

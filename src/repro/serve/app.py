@@ -4,11 +4,11 @@ Stdlib only: a hand-rolled HTTP/1.1 server on ``asyncio.start_server``
 (``Connection: close`` per request — the clients are sweep scripts and
 CI curls, not browsers hammering keep-alive).  Simulation never runs on
 the event loop: jobs drain through a small number of concurrent job
-tasks, each of which plans against the run cache, claims its pending
-cells in the :class:`~repro.serve.coalesce.Coalescer`, and executes the
-owned cells via :func:`~repro.experiments.runner.execute_plan` (and
-thus the :mod:`repro.sim.parallel` process pool) inside a thread
-executor.  Results land on disk first (atomic run records), then fan
+tasks, each of which claims its cells in the
+:class:`~repro.serve.coalesce.Coalescer`, looks them up in the run
+cache once, and executes the owned cells still missing via
+:func:`~repro.experiments.runner.execute_plan` (and thus the
+:mod:`repro.sim.parallel` process pool) inside a thread executor.  Results land on disk first (atomic run records), then fan
 out to coalesced waiters via ``call_soon_threadsafe``.
 
 The serving layer sits entirely *beside* the simulation hot path: a
@@ -26,7 +26,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.params import SystemConfig
 from repro.experiments.runner import (
     PendingRun,
     RunRecord,
@@ -44,8 +43,13 @@ from repro.obs.trace import chrome_span_events
 from repro.serve import handlers
 from repro.serve.coalesce import Coalescer
 from repro.serve.queue import Job, JobCell, JobQueue, make_job
-from repro.serve.telemetry import Span, SpanRing, StageTimer, new_trace_id
-from repro.sim.parallel import RunFailure
+from repro.serve.telemetry import (
+    Span,
+    StageTimer,
+    append_span,
+    load_spans,
+    new_trace_id,
+)
 
 #: concurrent job-runner tasks (simulation parallelism lives below
 #: this, in each job's process pool)
@@ -89,9 +93,8 @@ class ServeApp:
         self.simulations = 0          # runs this daemon actually executed
         self.recovered_jobs: List[str] = []
         self.metrics = MetricsRegistry()
-        # Request-lifecycle spans: bounded ring for the HTTP endpoint,
-        # per-job JSONL under queue/spans/ for offline `repro trace --job`.
-        self.spans = SpanRing(self.queue.directory / "spans")
+        # Request-lifecycle spans, one JSONL file per job.
+        self.spans_dir = self.queue.directory / "spans"
         self._lane_state: Dict[int, str] = {}   # drain lane -> idle/running
         self._lane_job: Dict[int, str] = {}     # drain lane -> current job id
         self._wake = asyncio.Event()
@@ -151,12 +154,7 @@ class ServeApp:
                 self._lane_state[index] = "idle"
                 self._lane_job.pop(index, None)
                 self._wake.clear()
-                try:
-                    # The timeout also picks up jobs written into the
-                    # queue directory from outside this process.
-                    await asyncio.wait_for(self._wake.wait(), timeout=1.0)
-                except asyncio.TimeoutError:
-                    pass
+                await self._wake.wait()
                 continue
             self._lane_state[index] = "running"
             self._lane_job[index] = job.id
@@ -186,9 +184,10 @@ class ServeApp:
 
     def _span(self, job: Job, stage: str, ts: float, dur_s: float,
               **meta: object) -> None:
-        """Record one lifecycle span (ring + JSONL) and its latency."""
-        self.spans.record(Span(trace=job.trace, job=job.id, stage=stage,
-                               ts=ts, dur_s=dur_s, meta=dict(meta)))
+        """Record one lifecycle span and its latency."""
+        append_span(self.spans_dir, Span(trace=job.trace, job=job.id,
+                                         stage=stage, ts=ts, dur_s=dur_s,
+                                         meta=dict(meta)))
         self.metrics.observe("repro_stage_ns", int(dur_s * 1e9), stage=stage)
 
     async def _run_job(self, job: Job) -> None:
@@ -198,120 +197,90 @@ class ServeApp:
         runlog.emit("serve.job_start", job=job.id, cells=len(job.cells),
                     **log_extra)
         _, configs = handlers.parse_submission(dict(request))
-
-        def lookup(names: List[str],
-                   systems: List[SystemConfig]) -> SweepPlan:
-            return plan_matrix(
-                workloads=names, configs=systems,
-                instructions=int(request["instructions"]),  # type: ignore[arg-type]
-                seed=int(request["seed"]),  # type: ignore[arg-type]
-                warmup=int(request["warmup"]),  # type: ignore[arg-type]
-                timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
-            )
-
-        plan: SweepPlan = await loop.run_in_executor(
-            None, lookup, list(request["workloads"]),  # type: ignore[arg-type]
-            configs)
-
         cells = {cell.key: cell for cell in job.cells}
-        for workload, row in plan.matrix.items():
-            for config_name in row:
-                key = _cell_key(cells, workload, config_name)
-                if key is not None:
-                    cells[key].state = "cached"
-
-        owned: List[PendingRun] = []
-        claims: Dict[str, "asyncio.Future[object]"] = {}
-        waited: Dict[str, "asyncio.Future[object]"] = {}
-        # Let in-flight runs that lack an extra this job asks for land
-        # first; the re-lookup below then finds them short of it.
-        await self.coalescer.settle({item.key: item.spec.extras
-                                     for item in plan.pending})
-        for item in plan.pending:
-            is_owner, future = self.coalescer.claim(item.key,
-                                                    item.spec.extras)
-            if is_owner:
-                owned.append(item)
-                claims[item.key] = future
-                self.metrics.inc("repro_coalesce_owned_total")
-            else:
-                waited[item.key] = future
-                self.metrics.inc("repro_coalesce_hits_total")
-        if owned:
-            # A run of an owned key may have landed between the lookup
-            # and the claim; look the owned cells up again, under the
-            # claims, and serve what is on disk now (by the lookup's
-            # acceptance rule) rather than simulating it twice.
-            again: SweepPlan = await loop.run_in_executor(
-                None, lookup,
-                list(dict.fromkeys(item.spec.workload for item in owned)),
-                [config for config in configs
-                 if any(item.spec.config is config for item in owned)])
-            missing = {item.key for item in again.pending}
-            for item in owned:
-                if item.key not in missing:
-                    workload, config_name = (item.spec.workload,
-                                             item.spec.config.name)
-                    record = again.matrix[workload][config_name]
-                    plan.matrix[workload][config_name] = record
-                    cells[item.key].state = "cached"
-                    self.coalescer.resolve(item.key, record)
-            owned = [item for item in owned if item.key in missing]
-        cached_cells = sum(1 for cell in cells.values()
-                           if cell.state == "cached")
-        if cached_cells:
-            self.metrics.inc("repro_cache_hits_total", cached_cells)
-        if owned or waited:
-            self.metrics.inc("repro_cache_misses_total",
-                             len(owned) + len(waited))
-        self.queue.save(job)
-
+        claims = await self.coalescer.claim(
+            dict.fromkeys(cells, handlers.job_extras(request)))
+        owned = {key: future for key, (is_owner, future) in claims.items()
+                 if is_owner}
         failures_by_key: Dict[str, str] = {}
-        if owned:
-            sub_plan = replace(plan, pending=owned)  # shares plan.matrix
-            hb_dir = self.heartbeat_dir_for(job.id)
-            hb_dir.mkdir(parents=True, exist_ok=True)
+        crash = ""
+        try:
+            # One lookup, under the claims: no run of an owned key can
+            # land between the lookup and the claim.
+            plan: SweepPlan = await loop.run_in_executor(
+                None, lambda: plan_matrix(
+                    workloads=request["workloads"],  # type: ignore[arg-type]
+                    configs=configs,
+                    instructions=int(request["instructions"]),  # type: ignore[arg-type]
+                    seed=int(request["seed"]),  # type: ignore[arg-type]
+                    warmup=int(request["warmup"]),  # type: ignore[arg-type]
+                    timeline=int(request.get("timeline", 0) or 0)))  # type: ignore[arg-type]
+            missing = {item.key for item in plan.pending}
+            for cell in job.cells:
+                if cell.key not in missing:  # served from disk
+                    cell.state = "cached"
+                    if cell.key in owned:
+                        self.coalescer.resolve(
+                            cell.key, plan.matrix[cell.workload][cell.config])
+            runs = [item for item in plan.pending if item.key in owned]
+            # A joined key still missing waits for its owner's run; one
+            # on disk already (the owner's run landed, or the owner
+            # serves it from disk too) is a cache hit like any other.
+            waited = {key: future for key, (is_owner, future)
+                      in claims.items() if not is_owner and key in missing}
+            if runs:
+                self.metrics.inc("repro_coalesce_owned_total", len(runs))
+            if waited:
+                self.metrics.inc("repro_coalesce_hits_total", len(waited))
+            if len(cells) > len(missing):
+                self.metrics.inc("repro_cache_hits_total",
+                                 len(cells) - len(missing))
+            if missing:
+                self.metrics.inc("repro_cache_misses_total", len(missing))
+            self.queue.save(job)
+            if runs:
+                sub_plan = replace(plan, pending=runs)  # shares plan.matrix
+                hb_dir = self.heartbeat_dir_for(job.id)
+                hb_dir.mkdir(parents=True, exist_ok=True)
 
-            def on_record(item: PendingRun, record: RunRecord) -> None:
-                # executor thread → loop thread: disk write already
-                # happened (execute_plan persists before this fires).
-                loop.call_soon_threadsafe(self._record_landed, job, cells,
-                                          item.key, record)
+                def on_record(item: PendingRun, record: RunRecord) -> None:
+                    # executor thread → loop thread: disk write already
+                    # happened (execute_plan persists before this fires).
+                    loop.call_soon_threadsafe(self._record_landed, job,
+                                              cells, item.key, record)
 
-            failures: List[RunFailure] = []
-            crash = ""
-            with StageTimer() as sim_t:
-                try:
-                    failures = await loop.run_in_executor(
-                        None, lambda: execute_plan(
-                            sub_plan, jobs=self.workers or None, quiet=True,
-                            heartbeat_dir=str(hb_dir),
-                            jsonl_path=str(self.cache_root
-                                           / "progress.jsonl"),
-                            on_record=on_record, trace=job.trace))
-                except Exception as exc:
-                    crash = f"{type(exc).__name__}: {exc}"
-                    raise
-                finally:
-                    shutil.rmtree(hb_dir, ignore_errors=True)
-                    for failure in failures:
-                        for item in owned:
-                            if (item.spec.workload == failure.workload
-                                    and item.spec.config.name
-                                    == failure.config):
-                                failures_by_key[item.key] = failure.summary()
-                    # Any owned key not resolved by on_record (failed run,
-                    # or execute_plan itself blew up) must release its
-                    # waiters, with the owner's error as their reason.
-                    for item in owned:
-                        self.coalescer.fail(
-                            item.key, failures_by_key.get(item.key)
-                            or crash
-                            or f"run {item.spec.workload} on "
-                               f"{item.spec.config.name} did not complete",
-                            claims[item.key])
-            self._span(job, "simulate", sim_t.ts, sim_t.dur_s,
-                       owned=len(owned))
+                with StageTimer() as sim_t:
+                    try:
+                        failures = await loop.run_in_executor(
+                            None, lambda: execute_plan(
+                                sub_plan, jobs=self.workers or None,
+                                quiet=True, heartbeat_dir=str(hb_dir),
+                                jsonl_path=str(self.cache_root
+                                               / "progress.jsonl"),
+                                on_record=on_record, trace=job.trace))
+                    finally:
+                        shutil.rmtree(hb_dir, ignore_errors=True)
+                for failure in failures:
+                    for item in runs:
+                        if (item.spec.workload == failure.workload
+                                and item.spec.config.name == failure.config):
+                            failures_by_key[item.key] = failure.summary()
+                self._span(job, "simulate", sim_t.ts, sim_t.dur_s,
+                           owned=len(runs))
+        except Exception as exc:
+            crash = f"{type(exc).__name__}: {exc}"
+            raise
+        finally:
+            # Every owned key not served by now (a failed run, or the
+            # lookup or execute_plan itself blew up) fails, releasing
+            # its waiters with the owner's error as their reason.
+            for key, future in owned.items():
+                if not future.done():
+                    cell = cells[key]
+                    failures_by_key.setdefault(
+                        key, crash or f"run {cell.workload} on "
+                                      f"{cell.config} did not complete")
+                    self.coalescer.fail(key, failures_by_key[key], future)
 
         if waited:
             with StageTimer() as wait_t:
@@ -326,14 +295,8 @@ class ServeApp:
             self._span(job, "coalesce-wait", wait_t.ts, wait_t.dur_s,
                        cells=len(waited))
 
-        for key, cell in cells.items():
-            if key in failures_by_key:
-                cell.state = "failed"
-            elif cell.state == "pending":
-                # Owned cells resolve through _record_landed; a cell
-                # still pending here raced a concurrent completion —
-                # the record is on disk, so it is served, not lost.
-                cell.state = "simulated"
+        for key in failures_by_key:
+            cells[key].state = "failed"
         if failures_by_key:
             job.state = "failed"
             job.error = "; ".join(
@@ -503,7 +466,7 @@ class ServeApp:
         self._span(job, "validate", validate_t.ts, validate_t.dur_s,
                    cells=len(cells))
         with StageTimer() as enqueue_t:
-            self.queue.submit(job)
+            self.queue.save(job)
         self._span(job, "enqueue", enqueue_t.ts, enqueue_t.dur_s)
         self._wake.set()
         runlog.emit("serve.submit", job=job.id, cells=len(job.cells),
@@ -528,7 +491,7 @@ class ServeApp:
         """``GET /runs/<id>/trace``: the job's spans as Chrome JSON."""
         if not job_id.isalnum():
             return 400, {"error": f"malformed job id {job_id!r}"}, {}
-        spans = self.spans.for_job(job_id)
+        spans = load_spans(self.spans_dir, job_id)
         if not spans and self.queue.load(job_id) is None:
             return 404, {"error": f"no such job {job_id!r}"}, {}
         return 200, {"traceEvents": chrome_span_events(spans)}, {}
@@ -555,14 +518,6 @@ class ServeApp:
         return dashboard_from_records(
             records, subtitle=f"served live from {self.runs_dir} "
                               f"({len(records)} cached records)")
-
-
-def _cell_key(cells: Dict[str, JobCell], workload: str,
-              config_name: str) -> Optional[str]:
-    for key, cell in cells.items():
-        if cell.workload == workload and cell.config == config_name:
-            return key
-    return None
 
 
 def _endpoint_label(path: str) -> str:

@@ -3,23 +3,25 @@
 Two jobs asking for the same ``(workload, config, nodes, instructions,
 seed, warmup)`` cell share one cache key (see
 :func:`repro.experiments.runner.run_cache_key`).  The first job to
-claim a key *owns* it and simulates; a later claimant whose requested
-extras (histograms, timeline; :attr:`repro.sim.runner.RunSpec.extras`)
-the owner's cover gets the owner's future and just awaits.  The owner
-resolves (or fails) the future as the run lands, fanning one result
-out to all waiters — so N identical submissions, in flight or queued,
-cost exactly one simulation on top of the disk cache.
+claim a key *owns* it; a later claimant whose requested extras
+(histograms, timeline; :attr:`repro.sim.runner.RunSpec.extras`) the
+owner's cover gets the owner's future and just awaits.  The owner
+resolves (or fails) the future as its cell is served from disk or its
+run lands, fanning one result out to all waiters — so N identical
+submissions, in flight or queued, cost exactly one simulation on top
+of the disk cache.
 
 The key leaves the extras out, so a job that asks for more than an
-in-flight owner does must not take that owner's record: it first lets
-such runs land (:meth:`Coalescer.settle`), then claims the key itself
-and simulates with its own extras.
+in-flight owner does must not take that owner's record: one
+:meth:`Coalescer.claim` call first lets such runs land, then claims
+every key of the job with no ``await`` in between, so each key is
+owned or joined under a covering owner.
 
-A job looks its keys up in the disk cache before it claims them, so a
-run can land in between; the app therefore looks the keys it owns up
-again after claiming them, and simulates only those still missing.
+A job claims its keys *before* it looks them up in the disk cache, so
+no run can land between its lookup and its claim: an owned key found
+on disk resolves at once with its record, and only the rest simulate.
 
-The registry lives on the event loop: :meth:`claim`, :meth:`settle` and
+The registry lives on the event loop: :meth:`claim` and
 :meth:`resolve`/:meth:`fail` must be called from the loop thread
 (worker threads hand results back via ``call_soon_threadsafe``, which
 the app does).
@@ -30,30 +32,31 @@ from __future__ import annotations
 import asyncio
 from typing import AbstractSet, Dict, FrozenSet, Mapping, Tuple
 
+Claim = Tuple[bool, "asyncio.Future[object]"]
+
 
 class Coalescer:
-    """In-flight run registry keyed by run cache key.
-
-    Keeps its own lifetime counters (``owned_total`` / ``hits_total``)
-    so the `/metrics` endpoint can report the coalesce hit ratio without
-    the app shadow-counting every claim.
-    """
+    """In-flight run registry keyed by run cache key."""
 
     def __init__(self) -> None:
         # key -> (the owner's future, the owner's extras)
         self._inflight: Dict[str, Tuple["asyncio.Future[object]",
                                         FrozenSet[str]]] = {}
-        self.owned_total = 0
-        self.hits_total = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
 
-    async def settle(self, wanted: Mapping[str, AbstractSet[str]]) -> None:
-        """Wait until no key of ``wanted`` (key -> requested extras) is in
-        flight under an owner whose extras miss some of the requested
-        ones.  With no ``await`` between this and :meth:`claim`, every
-        claim then owns its key or joins a covering owner."""
+    async def claim(self, wanted: Mapping[str, AbstractSet[str]]
+                    ) -> Dict[str, Claim]:
+        """Claim every key of ``wanted`` (key -> requested extras):
+        ``key -> (owned, future)``.  ``owned`` is True when the caller
+        must serve the key (from disk or by simulating it) and resolve
+        or fail ``future``; False means another job owns it with extras
+        covering the requested ones — await the shared future instead.
+
+        First waits until no key is in flight under an owner whose
+        extras miss some of the requested ones.
+        """
         while True:
             blocking = []
             for key, extras in wanted.items():
@@ -61,33 +64,22 @@ class Coalescer:
                 if entry is not None and not extras <= entry[1]:
                     blocking.append(entry[0])
             if not blocking:
-                return
+                break
             await asyncio.wait(blocking)
-
-    def claim(self, key: str, extras: AbstractSet[str] = frozenset()
-              ) -> Tuple[bool, "asyncio.Future[object]"]:
-        """``(owned, future)``: ``owned`` is True when the caller must
-        simulate this key; False means another job already is, with
-        extras covering ``extras`` — await the shared future instead.
-
-        A key in flight under an owner that does not cover ``extras``
-        cannot be claimed; :meth:`settle` waits those out.
-        """
-        entry = self._inflight.get(key)
-        if entry is not None:
-            future, have = entry
-            if not extras <= have:
-                raise RuntimeError(f"run {key} is in flight without "
-                                   f"{sorted(extras - have)}; settle first")
-            self.hits_total += 1
-            return False, future
-        future = asyncio.get_running_loop().create_future()
-        self._inflight[key] = (future, frozenset(extras))
-        self.owned_total += 1
-        return True, future
+        loop = asyncio.get_running_loop()
+        claims: Dict[str, Claim] = {}
+        for key, extras in wanted.items():
+            entry = self._inflight.get(key)
+            if entry is not None:
+                claims[key] = (False, entry[0])
+            else:
+                future = loop.create_future()
+                self._inflight[key] = (future, frozenset(extras))
+                claims[key] = (True, future)
+        return claims
 
     def resolve(self, key: str, result: object) -> None:
-        """Owner callback: the run landed; fan ``result`` out."""
+        """Owner callback: the record is served; fan ``result`` out."""
         entry = self._inflight.pop(key, None)
         if entry is not None and not entry[0].done():
             entry[0].set_result(result)

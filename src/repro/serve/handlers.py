@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.common.params import SystemConfig, all_configs
 from repro.experiments.runner import run_cache_key
 from repro.obs.progress import read_heartbeats
 from repro.serve.queue import Job, JobCell
-from repro.sim.runner import instruction_budget, warmup_budget
+from repro.sim.runner import extras_of, instruction_budget, warmup_budget
 from repro.workloads.registry import get_spec, workload_names
 
 #: hard ceilings keeping one request from wedging the daemon
@@ -136,6 +136,14 @@ def build_cells(request: Dict[str, object],
                                       seed, warmup, nodes=config.nodes))
             for workload in request["workloads"]  # type: ignore[union-attr]
             for config in configs]
+
+
+def job_extras(request: Dict[str, object]) -> FrozenSet[str]:
+    """The extras every run of the job asks for — histogram digests,
+    plus a timeline when the request names an epoch: the set
+    :func:`~repro.experiments.runner.plan_matrix` builds for the job's
+    lookup, so the job claims its cells with what it will accept."""
+    return extras_of(hist=True, timeline=request.get("timeline", 0))
 
 
 def job_payload(job: Job, heartbeat_dir: Optional[Path] = None,

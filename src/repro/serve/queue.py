@@ -1,13 +1,20 @@
 """Persistent job queue under ``.repro_cache/queue/``.
 
-One job = one submitted run matrix, stored as ``<id>.json`` with the
-same ``tempfile`` + ``os.replace`` atomic-write discipline as run
+The queue's memory is its index and its directory is its journal.  A
+:class:`JobQueue` keeps every job it accepted in a dict, and
+:meth:`JobQueue.save` writes each change through to ``<id>.json`` with
+the same ``tempfile`` + ``os.replace`` atomic-write discipline as run
 records: readers only ever see absent or complete job files, even
-across a mid-write kill.  The queue directory *is* the durable state —
-a daemon restart calls :meth:`JobQueue.recover`, which re-marks jobs
-interrupted mid-``running`` as ``pending``; their already-simulated
-cells are found in the run cache on re-execution, so nothing is lost
-and nothing runs twice.
+across a mid-write kill.  Claims, status reads and counts read the
+dict, never the directory.
+
+The directory is read once, by :meth:`JobQueue.recover` at daemon
+start: it loads every job file and re-marks jobs interrupted
+mid-``running`` as ``pending``; their already-simulated cells are
+found in the run cache on re-execution, so nothing is lost and nothing
+runs twice.  A daemon therefore drains the jobs it accepted or
+recovered, not files another process writes later.  Offline readers
+(``repro timeline --job``) parse one file with :func:`read_job`.
 
 Jobs drain oldest-first (``created_ts``, then id, so ordering is total
 even within one timestamp tick).
@@ -20,7 +27,7 @@ import time
 import uuid
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.runner import atomic_write_json
 from repro.serve.schema import CELL_STATES, JOB_STATES
@@ -85,68 +92,62 @@ def new_job_id() -> str:
     return uuid.uuid4().hex[:12]
 
 
+def read_job(directory: Path, job_id: str) -> Optional[Job]:
+    """The job journalled as ``<job_id>.json`` under ``directory``, or
+    None when absent/corrupt (treated as a miss, mirroring the
+    run-record cache)."""
+    try:
+        path = Path(directory) / f"{job_id}.json"
+        return Job.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, TypeError, KeyError):
+        return None
+
+
 class JobQueue:
-    """Directory-backed job store with atomic writes and recovery."""
+    """In-memory job index, journalled to a directory with atomic
+    writes and rebuilt from it by :meth:`recover`."""
 
     def __init__(self, directory: Path) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    # ------------------------------------------------------------- storage
-
-    def _path(self, job_id: str) -> Path:
-        return self.directory / f"{job_id}.json"
+        self._jobs: Dict[str, Job] = {}
 
     def save(self, job: Job) -> None:
-        atomic_write_json(self._path(job.id), job.to_json())
-
-    def submit(self, job: Job) -> None:
-        self.save(job)
+        """Index ``job`` and write it through to its journal file."""
+        atomic_write_json(self.directory / f"{job.id}.json", job.to_json())
+        self._jobs[job.id] = job
 
     def load(self, job_id: str) -> Optional[Job]:
-        """The stored job, or None when absent/corrupt (treated as a
-        miss, mirroring the run-record cache)."""
-        try:
-            data = json.loads(self._path(job_id).read_text(encoding="utf-8"))
-            return Job.from_json(data)
-        except (OSError, ValueError, TypeError, KeyError):
-            return None
+        """The indexed job (the live object the daemon updates), or
+        None."""
+        return self._jobs.get(job_id)
 
     def jobs(self) -> List[Job]:
-        """Every readable job, oldest first (created_ts, then id)."""
-        out: List[Job] = []
-        try:
-            names = sorted(self.directory.glob("*.json"))
-        except OSError:
-            return out
-        for path in names:
-            job = self.load(path.stem)
-            if job is not None:
-                out.append(job)
-        out.sort(key=lambda job: (job.created_ts, job.id))
-        return out
-
-    # ------------------------------------------------------------- lifecycle
+        """Every indexed job, oldest first (created_ts, then id)."""
+        return sorted(self._jobs.values(), key=_age)
 
     def next_pending(self) -> Optional[Job]:
-        for job in self.jobs():
-            if job.state == "pending":
-                return job
-        return None
+        return min((job for job in self._jobs.values()
+                    if job.state == "pending"), key=_age, default=None)
 
     def counts(self) -> Dict[str, int]:
         counts = {state: 0 for state in JOB_STATES}
-        for job in self.jobs():
+        for job in self._jobs.values():
             counts[job.state] += 1
         return counts
 
     def recover(self) -> List[str]:
-        """Re-queue jobs a dead daemon left mid-``running``.
+        """Index every readable job file, and re-queue the jobs a dead
+        daemon left mid-``running``.
 
         Their cached cells will be found complete on re-execution, so
         recovery neither loses nor duplicates work.  Returns the
-        recovered job ids.
+        recovered job ids, oldest first.
         """
+        for path in self.directory.glob("*.json"):
+            job = read_job(self.directory, path.stem)
+            if job is not None:
+                self._jobs[job.id] = job
         recovered: List[str] = []
         for job in self.jobs():
             if job.state == "running":
@@ -154,6 +155,10 @@ class JobQueue:
                 self.save(job)
                 recovered.append(job.id)
         return recovered
+
+
+def _age(job: Job) -> Tuple[float, str]:
+    return job.created_ts, job.id
 
 
 def make_job(request: Dict[str, object], cells: List[JobCell],

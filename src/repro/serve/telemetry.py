@@ -3,9 +3,10 @@
 Every ``POST /runs`` mints a *trace id* that follows the request through
 the daemon: validate → enqueue → (coalesce-wait) → claim → simulate →
 cache-write → respond.  Each completed stage is recorded as a
-:class:`Span` in a bounded in-memory ring (:class:`SpanRing`) and
-appended to a per-job JSONL file under ``queue/spans/``, so traces
-survive the daemon and are readable offline by ``repro trace --job``.
+:class:`Span` appended to its job's JSONL file under ``queue/spans/``
+(:func:`append_span`).  That file is the one span store: the daemon's
+``GET /runs/<id>/trace`` and the offline ``repro trace --job`` both
+read it through :func:`load_spans`, so traces survive the daemon.
 
 Export to Chrome ``trace_event`` JSON goes through
 :func:`repro.obs.trace.chrome_span_events` — the same machinery the
@@ -17,15 +18,11 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.trace import SPAN_STAGES
-
-#: in-memory ring capacity (spans, across all jobs)
-DEFAULT_RING_SPANS = 4096
 
 #: keys every serialized span carries; meta keys must not collide
 SPAN_CORE_KEYS = ("trace", "job", "stage", "ts", "dur_s")
@@ -63,57 +60,22 @@ class Span:
         return record
 
 
-class SpanRing:
-    """Bounded ring of recent spans with per-job persistence.
-
-    The ring answers ``GET /runs/<id>/trace`` for recent jobs without
-    touching disk; the per-job JSONL under ``directory`` is the durable
-    copy (append-only, one flat JSON object per line) that outlives the
-    ring and the daemon.
-    """
-
-    def __init__(self, directory: Optional[Path] = None,
-                 capacity: int = DEFAULT_RING_SPANS) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self._ring: Deque[Dict[str, object]] = deque(maxlen=capacity)
-
-    def record(self, span: Span) -> Dict[str, object]:
-        """Ring-buffer the span and append it to the job's span file."""
-        record = span.to_json()
-        self._ring.append(record)
-        if self.directory is not None:
-            try:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                path = self.directory / f"{span.job}.jsonl"
-                with path.open("a", encoding="utf-8") as stream:
-                    stream.write(json.dumps(record, separators=(",", ":"))
-                                 + "\n")
-            except OSError:
-                pass  # telemetry must never fail the request it observes
-        return record
-
-    def for_job(self, job_id: str) -> List[Dict[str, object]]:
-        """Every span of one job: durable file first, then any ring
-        entries the file does not have yet (file writes happen with the
-        ring append, so in practice the file is authoritative)."""
-        spans: List[Dict[str, object]] = []
-        if self.directory is not None:
-            spans = load_spans(self.directory, job_id)
-        have = {(s.get("stage"), s.get("ts")) for s in spans}
-        for record in self._ring:
-            if record.get("job") == job_id:
-                if (record.get("stage"), record.get("ts")) not in have:
-                    spans.append(record)
-        spans.sort(key=lambda s: (float(s.get("ts", 0.0)),  # type: ignore[arg-type]
-                                  str(s.get("stage", ""))))
-        return spans
-
-    def __len__(self) -> int:
-        return len(self._ring)
+def append_span(directory: Path, span: Span) -> None:
+    """Append ``span`` to ``<directory>/<job>.jsonl`` (one flat JSON
+    object per line)."""
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"{span.job}.jsonl"
+        with path.open("a", encoding="utf-8") as stream:
+            stream.write(json.dumps(span.to_json(), separators=(",", ":"))
+                         + "\n")
+    except OSError:
+        pass  # telemetry must never fail the request it observes
 
 
 def load_spans(directory: Path, job_id: str) -> List[Dict[str, object]]:
-    """Parse one job's span JSONL (absent/corrupt lines are skipped)."""
+    """Parse one job's span JSONL, ordered by start time (absent/corrupt
+    lines are skipped)."""
     path = Path(directory) / f"{job_id}.jsonl"
     spans: List[Dict[str, object]] = []
     try:
@@ -128,8 +90,10 @@ def load_spans(directory: Path, job_id: str) -> List[Dict[str, object]]:
             record = json.loads(line)
         except ValueError:
             continue
-        if isinstance(record, dict) and "stage" in record and "ts" in record:
+        if (isinstance(record, dict) and "stage" in record
+                and isinstance(record.get("ts"), (int, float))):
             spans.append(record)
+    spans.sort(key=lambda s: (s["ts"], str(s["stage"])))  # type: ignore[arg-type, return-value]
     return spans
 
 

@@ -5,7 +5,7 @@ import pytest
 from tests.helpers import TraceDriver, small_config
 from repro.common.errors import InvariantViolation
 from repro.common.params import base_2l, base_3l, d2m_fs
-from repro.common.types import CoherenceState, HitLevel
+from repro.common.types import HitLevel
 from repro.baseline.hierarchy import BaselineHierarchy
 from repro.core.hierarchy import build_hierarchy
 

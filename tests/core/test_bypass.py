@@ -4,7 +4,6 @@ from dataclasses import replace
 
 from tests.helpers import TraceDriver
 from repro.common.params import d2m_fs
-from repro.common.types import HitLevel
 from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import check_invariants
 

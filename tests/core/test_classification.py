@@ -4,7 +4,6 @@ import pytest
 
 from tests.helpers import TraceDriver
 from repro.common.params import d2m_fs
-from repro.common.types import AccessKind
 from repro.core.hierarchy import build_hierarchy
 from repro.core.regions import RegionClass
 

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.core.li import LI, LICodec, LIKind
+from repro.core.li import LI, LICodec
 
 
 class TestLIValues:

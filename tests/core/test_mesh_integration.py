@@ -1,7 +1,5 @@
 """D2M and the baseline also run on a 2-D mesh interconnect."""
 
-from dataclasses import replace
-
 from tests.helpers import TraceDriver
 from repro.common.params import base_2l, d2m_fs
 from repro.core.hierarchy import build_hierarchy

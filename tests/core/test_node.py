@@ -8,7 +8,7 @@ from repro.common.params import d2m_fs
 from repro.common.types import AccessKind
 from repro.core.li import LI
 from repro.core.node import D2MNode, LookupPath
-from repro.core.regions import ActiveSite, MD2Entry, fresh_li_array
+from repro.core.regions import ActiveSite, MD2Entry
 
 
 def make_node():

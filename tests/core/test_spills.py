@@ -1,7 +1,5 @@
 """Tests for forced region evictions: MD2 spills and MD3 global evictions."""
 
-import pytest
-
 from tests.helpers import TraceDriver, small_config
 from repro.common.params import d2m_fs, d2m_ns
 from repro.common.types import HitLevel

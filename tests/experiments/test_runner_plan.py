@@ -90,6 +90,18 @@ class TestPlanMatrix:
         assert (again.matrix["water"]["Base-2L"].to_json()
                 == plan.matrix["water"]["Base-2L"].to_json())
 
+    def test_empty_workload_list_plans_nothing(self, cache, monkeypatch):
+        # only None means "every workload"
+        monkeypatch.delenv("REPRO_WORKLOADS", raising=False)
+        plan = plan_matrix(workloads=[], configs=[base_2l(2)],
+                           instructions=100)
+        assert plan.total == 0 and plan.pending == [] and plan.matrix == {}
+        assert get_matrix(workloads=[], configs=[base_2l(2)],
+                          instructions=100, quiet=True) == {}
+        every = plan_matrix(configs=[base_2l(2)], instructions=100)
+        assert every.workloads == runner.sweep_workloads()
+        assert len(every.pending) == len(every.workloads) > 0
+
     def test_explicit_warmup_pins_keys_against_env(self, cache, monkeypatch):
         pinned = plan_matrix(warmup=123, **self.ARGS)
         monkeypatch.setenv("REPRO_WARMUP", "777")

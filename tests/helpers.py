@@ -17,7 +17,6 @@ from repro.common.params import (
     d2m_ns_r,
 )
 from repro.common.types import Access, AccessKind
-from repro.core.hierarchy import build_hierarchy
 from repro.mem.address import AddressSpace, PageAllocator
 from repro.mem.mainmem import VersionOracle
 

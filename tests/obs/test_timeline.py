@@ -19,7 +19,6 @@ from repro.obs.compare import (
     NOTE,
     OK,
     REGRESSION,
-    WARN,
     compare_records,
     compare_timelines,
 )

@@ -187,20 +187,25 @@ class TestValidationAndRouting:
 
 
 class TestCoalescer:
+    PLAIN = frozenset({"hist"})
+    TIMELINE = frozenset({"hist", "timeline"})
+
     def test_first_claim_owns_later_claims_wait(self):
         from repro.serve.coalesce import Coalescer
 
         async def scenario():
             coalescer = Coalescer()
-            owned, future = coalescer.claim("k1")
-            assert owned and len(coalescer) == 1
-            again, shared = coalescer.claim("k1")
+            claims = await coalescer.claim({"k1": self.PLAIN,
+                                            "k2": self.PLAIN})
+            (owned, future), (owned2, _) = claims["k1"], claims["k2"]
+            assert owned and owned2 and len(coalescer) == 2
+            again, shared = (await coalescer.claim({"k1": self.PLAIN}))["k1"]
             assert not again and shared is future
             coalescer.resolve("k1", "record")
             assert await shared == "record"
-            assert len(coalescer) == 0
+            assert len(coalescer) == 1
             # the key is free again after resolution
-            assert coalescer.claim("k1")[0]
+            assert (await coalescer.claim({"k1": self.PLAIN}))["k1"][0]
 
         asyncio.run(scenario())
 
@@ -209,8 +214,8 @@ class TestCoalescer:
 
         async def scenario():
             coalescer = Coalescer()
-            _, owned = coalescer.claim("k1")
-            _, shared = coalescer.claim("k1")
+            _, owned = (await coalescer.claim({"k1": self.PLAIN}))["k1"]
+            _, shared = (await coalescer.claim({"k1": self.PLAIN}))["k1"]
             coalescer.fail("k1", "run died", owned)
             with pytest.raises(RuntimeError, match="run died"):
                 await shared
@@ -228,9 +233,9 @@ class TestCoalescer:
 
         async def scenario():
             coalescer = Coalescer()
-            _, first = coalescer.claim("k1")
+            _, first = (await coalescer.claim({"k1": self.PLAIN}))["k1"]
             coalescer.resolve("k1", "record")
-            owned, second = coalescer.claim("k1")
+            owned, second = (await coalescer.claim({"k1": self.PLAIN}))["k1"]
             assert owned
             coalescer.fail("k1", "did not complete", first)
             assert not second.done() and len(coalescer) == 1
@@ -244,25 +249,26 @@ class TestCoalescer:
 
         async def scenario():
             coalescer = Coalescer()
-            plain = frozenset({"hist"})
-            timeline = frozenset({"hist", "timeline"})
-            _, rich = coalescer.claim("k1", timeline)
-            joined, shared = coalescer.claim("k1", plain)
-            assert not joined and shared is rich
-            coalescer.claim("k2", plain)
-            with pytest.raises(RuntimeError, match="settle"):
-                coalescer.claim("k2", timeline)
-            # settle returns at once for a covered request, and waits
-            # for the run of an owner that does not cover it
-            await coalescer.settle({"k1": timeline, "k2": plain})
+            rich = (await coalescer.claim({"k1": self.TIMELINE}))["k1"][1]
+            _, plain = (await coalescer.claim({"k2": self.PLAIN}))["k2"]
+            # a covered request returns at once: it joins k1's richer
+            # owner and k2's equal one
+            claims = await asyncio.wait_for(
+                coalescer.claim({"k1": self.PLAIN, "k2": self.PLAIN}),
+                DEADLINE_S)
+            assert claims == {"k1": (False, rich), "k2": (False, plain)}
+            # a request k2's owner does not cover waits its run out,
+            # claiming nothing meanwhile, and then owns every key
             waiting = asyncio.ensure_future(
-                coalescer.settle({"k1": plain, "k2": timeline}))
-            await asyncio.sleep(0)
-            assert not waiting.done()
+                coalescer.claim({"k2": self.TIMELINE, "k3": self.PLAIN}))
+            for _ in range(3):
+                await asyncio.sleep(0)
+            assert not waiting.done() and len(coalescer) == 2
             coalescer.resolve("k2", "record without a series")
-            await asyncio.wait_for(waiting, DEADLINE_S)
-            owned, _ = coalescer.claim("k2", timeline)
-            assert owned
+            claims = await asyncio.wait_for(waiting, DEADLINE_S)
+            assert claims["k2"][0] and claims["k3"][0]
+            assert claims["k2"][1] is not plain
+            assert len(coalescer) == 3
 
         asyncio.run(scenario())
 
@@ -312,7 +318,8 @@ class TestCoalescing:
                 # hold the owned run until the second job has coalesced
                 # onto it, so that job is a waiter, not a second owner
                 deadline = time.monotonic() + DEADLINE_S
-                while (daemon.app.coalescer.hits_total < 1
+                while (daemon.app.metrics.value(
+                        "repro_coalesce_hits_total") < 1
                        and time.monotonic() < deadline):
                     time.sleep(0.01)
                 raise RuntimeError(f"owner run exploded on {spec.workload}")
@@ -320,7 +327,7 @@ class TestCoalescing:
             monkeypatch.setattr(runner, "_simulate_record", exploding)
             ids = [daemon.submit()[0], daemon.submit()[0]]
             settled = [daemon.wait_done(job_id) for job_id in ids]
-            assert daemon.app.coalescer.hits_total == 1
+            assert daemon.app.metrics.value("repro_coalesce_hits_total") == 1
             for payload in settled:
                 assert payload["state"] == "failed"
                 assert "owner run exploded on water" in payload["error"], \
@@ -328,89 +335,79 @@ class TestCoalescing:
 
 
 class TestLateLanding:
-    """A run landing between a job's cache lookup and its claim."""
+    """Records that land while a job holds its claims, and in-flight
+    runs without the extras a job asks for."""
 
     @staticmethod
-    def _race(daemon, monkeypatch, late_body, early_body):
-        """Submit ``late_body`` and hold its first lookup until a job
-        for ``early_body`` has simulated and landed; return both
-        settled payloads (late first)."""
+    def _land_before_lookup(monkeypatch):
+        """Make the job's one lookup find the plain ``MATRIX`` record on
+        disk, written by an in-process sweep after the job claimed."""
         import repro.serve.app as app_module
+        from repro.common.params import base_2l
+        from repro.experiments.runner import get_matrix
 
         real = app_module.plan_matrix
-        entered = threading.Event()
-        lookups = []
 
-        def stalling(**kwargs):
-            plan = real(**kwargs)
-            lookups.append(kwargs.get("timeline", 0))
-            if len(lookups) == 1:
-                entered.set()
-                deadline = time.monotonic() + DEADLINE_S
-                while (daemon.app.simulations < 1
-                       and time.monotonic() < deadline):
-                    time.sleep(0.01)
-            return plan
+        def landing(**kwargs):
+            get_matrix(workloads=["water"], configs=[base_2l(8)],
+                       instructions=800, seed=5, quiet=True, jobs=1)
+            return real(**kwargs)
 
-        monkeypatch.setattr(app_module, "plan_matrix", stalling)
-        late = daemon.submit(late_body)[0]
-        assert entered.wait(DEADLINE_S)
-        early = daemon.submit(early_body)[0]
-        return daemon.wait_done(late), daemon.wait_done(early)
+        monkeypatch.setattr(app_module, "plan_matrix", landing)
 
     def test_landed_run_is_served_not_simulated_again(self, cache,
                                                       monkeypatch):
-        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
-            late, early = self._race(daemon, monkeypatch, MATRIX, MATRIX)
-            assert late["state"] == early["state"] == "done"
-            assert [cell["state"] for cell in late["cells"]] == ["cached"]
-            assert daemon.app.simulations == 1
+        self._land_before_lookup(monkeypatch)
+        with Daemon(cache, workers=1) as daemon:
+            job = daemon.wait_done(daemon.submit(MATRIX)[0])
+            assert job["state"] == "done", job["error"]
+            assert [cell["state"] for cell in job["cells"]] == ["cached"]
+            assert daemon.app.simulations == 0
+            assert daemon.app.metrics.value("repro_cache_hits_total") == 1
 
     def test_timeline_job_does_not_take_a_record_without_one(
             self, cache, monkeypatch):
-        # the cache key leaves the timeline out, so the plain job's
-        # record lands under the timeline job's key; the timeline job
-        # must still simulate its own series
-        with Daemon(cache, workers=1, job_concurrency=2) as daemon:
-            late, early = self._race(daemon, monkeypatch,
-                                     dict(MATRIX, timeline=256), MATRIX)
-            assert late["state"] == early["state"] == "done"
-            [cell] = late["cells"]
+        # the cache key leaves the timeline out, so the plain record
+        # lands under the timeline job's key; the timeline job must
+        # still simulate its own series
+        self._land_before_lookup(monkeypatch)
+        with Daemon(cache, workers=1) as daemon:
+            job = daemon.wait_done(
+                daemon.submit(dict(MATRIX, timeline=256))[0])
+            assert job["state"] == "done", job["error"]
+            [cell] = job["cells"]
             assert cell["state"] == "simulated"
-            assert daemon.app.simulations == 2
+            assert daemon.app.simulations == 1
             status, _, raw = daemon.http("GET", f"/records/{cell['key']}")
             assert status == 200 and json.loads(raw)["timeline"]
-
 
     def test_timeline_job_does_not_join_a_run_without_one(
             self, cache, monkeypatch):
         # the plain job's run stays in flight until the timeline job has
-        # looked the cell up and reached the coalescer: joining that run
-        # would hand the timeline job a record without a series
+        # reached the coalescer: joining that run would hand the
+        # timeline job a record without a series
         import repro.serve.app as app_module
+        from repro.serve.coalesce import Coalescer
 
-        real_plan, real_execute = (app_module.plan_matrix,
-                                   app_module.execute_plan)
-        looked_up = threading.Event()
+        real_claim, real_execute = Coalescer.claim, app_module.execute_plan
+        reached = threading.Event()
         held = []
 
-        def lookup(**kwargs):
-            plan = real_plan(**kwargs)
-            if kwargs.get("timeline"):
-                looked_up.set()
-            return plan
+        async def claim(self, wanted):
+            if any("timeline" in extras for extras in wanted.values()):
+                reached.set()
+            return await real_claim(self, wanted)
 
         def execute(plan, **kwargs):
             if not held:
                 held.append(plan)
-                assert looked_up.wait(DEADLINE_S)
-                time.sleep(0.3)  # the lookup's result reaches the loop
-                for _ in range(3):  # and the loop has acted on it
+                assert reached.wait(DEADLINE_S)
+                for _ in range(3):  # the claim has run up to its wait
                     asyncio.run_coroutine_threadsafe(
                         asyncio.sleep(0), daemon.loop).result(DEADLINE_S)
             return real_execute(plan, **kwargs)
 
-        monkeypatch.setattr(app_module, "plan_matrix", lookup)
+        monkeypatch.setattr(Coalescer, "claim", claim)
         monkeypatch.setattr(app_module, "execute_plan", execute)
         with Daemon(cache, workers=1, job_concurrency=2) as daemon:
             plain = daemon.submit(MATRIX)[0]
@@ -422,6 +419,54 @@ class TestLateLanding:
             assert daemon.app.simulations == 2
             status, _, raw = daemon.http("GET", f"/records/{cell['key']}")
             assert status == 200 and json.loads(raw)["timeline"]
+
+
+class TestClaimFirst:
+    def test_lookup_failure_fails_the_job_and_releases_its_claims(
+            self, cache, monkeypatch):
+        import repro.serve.app as app_module
+
+        real = app_module.plan_matrix
+        calls = []
+
+        def flaky(**kwargs):
+            calls.append(kwargs)
+            if len(calls) == 1:
+                raise OSError("cache unreadable")
+            return real(**kwargs)
+
+        monkeypatch.setattr(app_module, "plan_matrix", flaky)
+        with Daemon(cache, workers=1) as daemon:
+            broken = daemon.wait_done(daemon.submit()[0])
+            assert broken["state"] == "failed"
+            assert "cache unreadable" in broken["error"]
+            assert len(daemon.app.coalescer) == 0
+            # the released claim does not block a second job for the
+            # same cell
+            job = daemon.wait_done(daemon.submit()[0])
+            assert job["state"] == "done", job["error"]
+            assert [cell["state"] for cell in job["cells"]] == ["simulated"]
+            assert daemon.app.simulations == 1
+
+    def test_no_job_file_is_read_after_recover(self, cache, monkeypatch):
+        import repro.serve.queue as queue_module
+
+        def unreadable(*args, **kwargs):
+            raise AssertionError("a job file was read after recover()")
+
+        with Daemon(cache, workers=1) as daemon:
+            monkeypatch.setattr(queue_module, "read_job", unreadable)
+            monkeypatch.setattr(queue_module.Job, "from_json",
+                                staticmethod(unreadable))
+            job_id, _ = daemon.submit()
+            job = daemon.wait_done(job_id)  # claim + status polls
+            assert job["state"] == "done", job["error"]
+            status, _, health = daemon.json("GET", "/healthz")
+            assert status == 200 and health["jobs"]["done"] == 1
+            status, _, raw = daemon.http("GET", "/metrics")
+            assert status == 200 and b"repro_queue_depth 0" in raw
+            status, _, _ = daemon.json("GET", f"/runs/{job_id}/timeline")
+            assert status == 200
 
 
 class TestEndpointLabels:

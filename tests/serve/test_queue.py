@@ -1,10 +1,18 @@
-"""Persistent job queue: round-trips, corruption, ordering, recovery."""
+"""Persistent job queue: round-trips, corruption, ordering, recovery,
+and the in-memory index that recovery alone fills from the journal."""
 
 import json
 
 import pytest
 
-from repro.serve.queue import Job, JobCell, JobQueue, make_job, new_job_id
+from repro.serve.queue import (
+    Job,
+    JobCell,
+    JobQueue,
+    make_job,
+    new_job_id,
+    read_job,
+)
 
 
 def cell(workload="water", config="Base-2L", key="k" * 24, state="pending"):
@@ -23,8 +31,9 @@ class TestJobDocument:
         queue = JobQueue(tmp_path)
         original = make_job({"workloads": ["water"], "seed": 5},
                             [cell(), cell(config="D2M-FS", key="m" * 24)])
-        queue.submit(original)
-        loaded = queue.load(original.id)
+        queue.save(original)
+        assert queue.load(original.id) is original
+        loaded = read_job(tmp_path, original.id)  # the journal copy
         assert loaded is not None
         assert loaded.to_json() == original.to_json()
 
@@ -49,11 +58,33 @@ class TestJobDocument:
 
 class TestJobQueue:
     def test_load_missing_or_corrupt_is_none(self, tmp_path):
+        assert read_job(tmp_path, "nope") is None
+        (tmp_path / "torn.json").write_text('{"id": "torn", "sta')
+        assert read_job(tmp_path, "torn") is None
+        (tmp_path / "alien.json").write_text('{"id": "alien"}')
+        assert read_job(tmp_path, "alien") is None
         queue = JobQueue(tmp_path)
         assert queue.load("nope") is None
-        (tmp_path / "torn.json").write_text('{"id": "torn", "sta')
-        assert queue.load("torn") is None
-        assert queue.jobs() == []  # corrupt files don't break listing
+        assert queue.recover() == []
+        assert queue.jobs() == []  # corrupt files don't break recovery
+
+    def test_planted_files_are_seen_through_recover_only(self, tmp_path):
+        writer = JobQueue(tmp_path)
+        job(writer, "early", ts=1.0)
+        job(writer, "late", state="running", ts=2.0)
+        queue = JobQueue(tmp_path)
+        # the index is the queue's memory: files it did not write stay
+        # invisible until the one directory scan at start
+        assert queue.jobs() == [] and queue.load("early") is None
+        assert queue.next_pending() is None
+        assert queue.counts()["pending"] == 0
+        assert queue.recover() == ["late"]
+        assert [item.id for item in queue.jobs()] == ["early", "late"]
+        assert queue.counts()["pending"] == 2
+        # a file planted after recovery is not picked up
+        job(writer, "planted", ts=0.5)
+        assert queue.load("planted") is None
+        assert queue.next_pending().id == "early"
 
     def test_jobs_ordered_oldest_first(self, tmp_path):
         queue = JobQueue(tmp_path)
@@ -83,11 +114,14 @@ class TestJobQueue:
         job(queue, "interrupted", state="running")
         job(queue, "finished", state="done")
         job(queue, "waiting", state="pending")
-        assert queue.recover() == ["interrupted"]
-        reloaded = queue.load("interrupted")
+        restarted = JobQueue(tmp_path)
+        assert restarted.recover() == ["interrupted"]
+        reloaded = restarted.load("interrupted")
         assert reloaded is not None and reloaded.state == "pending"
-        done = queue.load("finished")
+        done = restarted.load("finished")
         assert done is not None and done.state == "done"
+        # the re-queue is journalled too
+        assert read_job(tmp_path, "interrupted").state == "pending"
 
     def test_save_is_atomic(self, tmp_path):
         queue = JobQueue(tmp_path)

@@ -1,4 +1,4 @@
-"""Request-lifecycle spans: ids, the ring, persistence, Chrome export."""
+"""Request-lifecycle spans: ids, the per-job span files, Chrome export."""
 
 import json
 
@@ -7,8 +7,8 @@ import pytest
 from repro.obs.trace import SPAN_STAGES, chrome_span_events
 from repro.serve.telemetry import (
     Span,
-    SpanRing,
     StageTimer,
+    append_span,
     load_spans,
     new_trace_id,
 )
@@ -49,45 +49,21 @@ class TestSpan:
         assert record["lane"] == 2
 
 
-class TestSpanRing:
-    def test_record_appends_ring_and_jsonl(self, tmp_path):
-        ring = SpanRing(tmp_path)
-        ring.record(span(stage="validate", ts=1.0))
-        ring.record(span(stage="enqueue", ts=2.0))
-        ring.record(span(stage="claim", job="job2", ts=3.0))
-        assert len(ring) == 3
+class TestAppendSpan:
+    def test_append_writes_one_jsonl_per_job(self, tmp_path):
+        append_span(tmp_path, span(stage="validate", ts=1.0))
+        append_span(tmp_path, span(stage="enqueue", ts=2.0))
+        append_span(tmp_path, span(stage="claim", job="job2", ts=3.0))
         lines = (tmp_path / "job1.jsonl").read_text().splitlines()
         assert [json.loads(line)["stage"] for line in lines] == \
             ["validate", "enqueue"]
         assert (tmp_path / "job2.jsonl").exists()
 
-    def test_for_job_merges_file_and_ring_sorted_by_ts(self, tmp_path):
-        ring = SpanRing(tmp_path)
-        ring.record(span(stage="enqueue", ts=2.0))
-        ring.record(span(stage="validate", ts=1.0))
-        spans = ring.for_job("job1")
-        assert [s["stage"] for s in spans] == ["validate", "enqueue"]
-        assert all(s["trace"] == "t" * 16 for s in spans)
-        # spans still in the ring but missing from the file are merged
-        memory_only = SpanRing(None)
-        memory_only.record(span(stage="respond", ts=9.0))
-        assert [s["stage"] for s in memory_only.for_job("job1")] == \
-            ["respond"]
-
-    def test_capacity_bounds_the_ring_not_the_files(self, tmp_path):
-        ring = SpanRing(tmp_path, capacity=2)
-        for index in range(5):
-            ring.record(span(stage="claim", ts=float(index)))
-        assert len(ring) == 2
-        # the durable copy keeps everything
-        assert len(load_spans(tmp_path, "job1")) == 5
-
     def test_unwritable_directory_never_raises(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
-        ring = SpanRing(blocker / "spans")
-        ring.record(span())  # swallowed OSError
-        assert len(ring) == 1
+        append_span(blocker / "spans", span())  # swallowed OSError
+        assert blocker.read_text() == "not a directory"
 
 
 class TestLoadSpans:
@@ -103,6 +79,17 @@ class TestLoadSpans:
                         + "\n")
         spans = load_spans(tmp_path, "job1")
         assert len(spans) == 1 and spans[0]["stage"] == "validate"
+
+    def test_spans_come_back_sorted_by_start_time(self, tmp_path):
+        # a stage is appended when it ends, so the file is not in
+        # start order (the simulate span follows its cache-writes)
+        append_span(tmp_path, span(stage="cache-write", ts=3.0))
+        append_span(tmp_path, span(stage="simulate", ts=2.0))
+        append_span(tmp_path, span(stage="validate", ts=1.0))
+        spans = load_spans(tmp_path, "job1")
+        assert [s["stage"] for s in spans] == \
+            ["validate", "simulate", "cache-write"]
+        assert all(s["trace"] == "t" * 16 for s in spans)
 
 
 class TestStageTimer:

@@ -1,7 +1,5 @@
 """Unit tests for the parallel run executor."""
 
-import pytest
-
 from repro.common.params import base_2l
 from repro.sim.parallel import RunFailure, execute_runs, job_count
 from repro.sim.runner import RunSpec

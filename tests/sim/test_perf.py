@@ -3,9 +3,8 @@
 import pytest
 
 from repro.common.params import OoOModel
-from repro.common.types import HitLevel
 from repro.sim.perf import PerfModel
-from repro.sim.simulator import LatencyBucket, SimResult
+from repro.sim.simulator import SimResult
 
 
 def result_with(core_instr, instr_lat, data_lat):

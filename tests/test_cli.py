@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import sys
 
 import pytest
 
@@ -14,6 +15,27 @@ class TestList:
         assert "D2M-NS-R" in out
         assert "tpcc" in out
         assert "fig7" in out
+
+    def test_closed_pipe_exits_one_without_a_traceback(self, tmp_path,
+                                                       monkeypatch):
+        # ``repro list | head -0``: the reader is gone before the write
+        target = (tmp_path / "stdout").open("w")
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return target.fileno()
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(["list"]) == 1
+        finally:
+            target.close()
 
 
 class TestRun:
@@ -144,12 +166,13 @@ class TestTrace:
 
     def test_trace_job_exports_served_spans(self, tmp_path, capsys,
                                             monkeypatch):
-        from repro.serve.telemetry import Span, SpanRing
+        from repro.serve.telemetry import Span, append_span
 
-        ring = SpanRing(tmp_path / "queue" / "spans")
+        spans_dir = tmp_path / "queue" / "spans"
         for index, stage in enumerate(("validate", "enqueue", "claim")):
-            ring.record(Span(trace="c0ffee" + "0" * 10, job="job42",
-                             stage=stage, ts=50.0 + index, dur_s=0.1))
+            append_span(spans_dir, Span(trace="c0ffee" + "0" * 10,
+                                        job="job42", stage=stage,
+                                        ts=50.0 + index, dur_s=0.1))
         monkeypatch.chdir(tmp_path)
         assert main(["trace", "--job", "job42",
                      "--serve-cache", str(tmp_path)]) == 0
@@ -167,10 +190,10 @@ class TestTrace:
         assert "no spans" in capsys.readouterr().err
 
     def test_trace_job_honors_out(self, tmp_path):
-        from repro.serve.telemetry import Span, SpanRing
+        from repro.serve.telemetry import Span, append_span
 
-        ring = SpanRing(tmp_path / "queue" / "spans")
-        ring.record(Span(trace="t" * 16, job="j1", stage="respond",
+        append_span(tmp_path / "queue" / "spans",
+                    Span(trace="t" * 16, job="j1", stage="respond",
                          ts=1.0, dur_s=0.0))
         out = tmp_path / "custom.json"
         assert main(["trace", "--job", "j1", "--serve-cache",
@@ -346,6 +369,12 @@ class TestDashboard:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["dashboard", "--workloads", "watr"]) == 2
         assert "watr" in capsys.readouterr().err
+
+    def test_empty_selection_exits_two(self, tmp_path, monkeypatch,
+                                       capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["dashboard", "--workloads", " , "]) == 2
+        assert "no workloads" in capsys.readouterr().err
 
 
 class TestRunCheckingFlags:

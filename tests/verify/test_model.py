@@ -2,8 +2,6 @@
 
 import time
 
-import pytest
-
 from repro.verify.model import (
     LLC,
     MEM,

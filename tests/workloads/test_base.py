@@ -3,7 +3,7 @@
 import itertools
 
 from repro.mem.address import AddressMap
-from repro.workloads.base import CodeModel, DataMix, SyntheticWorkload
+from repro.workloads.base import CodeModel
 from repro.workloads.registry import get_spec, make_workload
 
 
