@@ -445,20 +445,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.history:
-        try:
-            from tools.bench_history import main as history_main
-        except ImportError:
-            print("bench --history needs the repository checkout "
-                  "(tools/bench_history.py importable from the working "
-                  "directory)", file=sys.stderr)
-            return 2
-        return history_main([])
     from repro.sim.bench import main as bench_main
 
     return bench_main(quick=args.quick, out=args.out,
-                      check_equivalence=not args.no_equivalence,
-                      baseline=args.baseline)
+                      check_equivalence=not args.no_equivalence)
 
 
 def _parse_workloads_arg(raw: str) -> Optional[list]:
@@ -578,16 +568,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the sweep-as-a-service daemon (see docs/SERVING.md)."""
-    if args.cache_dir:
-        # The outermost default for every cache consumer in this
-        # process and its simulation workers.
-        os.environ["REPRO_CACHE_DIR"] = args.cache_dir
     from repro.serve.app import serve_forever
 
     return serve_forever(host=args.host, port=args.port,
                          workers=args.workers,
                          job_concurrency=args.job_concurrency,
-                         metrics_out=args.metrics_out)
+                         metrics_out=args.metrics_out,
+                         cache_root=args.cache_dir)
 
 
 def _cmd_dashboard(args: argparse.Namespace) -> int:
@@ -758,14 +745,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_p.add_argument("--no-equivalence", action="store_true",
                          help="skip the batched-vs-reference stats "
                               "equivalence gate (timing only)")
-    bench_p.add_argument("--baseline", default="", metavar="FILE|auto",
-                         help="after benching, diff the fresh report "
-                              "against this baseline (exit 3 on "
-                              "regression)")
-    bench_p.add_argument("--history", action="store_true",
-                         help="print the longitudinal trend table over "
-                              "every BENCH_*.json here instead of "
-                              "benching (tools/bench_history.py)")
 
     compare_p = sub.add_parser(
         "compare",

@@ -87,8 +87,9 @@ def cache_dir() -> Path:
     return path
 
 
-def runs_dir() -> Path:
-    path = cache_dir() / "runs"
+def runs_dir(root: Optional[Path] = None) -> Path:
+    """``root/runs`` (default root :func:`cache_dir`), created if absent."""
+    path = (cache_dir() if root is None else root) / "runs"
     path.mkdir(parents=True, exist_ok=True)
     return path
 
@@ -196,7 +197,9 @@ class SweepPlan:
     Built by :func:`plan_matrix` and consumed by :func:`execute_plan`.
     All state is per-plan (no globals, no environment mutation), so any
     number of plans can be built and executed concurrently in one
-    process — the property the serving daemon leans on.
+    process — the property the serving daemon leans on.  ``cache_root``
+    holds the plan's records (``runs/``) and its default progress log
+    and heartbeat directory.
     """
 
     workloads: List[str]
@@ -204,6 +207,7 @@ class SweepPlan:
     instructions: int
     seed: int
     warmup: int
+    cache_root: Path
     matrix: Matrix = field(default_factory=dict)
     pending: List[PendingRun] = field(default_factory=list)
 
@@ -225,7 +229,8 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
                 profile: bool = False,
                 timeline: int = 0,
                 fresh: Optional[bool] = None,
-                warmup: Optional[int] = None) -> SweepPlan:
+                warmup: Optional[int] = None,
+                cache_root: Optional[Path] = None) -> SweepPlan:
     """Split a matrix request into cached records and pending runs.
 
     Loads every already-cached record into ``plan.matrix`` and lists the
@@ -244,7 +249,9 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     nothing.  ``fresh=None`` defaults from ``REPRO_FRESH``; ``warmup=None``
     derives the warm-up budget from ``REPRO_WARMUP`` or the default
     fraction, while an explicit value pins the cache keys regardless of
-    the environment (the daemon does this per request).
+    the environment (the daemon does this per request).  The plan reads
+    and writes records under ``cache_root/runs``; ``cache_root=None``
+    means :func:`cache_dir`.
     """
     workload_list = (sweep_workloads() if workloads is None
                      else list(workloads))
@@ -256,16 +263,19 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
         fresh = bool(os.environ.get("REPRO_FRESH"))
     wanted = extras_of(hist=telemetry, profile=profile, timeline=timeline,
                        sanitize=sanitize, invariants=check_invariants)
+    root = cache_dir() if cache_root is None else cache_root
+    records = runs_dir(root)
 
     plan = SweepPlan(workloads=workload_list, configs=config_list,
                      instructions=budget, seed=seed, warmup=warmup,
+                     cache_root=root,
                      matrix={wl: {} for wl in workload_list})
     for workload in workload_list:
         get_spec(workload)  # unknown workloads fail before any simulation
         for config in config_list:
             key = run_cache_key(workload, config.name, budget, seed, warmup,
                                 nodes=config.nodes)
-            path = runs_dir() / (key + ".json")
+            path = records / (key + ".json")
             record = None if fresh else _load_record(path)
             if record is not None and wanted <= record.extras:
                 plan.matrix[workload][config.name] = record
@@ -293,12 +303,14 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
     clean sweep).  ``heartbeat_dir`` is stamped onto every pending spec
     (``RunSpec.progress_dir``), so each run beats into its own plan's
     directory and concurrent ``execute_plan`` calls in one process
-    never cross.  When ``None``, a throwaway directory under the cache
-    is created and cleaned up.  ``on_record`` fires in the calling
-    process after each record is written (the daemon resolves coalesced
-    waiters from it).  ``trace`` is the serving layer's correlation id;
-    when set it is stamped onto every pending spec (so worker runlog
-    events and heartbeats carry it) and onto the sweep start/end events.
+    never cross.  When ``None``, a throwaway directory under the plan's
+    ``cache_root`` is created and cleaned up; ``jsonl_path=None``
+    appends progress to ``cache_root/progress.jsonl``.  ``on_record``
+    fires in the calling process after each record is written (the
+    daemon resolves coalesced waiters from it).  ``trace`` is the
+    serving layer's correlation id; when set it is stamped onto every
+    pending spec (so worker runlog events and heartbeats carry it) and
+    onto the sweep start/end events.
     """
     if not plan.pending:
         return []
@@ -310,7 +322,7 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
     owns_heartbeat_dir = heartbeat_dir is None
     if heartbeat_dir is None:
         heartbeat_dir = tempfile.mkdtemp(prefix="progress-",
-                                         dir=str(cache_dir()))
+                                         dir=str(plan.cache_root))
     for item in pending:
         item.spec.progress_dir = heartbeat_dir
         if trace:
@@ -329,7 +341,7 @@ def execute_plan(plan: SweepPlan, jobs: Optional[int] = None,
         total=len(pending),
         stream=io.StringIO() if quiet else None,
         jsonl_path=(jsonl_path if jsonl_path is not None
-                    else str(cache_dir() / "progress.jsonl")),
+                    else str(plan.cache_root / "progress.jsonl")),
         heartbeat_dir=heartbeat_dir,
         inplace=False if quiet else None,
     )

@@ -13,8 +13,7 @@ Two helpers live here:
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from repro.common.errors import ConfigError
 
@@ -125,15 +124,6 @@ class AddressSpace:
     def mapped_pages(self) -> int:
         return len(self._pages)
 
-    def snapshot(self) -> Tuple[array, array]:
-        """The page table as compact ``(vpages, ppages)`` arrays."""
-        return array("q", self._pages), array("q", self._pages.values())
-
-    def restore(self, snapshot: Tuple[array, array]) -> None:
-        """Map every page of a :meth:`snapshot`."""
-        vpages, ppages = snapshot
-        self._pages.update(zip(vpages, ppages))
-
 
 def translate_chunk(spaces: Sequence[AddressSpace], cores: Sequence[int],
                     vaddrs: Sequence[int]) -> List[int]:
@@ -177,21 +167,6 @@ class PageAllocator:
     def __init__(self) -> None:
         self._next = 0
         self._issued: Dict[int, int] = {}
-
-    @property
-    def allocated(self) -> int:
-        """Pages handed out so far."""
-        return self._next
-
-    def snapshot(self) -> Tuple[int, array, array]:
-        """The allocator state: its count and compact issued map."""
-        return (self._next, array("q", self._issued),
-                array("q", self._issued.values()))
-
-    def restore(self, snapshot: Tuple[int, array, array]) -> None:
-        """Return to a :meth:`snapshot` taken from a fresh allocator."""
-        self._next, keys, ppages = snapshot
-        self._issued.update(zip(keys, ppages))
 
     def allocate(self, asid: int, vpage: int) -> int:
         key = (asid << 48) ^ vpage

@@ -34,6 +34,7 @@ from repro.experiments.runner import (
     execute_plan,
     plan_matrix,
     reap_orphan_tmp,
+    runs_dir,
 )
 from repro.obs import runlog
 from repro.obs.metrics import MetricsRegistry
@@ -75,17 +76,16 @@ class ServeApp:
     """Daemon state: queue, coalescer, counters, and the HTTP surface.
 
     ``workers`` caps each job's simulation process pool (0 = the
-    executor's ``REPRO_JOBS``/CPU default).  The cache root defaults to
-    :func:`repro.experiments.runner.cache_dir` — i.e. honors
-    ``REPRO_CACHE_DIR``, which ``repro serve --cache-dir`` sets before
-    constructing the app.
+    executor's ``REPRO_JOBS``/CPU default).  The daemon reads and writes
+    run records, its queue and its progress under ``cache_root``, which
+    defaults to :func:`repro.experiments.runner.cache_dir` (so
+    ``REPRO_CACHE_DIR``, else ``./.repro_cache``).
     """
 
     def __init__(self, cache_root: Optional[Path] = None, workers: int = 0,
                  job_concurrency: int = JOB_CONCURRENCY) -> None:
         self.cache_root = Path(cache_root) if cache_root else cache_dir()
-        self.runs_dir = self.cache_root / "runs"
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
+        self.runs_dir = runs_dir(self.cache_root)
         self.queue = JobQueue(self.cache_root / "queue")
         self.coalescer = Coalescer()
         self.workers = workers
@@ -110,7 +110,7 @@ class ServeApp:
         ``drain=False`` accepts and persists submissions without
         executing them (tests use it to stage a queue for a restart).
         """
-        reap_orphan_tmp()
+        reap_orphan_tmp(self.runs_dir)
         self.recovered_jobs = self.queue.recover()
         if self.recovered_jobs:
             runlog.emit("serve.recover", jobs=self.recovered_jobs)
@@ -214,7 +214,8 @@ class ServeApp:
                     instructions=int(request["instructions"]),  # type: ignore[arg-type]
                     seed=int(request["seed"]),  # type: ignore[arg-type]
                     warmup=int(request["warmup"]),  # type: ignore[arg-type]
-                    timeline=int(request.get("timeline", 0) or 0)))  # type: ignore[arg-type]
+                    timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
+                    cache_root=self.cache_root))
             missing = {item.key for item in plan.pending}
             for cell in job.cells:
                 if cell.key not in missing:  # served from disk
@@ -255,8 +256,6 @@ class ServeApp:
                             None, lambda: execute_plan(
                                 sub_plan, jobs=self.workers or None,
                                 quiet=True, heartbeat_dir=str(hb_dir),
-                                jsonl_path=str(self.cache_root
-                                               / "progress.jsonl"),
                                 on_record=on_record, trace=job.trace))
                     finally:
                         shutil.rmtree(hb_dir, ignore_errors=True)
@@ -626,9 +625,11 @@ async def _metrics_snapshot_loop(app: ServeApp, path: Path) -> None:
 def serve_forever(host: str = "127.0.0.1", port: int = 8765,
                   workers: int = 0,
                   job_concurrency: int = JOB_CONCURRENCY,
-                  metrics_out: str = "") -> int:
+                  metrics_out: str = "",
+                  cache_root: str = "") -> int:
     """Run the daemon until interrupted (the ``repro serve`` body).
 
+    ``cache_root`` is :class:`ServeApp`'s (empty: the default).
     ``metrics_out`` names a file that receives the Prometheus exposition
     text every few seconds (atomic replace) — scrapeable without HTTP
     access, e.g. by a CI artifact step or a node-exporter textfile
@@ -636,7 +637,9 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8765,
     """
 
     async def _amain() -> int:
-        app = ServeApp(workers=workers, job_concurrency=job_concurrency)
+        app = ServeApp(cache_root=Path(cache_root) if cache_root else None,
+                       workers=workers,
+                       job_concurrency=job_concurrency)
         server = await app.start(host=host, port=port)
         bound = server.sockets[0].getsockname()
         print(f"repro serve: http://{bound[0]}:{bound[1]} "

@@ -4,8 +4,9 @@
 :meth:`repro.sim.simulator.Simulator.run`.  It consumes the workload's
 *translated* stream as flat parallel arrays (``cores``/``kinds``/
 ``vaddrs``/``paddrs`` chunks from :meth:`generate_batch`, which
-translates — or replays a stream it already drained in this process —
-so this loop never translates), derives line and probe-key ids per
+translates each stream through address spaces of its own — or replays
+the read-only chunks of a same-key stream this process already drained
+— so this loop never translates), derives line and probe-key ids per
 chunk with numpy when available, and runs one per-access loop for
 every machine.  The only per-family code is the machine's fast-path
 *probe* (:class:`repro.common.types.FastPathProbe`), which the machine

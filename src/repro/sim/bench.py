@@ -18,7 +18,7 @@ through the *batched* driver (:mod:`repro.sim.batch`), and the two
 runs' full statistics — flattened stat counters, latency buckets,
 per-core totals, and model cycles — must be bit-identical.  Any
 divergence fails the run with a nonzero exit, which is what CI's
-bench-smoke job keys on.
+bench-compare job keys on.
 
 Each cell's ``ips`` and ``cold_ips`` measure the batched driver, the
 path every ``repro run``, sweep and serve job takes.
@@ -284,48 +284,8 @@ def write_report(report: Dict[str, object], path: str) -> None:
         fh.write("\n")
 
 
-def compare_against_baseline(report: Dict[str, object],
-                             baseline: str) -> int:
-    """Sentinel hook: diff a fresh report against a baseline bench file.
-
-    ``baseline`` is a path or ``"auto"`` (newest committed
-    ``BENCH_*.json``).  Returns the comparison's exit code —
-    :data:`repro.obs.compare.REGRESSION_EXIT` on regression, 2 when the
-    baseline cannot be resolved, else 0.  Cross-mode comparisons (a
-    quick candidate vs a committed full report) cannot regress on ips —
-    only the equivalence gate — see :func:`repro.obs.compare.compare_bench`.
-    """
-    from pathlib import Path
-
-    from repro.experiments.report import comparison_table
-    from repro.obs import compare as cmp
-
-    if baseline == "auto":
-        resolved = cmp.resolve_auto_baseline()
-        if resolved is None:
-            print("bench: --baseline auto found no BENCH_*.json",
-                  file=sys.stderr)
-            return 2
-        label, payload = resolved
-    else:
-        try:
-            payload = cmp.load_payload(Path(baseline))
-        except cmp.CompareError as exc:
-            print(f"bench: {exc}", file=sys.stderr)
-            return 2
-        label = baseline
-    comparison = cmp.compare_bench(payload, report,  # type: ignore[arg-type]
-                                   baseline_label=label,
-                                   candidate_label="this run")
-    print(comparison_table(comparison, include_ok=True))
-    for note in comparison.notes:
-        print(f"bench: note: {note}")
-    print(comparison.summary_line())
-    return comparison.exit_code()
-
-
 def main(quick: bool = False, out: str = "",
-         check_equivalence: bool = True, baseline: str = "") -> int:
+         check_equivalence: bool = True) -> int:
     """Entry point of ``repro bench``.
 
     From a checkout without installing the package, run it as
@@ -335,8 +295,4 @@ def main(quick: bool = False, out: str = "",
     path = out or default_output_path()
     write_report(report, path)
     print(f"bench: report written to {path}")
-    if not report["equivalence_ok"]:
-        return 1
-    if baseline:
-        return compare_against_baseline(report, baseline)
-    return 0
+    return 0 if report["equivalence_ok"] else 1

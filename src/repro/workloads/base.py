@@ -23,8 +23,7 @@ from bisect import bisect
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import (Any, Callable, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 from repro.common.types import (CODE_KIND, IFETCH_CODE, LOAD_CODE,
                                 STORE_CODE, Access)
@@ -50,53 +49,22 @@ REPLAY_CAP = 1 << 20
 
 
 class _Recording:
-    """One fully drained translated stream and the state it leaves.
+    """One fully drained translated stream: the compact chunks it yielded.
 
-    ``columns`` are the cores and kinds (``bytes`` once sealed) and the
-    vaddrs and paddrs (``array('q')``); ``ends`` are the chunk
-    boundaries.  ``tables`` holds a page-table snapshot per distinct
-    address space and ``allocator`` the allocator's.  The spec reference
-    keeps the spec's ``id`` in the cache ``key`` from being reused.
+    A replay yields those same tuples.  The spec reference keeps the
+    spec's ``id`` in the cache key from being reused.
     """
 
-    __slots__ = ("key", "spec", "columns", "ends", "tables", "allocator")
+    __slots__ = ("spec", "chunks", "accesses")
 
-    def __init__(self, key: Tuple[int, ...], spec: "WorkloadSpec") -> None:
-        self.key = key
+    def __init__(self, spec: "WorkloadSpec", chunks: List[Chunk],
+                 accesses: int) -> None:
         self.spec = spec
-        self.columns: List[Any] = [bytearray(), bytearray(), array("q"),
-                                   array("q")]
-        self.ends = array("q")
-        self.tables: List[Tuple[array, array]] = []
-        self.allocator: Tuple[int, array, array] = (0, array("q"),
-                                                    array("q"))
+        self.chunks = chunks
+        self.accesses = accesses
 
     def __len__(self) -> int:
-        return len(self.columns[0])
-
-    def append(self, cores: List[int], kinds: List[int],
-               vaddrs: List[int], paddrs: List[int]) -> Chunk:
-        """Record one chunk; returns it in the compact shape."""
-        chunk = (bytes(cores), bytes(kinds), array("q", vaddrs),
-                 array("q", paddrs))
-        for column, values in zip(self.columns, chunk):
-            column += values
-        self.ends.append(len(self))
-        return chunk
-
-    def seal(self, tables: List[Tuple[array, array]],
-             allocator: Tuple[int, array, array]) -> None:
-        self.columns[:2] = [bytes(column) for column in self.columns[:2]]
-        self.tables = tables
-        self.allocator = allocator
-
-    def chunks(self) -> Iterator[Chunk]:
-        cores, kinds, vaddrs, paddrs = self.columns
-        start = 0
-        for end in self.ends:
-            yield (cores[start:end], kinds[start:end], vaddrs[start:end],
-                   paddrs[start:end])
-            start = end
+        return self.accesses
 
 
 _replays: "OrderedDict[Tuple[int, ...], _Recording]" = OrderedDict()
@@ -120,10 +88,10 @@ def forget_replays() -> None:
         _replays.clear()
 
 
-def _store(recording: _Recording) -> None:
+def _store(key: Tuple[int, ...], recording: _Recording) -> None:
     with _replay_lock:
-        _replays[recording.key] = recording
-        _replays.move_to_end(recording.key)
+        _replays[key] = recording
+        _replays.move_to_end(key)
         total = sum(map(len, _replays.values()))
         while total > REPLAY_CAP:
             _old_key, old = _replays.popitem(last=False)
@@ -242,15 +210,7 @@ class SyntheticWorkload:
         self.spec = spec
         self.nodes = nodes
         self.amap = amap
-        allocator = self._allocator = PageAllocator()
-        if spec.shared_space:
-            shared = AddressSpace(amap, asid=0, allocator=allocator)
-            self._spaces = [shared] * nodes
-        else:
-            self._spaces = [
-                AddressSpace(amap, asid=core + 1, allocator=allocator)
-                for core in range(nodes)
-            ]
+        self._spaces = self._new_spaces()
         self._seed = seed
 
     @property
@@ -264,12 +224,29 @@ class SyntheticWorkload:
     def translate(self, core: int, vaddr: int) -> int:
         return self._spaces[core].translate(vaddr)
 
+    def _new_spaces(self) -> List[AddressSpace]:
+        """Empty per-core address spaces over one fresh allocator.
+
+        A shared-space workload maps every core to one space (asid 0);
+        otherwise each core gets its own (asid ``core + 1``).
+        """
+        allocator = PageAllocator()
+        if self.spec.shared_space:
+            return [AddressSpace(self.amap, asid=0,
+                                 allocator=allocator)] * self.nodes
+        return [AddressSpace(self.amap, asid=core + 1, allocator=allocator)
+                for core in range(self.nodes)]
+
     def generate(self, n_instructions: int, seed: int = 0) -> Iterator[Access]:
         """Interleaved access stream totalling ``n_instructions``.
 
         The reference loop's input: the draws :meth:`generate_batch`
-        translates, one untranslated :class:`Access` at a time.
+        translates, one untranslated :class:`Access` at a time.  The
+        workload's address spaces start empty when the stream does, so
+        :meth:`translate` maps the stream's pages as
+        :meth:`generate_batch` does.
         """
+        self._spaces = self._new_spaces()
         for cores, kinds, vaddrs in self._draws(n_instructions,
                                                 seed or self._seed, 4096):
             for core, kind, vaddr in zip(cores, kinds, vaddrs):
@@ -284,78 +261,56 @@ class SyntheticWorkload:
         :meth:`generate` produces (both drain :meth:`_draws`).  ``kinds``
         holds the compact codes from :mod:`repro.common.types`
         (``IFETCH_CODE``/``LOAD_CODE``/``STORE_CODE``); ``paddrs`` is
-        what :meth:`translate` gives for each access, translated per
-        chunk in stream order through this workload's own address
-        spaces.  Chunk boundaries always fall
+        what :meth:`translate` gives for each access while
+        :meth:`generate` runs, translated per chunk in stream order
+        through address spaces this stream builds empty (the workload's
+        own are neither read nor written).  Chunk boundaries always fall
         between the data ops of one instruction and the next IFETCH, but
         consumers must not rely on that — a chunk is just a flush point.
+        Chunks are read-only: a replay hands the same tuples to every
+        consumer.
 
-        A stream is a pure function of the spec, the node count, the
-        effective seed, ``n_instructions``, ``chunk``, the page geometry
-        and the address-space model, so a process keeps the streams it
-        fully drained (up to :data:`REPLAY_CAP` accesses, least recently
-        used evicted first) and replays them.  Only a *pristine*
-        workload — no page mapped, allocator fresh — consults or fills
-        that cache; a replay installs the recorded page tables and
-        allocator state, so the workload ends as a generating run leaves
-        it.  A drain that records or replays yields compact chunks —
-        ``bytes`` (cores, kinds) and ``array('q')`` (addresses) — which
-        the batched driver wraps in numpy without a copy; any other
-        drain yields lists.
+        A stream is therefore a pure function of the spec, the node
+        count, the effective seed, ``n_instructions``, ``chunk``, the
+        page geometry and the address-space model, so a process keeps
+        the streams it fully drained (up to :data:`REPLAY_CAP` accesses,
+        least recently used evicted first) and replays them.  A drain
+        that records or replays yields compact chunks — ``bytes``
+        (cores, kinds) and ``array('q')`` (addresses) — which the
+        batched driver wraps in numpy without a copy; any other drain
+        yields lists.
 
         This is the batched driver's (``repro.sim.batch``) native input.
         """
         seed = seed or self._seed
-        key = self._replay_key(n_instructions, seed, chunk)
-        if key is not None:
-            with _replay_lock:
-                recording = _replays.get(key)
-                if recording is not None:
-                    _replays.move_to_end(key)
+        key = (id(self.spec), self.nodes, seed, n_instructions, chunk,
+               self.amap.page_bits, int(self.spec.shared_space))
+        with _replay_lock:
+            recording = _replays.get(key)
             if recording is not None:
-                yield from self._replay(recording)
-                return
-        record: Optional[_Recording] = None
-        if key is not None and n_instructions <= REPLAY_CAP \
-                and self.nodes <= 256:
-            record = _Recording(key, self.spec)
-        spaces = self._spaces
-        allocator = self._allocator
-        mapped = allocator.allocated
+                _replays.move_to_end(key)
+        if recording is not None:
+            yield from recording.chunks
+            return
+        keep = n_instructions <= REPLAY_CAP and self.nodes <= 256
+        kept: List[Chunk] = []
+        accesses = 0
+        spaces = self._new_spaces()
         for cores, kinds, vaddrs in self._draws(n_instructions, seed, chunk):
-            if allocator.allocated != mapped:
-                record = None  # pages were mapped behind the stream
             paddrs = translate_chunk(spaces, cores, vaddrs)
-            mapped = allocator.allocated
-            if record is None:
+            if not keep:
                 yield cores, kinds, vaddrs, paddrs
                 continue
-            yield record.append(cores, kinds, vaddrs, paddrs)
-            if len(record) > REPLAY_CAP:
-                record = None
-        if record is not None and allocator.allocated == mapped:
-            record.seal([space.snapshot() for space in self._own_spaces()],
-                        allocator.snapshot())
-            _store(record)
-
-    def _replay_key(self, n_instructions: int, seed: int,
-                    chunk: int) -> Optional[Tuple[int, ...]]:
-        """The stream's replay-cache key; None unless pristine."""
-        if self._allocator.allocated or any(
-                space.mapped_pages for space in self._own_spaces()):
-            return None
-        return (id(self.spec), self.nodes, seed, n_instructions, chunk,
-                self.amap.page_bits, int(self.spec.shared_space))
-
-    def _own_spaces(self) -> List[AddressSpace]:
-        """Each distinct address space once."""
-        return self._spaces[:1] if self.spec.shared_space else self._spaces
-
-    def _replay(self, recording: _Recording) -> Iterator[Chunk]:
-        for space, table in zip(self._own_spaces(), recording.tables):
-            space.restore(table)
-        self._allocator.restore(recording.allocator)
-        return recording.chunks()
+            compact = (bytes(cores), bytes(kinds), array("q", vaddrs),
+                       array("q", paddrs))
+            kept.append(compact)
+            accesses += len(cores)
+            yield compact
+            if accesses > REPLAY_CAP:
+                keep = False
+                kept = []
+        if keep:
+            _store(key, _Recording(self.spec, kept, accesses))
 
     def _draws(self, n_instructions: int, seed: int, chunk: int
                ) -> Iterator[Tuple[List[int], List[int], List[int]]]:

@@ -73,7 +73,8 @@ class Daemon:
                 return response.status, dict(response.headers), \
                     response.read()
         except urllib.error.HTTPError as error:
-            return error.code, dict(error.headers), error.read()
+            with error:  # an error response holds the socket open
+                return error.code, dict(error.headers), error.read()
 
     def json(self, method, path, body=None, headers=None):
         status, resp_headers, raw = self.http(method, path, body, headers)
@@ -101,6 +102,28 @@ class Daemon:
 
 
 class TestLifecycle:
+    def test_records_land_under_the_cache_root(self, cache, tmp_path,
+                                               monkeypatch):
+        # the environment's cache and the working directory both point
+        # elsewhere: the daemon's own root must receive the records
+        root, elsewhere = tmp_path / "root", tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(elsewhere / "env"))
+        monkeypatch.chdir(elsewhere)
+        with Daemon(root) as daemon:
+            job_id, _ = daemon.submit(dict(MATRIX,
+                                           configs=["Base-2L", "D2M-FS"]))
+            settled = daemon.wait_done(job_id)
+            assert settled["state"] == "done", settled["error"]
+            keys = {cell["key"] for cell in settled["cells"]}
+            assert len(keys) == 2
+            for key in keys:
+                status, _, _ = daemon.http("GET", f"/records/{key}")
+                assert status == 200
+        assert {path.stem for path in (root / "runs").glob("*.json")} \
+            == keys
+        assert not list(elsewhere.iterdir())  # nothing, not even a dir
+
     def test_submit_simulate_fetch_revalidate(self, cache):
         with Daemon(cache) as daemon:
             status, _, health = daemon.json("GET", "/healthz")
@@ -183,7 +206,8 @@ class TestValidationAndRouting:
                 data=b"not json", method="POST")
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(request, timeout=30)
-            assert excinfo.value.code == 400
+            with excinfo.value as error:
+                assert error.code == 400
 
 
 class TestCoalescer:

@@ -53,7 +53,7 @@ class TestEquivalenceGate:
 class TestReport:
     def test_quick_report_schema(self, tmp_path, monkeypatch):
         # shrink the pinned budgets so the schema test stays fast; the
-        # real budgets are exercised by the CI bench-smoke job
+        # real budgets are exercised by the CI bench-compare job
         monkeypatch.setattr(bench, "QUICK_INSTRUCTIONS", 400)
         monkeypatch.setattr(bench, "QUICK_WARMUP", 200)
         report = bench.run_bench(quick=True, check_equivalence=False)

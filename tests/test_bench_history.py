@@ -85,6 +85,13 @@ class TestMain:
         rows = json.loads(capsys.readouterr().out)
         assert rows[0]["geomean_ips"] == 100.0
 
+    def test_default_root_is_the_working_directory(self, tmp_path,
+                                                   monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        write_reports(tmp_path, bench_report(100.0))
+        assert main([]) == 0
+        assert "BENCH_2026-08-01.json" in capsys.readouterr().out
+
 
 class TestTimelineSchemaLint:
     def test_records_and_bare_timelines_both_validate(self, tmp_path):

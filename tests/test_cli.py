@@ -449,15 +449,3 @@ class TestTimeline:
         path.write_text(json.dumps({"epochs": 3, "series": {}}))
         assert main(["timeline", str(path)]) == 2
         assert capsys.readouterr().err
-
-
-class TestBenchHistory:
-    def test_history_table_from_reports(self, tmp_path, monkeypatch,
-                                        capsys):
-        monkeypatch.chdir(tmp_path)
-        report = {"schema": 1, "date": "2026-08-01", "mode": "quick",
-                  "matrix": {}, "env": {}, "cells": [],
-                  "geomean_ips": 123.0}
-        (tmp_path / "BENCH_2026-08-01.json").write_text(json.dumps(report))
-        assert main(["bench", "--history"]) == 0
-        assert "BENCH_2026-08-01.json" in capsys.readouterr().out

@@ -1,8 +1,9 @@
 """The translated-stream replay cache of ``SyntheticWorkload.generate_batch``.
 
 A replayed stream must be indistinguishable from a generated one: the
-same chunks, the same simulated results, and the same page tables and
-allocator state left on the workload afterwards.
+same chunks and the same simulated results.  Every stream starts from
+empty address spaces, so what a workload object translated before or
+during a drain changes neither.
 """
 
 import threading
@@ -52,15 +53,9 @@ def _chunks(workload, n, seed=3, chunk=256):
             for c in workload.generate_batch(n, seed, chunk)]
 
 
-def _state(workload):
-    """Every space's page table and the allocator's state."""
-    return ([dict(space._pages) for space in workload._spaces],
-            workload._allocator._next, dict(workload._allocator._issued))
-
-
-def _run(config, workload, batched):
+def _run(config, workload, batched, seed=3):
     simulator = Simulator(build_hierarchy(config), check_values=True)
-    result = simulator.run(workload, 900, seed=3, warmup=300,
+    result = simulator.run(workload, 900, seed=seed, warmup=300,
                            batched=batched)
     perf = PerfModel(config.ooo).summarize(result)
     return result_snapshot(result, perf.cycles)
@@ -80,8 +75,9 @@ class TestReplay:
         assert len(draws) == 1  # the second run replayed
         reference = _run(config, workloads[2], batched=False)
         assert first == second == reference
-        assert _state(workloads[0]) == _state(workloads[1]) \
-            == _state(workloads[2])
+        # batched generation leaves the workload's own spaces empty
+        assert (workloads[0].translate(0, 0x7777_0000)
+                == make_workload(name, config.nodes).translate(0, 0x7777_0000))
 
     def test_replayed_chunks_are_compact_and_equal(self):
         # a recording drain already yields the compact shape it keeps
@@ -93,20 +89,26 @@ class TestReplay:
             assert isinstance(vaddrs, array) and isinstance(paddrs, array)
         assert ([tuple(map(tuple, c)) for c in generated]
                 == [tuple(map(tuple, c)) for c in replayed])
+        # one stored shape: a replay yields the very tuples recorded
+        assert all(r is g for r, g in zip(replayed, generated))
 
-    def test_mapped_workload_bypasses_the_cache(self, draws):
-        # the cache holds this stream, but a workload with mapped pages
-        # must generate live: its allocation order differs
-        _chunks(make_workload("water", 4, seed=3), 900)
-        touched, reference = (make_workload("water", 4, seed=3)
-                              for _ in range(2))
-        for workload in (touched, reference):
-            workload.translate(0, 0x7777_0000)
-        got = [p for chunk in _chunks(touched, 900) for p in chunk[3]]
+    def test_translating_first_keeps_the_keyed_stream(self, draws):
+        # a workload that mapped a page before streaming still gets its
+        # key's stream, replayed or generated, equal to a fresh one's
+        expected = _chunks(make_workload("water", 4, seed=3), 900)
+        for replayed in (True, False):
+            if not replayed:
+                base._replays.clear()
+            touched = make_workload("water", 4, seed=3)
+            touched.translate(0, 0x7777_0000)
+            assert _chunks(touched, 900) == expected
         assert len(draws) == 2
-        assert got == [reference.translate(acc.core, acc.vaddr)
-                       for acc in reference.generate(900, 3)]
-        assert _state(touched) == _state(reference)
+        # the reference loop's translate follows the same rule
+        reference = make_workload("water", 4, seed=3)
+        reference.translate(0, 0x7777_0000)
+        assert ([reference.translate(acc.core, acc.vaddr)
+                 for acc in reference.generate(900, 3)]
+                == [p for chunk in expected for p in chunk[3]])
 
     @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-FS"])
     def test_simulating_one_workload_twice_matches_the_scalar_loop(
@@ -114,12 +116,26 @@ class TestReplay:
         config = _config(config_name)
         batched, scalar = (make_workload("tpcc", config.nodes, seed=3)
                            for _ in range(2))
-        assert _run(config, batched, True) == _run(config, scalar, False)
-        assert _run(config, batched, True) == _run(config, scalar, False)
-        # each run drew its stream: the second batched run generated
-        # live, and the scalar loop's generate drains _draws too
-        assert len(draws) == 4
-        assert _state(batched) == _state(scalar)
+        first = _run(config, batched, True)
+        assert first == _run(config, scalar, False)
+        assert _run(config, batched, True) == _run(config, scalar, False) \
+            == first
+        # the second batched run replayed; each scalar run drew its
+        # stream through generate
+        assert len(draws) == 3
+
+    @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-NS-R"])
+    def test_one_workload_over_two_seeds_matches_the_scalar_loop(
+            self, config_name):
+        config = _config(config_name)
+        batched, scalar = (make_workload("mix1", config.nodes, seed=3)
+                           for _ in range(2))
+        for seed in (3, 4):
+            got = _run(config, batched, True, seed)
+            assert got == _run(config, scalar, False, seed)
+        # and seed 4 gives what a fresh workload gives
+        fresh = make_workload("mix1", config.nodes, seed=3)
+        assert got == _run(config, fresh, False, 4)
 
 
 class TestKey:
@@ -183,14 +199,20 @@ class TestKey:
         assert _chunks(make_workload("water", 4, seed=3), 500) == expected
         assert len(draws) == 2
 
-    def test_pages_mapped_mid_stream_store_nothing(self):
-        # a translate between chunks shifts every later allocation, so
-        # the stream no longer matches its key
+    def test_translate_between_chunks_changes_nothing(self):
+        # a translate between chunks changes neither the stream nor
+        # what is stored
+        expected = _chunks(make_workload("water", 4, seed=3), 900, chunk=64)
+        base._replays.clear()
         workload = make_workload("water", 4, seed=3)
-        for index, _chunk in enumerate(workload.generate_batch(900, 3, 64)):
+        got = []
+        for index, chunk in enumerate(workload.generate_batch(900, 3, 64)):
+            got.append(tuple(map(tuple, chunk)))
             if index == 1:
                 workload.translate(0, 0x7777_0000)
-        assert not base._replays
+        assert got == expected
+        [stored] = base._replays.values()
+        assert [tuple(map(tuple, c)) for c in stored.chunks] == expected
 
 
 class TestThreads:

@@ -12,8 +12,6 @@ rule ``compare_bench`` applies).
 Stdlib only, so it runs anywhere the repo is checked out::
 
     python -m tools.bench_history [--root DIR] [--json]
-
-``repro bench --history`` is the CLI front door.
 """
 
 from __future__ import annotations
