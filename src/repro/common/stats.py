@@ -14,7 +14,7 @@ the offending line.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Mapping
+from typing import Dict, Iterator, Mapping, Optional, Tuple
 
 #: Every counter name used with a literal key anywhere in the package.
 #: Keep sorted within each section; the lint gate rejects unknown keys.
@@ -95,6 +95,10 @@ class StatGroup:
         """Read-only view of this group's own counters."""
         return dict(self._counters)
 
+    def read(self, counters: Tuple[str, ...]) -> Tuple[Optional[float], ...]:
+        """Current values of ``counters`` (None for any never touched)."""
+        return tuple(map(self._counters.get, counters))
+
     # -- children ----------------------------------------------------------
 
     def child(self, name: str) -> "StatGroup":
@@ -105,6 +109,22 @@ class StatGroup:
 
     def children(self) -> Mapping[str, "StatGroup"]:
         return dict(self._children)
+
+    def locate(self, key: str) -> Tuple[Tuple["StatGroup", str], ...]:
+        """The ``(group, counter)`` pairs a dotted ``key`` can name, here
+        (``md3.global_evictions``) or in a nested group (``events.C``):
+        counters appear on first use, so each split along existing
+        children is a candidate, and those named in STAT_KEYS win."""
+        found = [(self, key)]
+        group, rest = self, key
+        while "." in rest:
+            head, _, rest = rest.partition(".")
+            group = group._children.get(head)
+            if group is None:
+                break
+            found.append((group, rest))
+        registered = [(g, name) for g, name in found if name in STAT_KEYS]
+        return tuple(registered or found)
 
     # -- aggregation -------------------------------------------------------
 

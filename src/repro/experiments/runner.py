@@ -46,8 +46,10 @@ from repro.workloads.registry import CATEGORIES, get_spec, workload_names
 Matrix = Dict[str, Dict[str, RunRecord]]
 
 #: bump when RunRecord's schema or the simulation semantics change
-#: (9: epoch time-series timeline joined the record)
-RUN_FORMAT = 9
+#: (9: epoch time-series timeline joined the record; 10: the profiler
+#: classifies MESI slow accesses and every D2M one, so an older profile
+#: that filed them under ``unclassified`` must not serve a new request)
+RUN_FORMAT = 10
 
 #: a ``<key>.json.*.tmp`` file older than this is crash litter, not an
 #: in-flight atomic write (writes complete in milliseconds)

@@ -10,32 +10,35 @@ classes (:mod:`repro.verify.spec` — the paper's A/B/C, D1–D4, E/F
 taxonomy) it exercised, producing a ranked per-transition-class target
 list for the next optimization PR.
 
-Attribution uses two read-only signals, both derived from the spec's own
-``coverage`` signatures:
+Each fallback access is classified by the hierarchy's spec
+(:func:`repro.verify.spec.spec_for`: ``mesi`` or ``d2m``) through the
+:class:`~repro.verify.spec.SignalTable` runtime coverage uses, fed with
+two read-only signals:
 
+* **signature counters that grew** — :meth:`bind` resolves every stat
+  key the spec's ``stat:`` signatures name to its counter (11 MESI, 25
+  D2M); only those are read, before each fallback access and after.
 * **protocol emits** — the profiler is an event observer with
   ``fast_path_safe = True``: the batched driver keeps its fast paths
   enabled and ``emit`` fires only on fallback accesses, which is
-  exactly the population being attributed.  Observed ``(kind, detail)``
-  pairs resolve through :func:`repro.verify.spec.coverage_event_index`.
-* **events-counter diffs** — the A/B/C/E/F taxonomy is recorded via the
-  protocol's ``events`` :class:`~repro.common.stats.StatGroup`, not
-  emits; the profiler snapshots that (tiny) group before each fallback
-  access and diffs it after, resolving bumped keys through
-  :func:`repro.verify.spec.coverage_stat_index`.
+  exactly the population being attributed (the MESI baselines emit
+  nothing; their counters classify them).
 
-An access matching several classes splits its time equally among them;
-one matching none lands in ``unclassified`` (always true for the MESI
-baselines, which emit no events — they still get the fast/slow wall
-split).  Observation mutates nothing, so profiled runs keep the
-bit-identical-statistics guarantee of the batched driver.
+An access matching several classes splits its time equally among them
+(rows sharing one signature, e.g. ``mesi.load.miss_llc_shared`` and
+``_excl`` on ``stat:reads.llc``, always do); one matching none lands in
+``unclassified``.  Observation mutates nothing, so profiled runs keep
+the bit-identical-statistics guarantee of the batched driver.
 """
 
 from __future__ import annotations
 
 import time
+from itertools import compress
+from operator import ne
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.stats import StatGroup
 from repro.obs.histogram import Histogram
 
 #: the catch-all class for slow time no spec row claims
@@ -61,22 +64,14 @@ class AttributionProfiler:
     #: the slow-tail accesses (same mechanism Telemetry uses)
     fast_path_safe = True
 
-    __slots__ = ("_emit_index", "_stat_index", "_events_group",
-                 "_acc_events", "_stat_snapshot", "_pending_slow_ns",
-                 "class_ns", "class_n", "fast_ns", "slow_ns",
-                 "slow_accesses", "chunks", "_chunk_hist", "_slow_hist",
-                 "_chunk_t", "started_s")
+    __slots__ = ("_classify", "_watch", "_before", "_acc_events",
+                 "_pending_slow_ns", "class_ns", "class_n", "fast_ns",
+                 "slow_ns", "slow_accesses", "chunks", "_chunk_hist",
+                 "_slow_hist", "_chunk_t", "started_s")
 
     def __init__(self) -> None:
-        from repro.verify.spec import (
-            coverage_event_index,
-            coverage_stat_index,
-        )
-        self._emit_index = coverage_event_index()
-        self._stat_index = tuple(coverage_stat_index().items())
-        self._events_group: Optional[object] = None
         self._acc_events: List[Tuple[str, str]] = []
-        self._stat_snapshot: Dict[str, float] = {}
+        self._before: List[Tuple[Optional[float], ...]] = []
         self._pending_slow_ns = 0
         self.class_ns: Dict[str, float] = {}
         self.class_n: Dict[str, int] = {}
@@ -92,12 +87,20 @@ class AttributionProfiler:
     # -- binding -----------------------------------------------------------
 
     def bind(self, hierarchy: object, result: object) -> None:
-        """Grab the protocol's ``events`` group for per-access diffs
-        (baselines have none; they stay unclassified) and start the
-        first chunk's clock."""
+        """Pick the hierarchy's spec, resolve its signature stat keys to
+        counters per stat group, and start the first chunk's clock."""
         del result
-        protocol = getattr(hierarchy, "protocol", None)
-        self._events_group = getattr(protocol, "events", None)
+        from repro.verify.spec import spec_for
+
+        table = spec_for(hierarchy).table
+        root = hierarchy.stats  # type: ignore[attr-defined]
+        watch: Dict[StatGroup, List[Tuple[str, str]]] = {}
+        for key in table.stats:
+            for group, name in root.locate(key):
+                watch.setdefault(group, []).append((name, key))
+        self._classify = table.classify
+        self._watch = tuple((group.read, *zip(*pairs))
+                            for group, pairs in watch.items())
         self._chunk_t = time.perf_counter_ns()
 
     # -- events (slow-tail accesses only, via fast_path_safe) --------------
@@ -111,33 +114,20 @@ class AttributionProfiler:
     # -- driver hooks ------------------------------------------------------
 
     def slow_start(self) -> None:
-        """Right before a fallback access: snapshot the events counters."""
+        """Right before a fallback access: read the signature counters."""
         self._acc_events.clear()
-        group = self._events_group
-        if group is not None:
-            self._stat_snapshot = dict(group.counters())  # type: ignore[attr-defined]
+        self._before = [read(names) for read, names, _ in self._watch]
 
     def slow_done(self, ns: int) -> None:
-        """A fallback access took ``ns``; attribute it to spec classes."""
-        tids = set()
-        emit_index = self._emit_index
-        for kind, detail in self._acc_events:
-            entries = emit_index.get(kind)
-            if entries is None:
-                continue
-            for prefix, tid in entries:  # longest prefix first
-                if detail.startswith(prefix):
-                    tids.add(tid)
-                    break
-        group = self._events_group
-        if group is not None:
-            before = self._stat_snapshot
-            for key, tid in self._stat_index:
-                if group.get(key) > before.get(key, 0.0):  # type: ignore[attr-defined]
-                    tids.add(tid)
+        """A fallback access took ``ns``; attribute it to spec classes
+        (counters are only added to, so one that changed grew)."""
+        grown: List[str] = []
+        for (read, names, keys), before in zip(self._watch, self._before):
+            after = read(names)
+            if after != before:
+                grown += compress(keys, map(ne, before, after))
+        tids = self._classify(grown, self._acc_events) or (UNCLASSIFIED,)
         self._acc_events.clear()
-        if not tids:
-            tids = {UNCLASSIFIED}
         share = ns / len(tids)
         class_ns = self.class_ns
         class_n = self.class_n

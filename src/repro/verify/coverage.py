@@ -1,12 +1,14 @@
 """Runtime transition coverage: does the bench matrix exercise the spec?
 
 Every transition in :mod:`repro.verify.spec` carries coverage
-signatures — ``stat:<key>`` (matched against the flattened run
-statistics) and ``emit:<kind>[:<detail-prefix>]`` (matched against the
-tracer event stream).  This pass runs the pinned bench matrix at quick
-budgets plus a set of *stress probes* (shrunken cache/metadata
-geometries that force capacity events: spills, global region evictions,
-LLC recalls) and reports, per transition, whether any signature fired.
+signatures — ``stat:<key>`` (a nonzero counter, keyed relative to the
+hierarchy's root stat group) and ``emit:<kind>[:<detail-prefix>]`` (a
+tracer event).  This pass runs the pinned bench matrix at quick budgets
+plus a set of *stress probes* (shrunken cache/metadata geometries that
+force capacity events: spills, global region evictions, LLC recalls)
+and classifies each run's signals once, through its own family's
+:class:`~repro.verify.spec.SignalTable`; a transition is exercised when
+some run of its protocol fired one of its signatures.
 
 A transition that nothing exercises is a finding unless the spec
 annotates it ``cold`` with a justification — the gate CI keys on.
@@ -18,15 +20,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.common.params import (CacheGeometry, MetadataGeometry,
-                                 SystemConfig, SystemKind, all_configs)
-from repro.verify.spec import SPECS, Transition
-
-#: the pinned matrix (mirrors repro.sim.bench) at quick budgets
-MATRIX_CONFIGS: Tuple[str, ...] = ("Base-2L", "D2M-FS", "D2M-NS-R")
-MATRIX_WORKLOADS: Tuple[str, ...] = ("tpcc", "swaptions", "mix1")
-MATRIX_SEED = 1
-MATRIX_INSTRUCTIONS = 4_000
-MATRIX_WARMUP = 2_000
+                                 SystemConfig, all_configs)
+from repro.common.stats import StatGroup
+from repro.sim.bench import (BENCH_CONFIGS, BENCH_SEED, BENCH_WORKLOADS,
+                             QUICK_INSTRUCTIONS, QUICK_WARMUP)
+from repro.verify.spec import SPECS, ProtocolSpec, spec_for
 
 #: stress probes: (label, base config name, workload, instructions) —
 #: geometries shrunk by :func:`_stressed` so capacity events (MD2
@@ -67,37 +65,30 @@ class SignalCollector:
         self.emits.add((kind, detail))
 
 
+def fired_stats(root: StatGroup) -> Set[str]:
+    """Nonzero counters of a stats tree, keyed relative to its root."""
+    skip = len(root.name) + 1 if root.name else 0
+    return {key[skip:] for key, value in root.flatten().items() if value > 0}
+
+
 @dataclass
 class RunSignals:
-    """Observable signals one run produced."""
+    """Observable signals one run of one protocol family produced."""
 
     label: str
-    stats: Set[str] = field(default_factory=set)       # flat keys, value > 0
+    spec: ProtocolSpec
+    stats: Set[str] = field(default_factory=set)   # relative keys, > 0
     emits: Set[Tuple[str, str]] = field(default_factory=set)
 
     def merge(self, other: "RunSignals") -> None:
         self.stats |= other.stats
         self.emits |= other.emits
 
-
-def signals_from_stats(flat: Dict[str, float], label: str = "") -> RunSignals:
-    """Signals recoverable from a flattened stat dict alone."""
-    return RunSignals(label=label,
-                      stats={k for k, v in flat.items() if v > 0})
-
-
-def sig_matches(sig: str, signals: RunSignals) -> bool:
-    """Does one coverage signature fire against one signal set?"""
-    if sig.startswith("stat:"):
-        key = sig[len("stat:"):]
-        suffix = "." + key
-        return any(flat == key or flat.endswith(suffix)
-                   for flat in signals.stats)
-    if sig.startswith("emit:"):
-        kind, _, prefix = sig[len("emit:"):].partition(":")
-        return any(k == kind and d.startswith(prefix)
-                   for k, d in signals.emits)
-    raise ValueError(f"unknown coverage signature {sig!r}")
+    def exercised(self) -> Dict[str, str]:
+        """``{tid: signature}`` of the transitions these signals fired,
+        matched against this run's own family only."""
+        return self.spec.table.classify(sorted(self.stats),
+                                        sorted(self.emits))
 
 
 @dataclass
@@ -179,23 +170,17 @@ def _play(hierarchy: object, ops: List[Tuple[int, "AccessKind", int]]) -> None:
 
 
 def _directed_signals_one(label: str, config: SystemConfig,
-                          ops: List[Tuple[int, "AccessKind", int]],
-                          trace: bool) -> RunSignals:
+                          ops: List[Tuple[int, "AccessKind", int]]
+                          ) -> RunSignals:
     from repro.core.hierarchy import build_hierarchy
     from repro.common.observe import attach
 
     hierarchy = build_hierarchy(config)
-    collector: Optional[SignalCollector] = None
-    if trace:
-        collector = SignalCollector()
-        attach(hierarchy, collector)
+    collector = SignalCollector()
+    attach(hierarchy, collector)  # no-op on the MESI baselines
     _play(hierarchy, ops)
-    signals = signals_from_stats(
-        {k: float(v) for k, v in hierarchy.stats.flatten().items()},
-        label=label)
-    if collector is not None:
-        signals.emits = collector.emits
-    return signals
+    return RunSignals(label, spec_for(config), fired_stats(hierarchy.stats),
+                      collector.emits)
 
 
 def _mesi_directed_ops() -> List[Tuple[int, "AccessKind", int]]:
@@ -326,91 +311,73 @@ def directed_signals() -> List[RunSignals]:
     Each sequence is written against one spec transition's trigger
     condition; see the ops builders for the per-transition reasoning.
     """
-    from dataclasses import replace as _replace
-
     configs = {c.name: c for c in all_configs()}
     bypass_config = _stressed(configs["D2M-FS"])
-    bypass_config = _replace(
+    bypass_config = replace(
         bypass_config,
-        policy=_replace(bypass_config.policy, bypass_low_reuse=True))
+        policy=replace(bypass_config.policy, bypass_low_reuse=True))
     return [
         _directed_signals_one("directed:mesi", configs["Base-2L"],
-                              _mesi_directed_ops(), trace=False),
+                              _mesi_directed_ops()),
         _directed_signals_one("directed:d2m", _stressed(configs["D2M-FS"]),
-                              _d2m_directed_ops(), trace=True),
+                              _d2m_directed_ops()),
         _directed_signals_one("directed:ns-r",
                               _stressed(configs["D2M-NS-R"]),
-                              _nsr_directed_ops(), trace=True),
+                              _nsr_directed_ops()),
         _directed_signals_one("directed:bypass", bypass_config,
-                              _bypass_directed_ops(), trace=True),
+                              _bypass_directed_ops()),
     ]
 
 
 def _run_signals(config: SystemConfig, workload: str, instructions: int,
-                 warmup: int, label: str, trace: bool) -> RunSignals:
+                 warmup: int, label: str) -> RunSignals:
     from repro.sim.runner import run_workload
 
-    collectors = [SignalCollector()] if trace else []
+    collector = SignalCollector()
     outcome = run_workload(config, workload, instructions=instructions,
-                           seed=MATRIX_SEED, warmup=warmup,
+                           seed=BENCH_SEED, warmup=warmup,
                            sanitize=False, telemetry=False,
-                           observers=collectors, batched=False)
-    signals = signals_from_stats(outcome.result.stats.flatten(),
-                                 label=label)
-    for collector in collectors:
-        signals.emits = collector.emits
-    return signals
+                           observers=[collector], batched=False)
+    return RunSignals(label, spec_for(config),
+                      fired_stats(outcome.result.stats), collector.emits)
 
 
-def collect_matrix_signals(quick: bool = True) -> List[RunSignals]:
-    """Run the pinned matrix + stress probes, collecting signals.
-
-    ``quick`` currently selects the only supported budget tier; it is
-    threaded so a future full-budget pass stays a one-line change.
-    """
-    del quick
+def collect_matrix_signals() -> List[RunSignals]:
+    """Run the pinned bench matrix at its quick budgets plus the stress
+    and directed probes, collecting signals."""
     configs = {c.name: c for c in all_configs()}
     collected: List[RunSignals] = []
-    for config_name in MATRIX_CONFIGS:
-        config = configs[config_name]
-        is_d2m = config.kind is SystemKind.D2M
-        for workload in MATRIX_WORKLOADS:
-            label = f"{config_name}/{workload}"
+    for config_name in BENCH_CONFIGS:
+        for workload in BENCH_WORKLOADS:
             collected.append(_run_signals(
-                config, workload, MATRIX_INSTRUCTIONS, MATRIX_WARMUP,
-                label, trace=is_d2m))
+                configs[config_name], workload, QUICK_INSTRUCTIONS,
+                QUICK_WARMUP, f"{config_name}/{workload}"))
     for label, config_name, workload, instructions in PROBES:
-        config = _stressed(configs[config_name])
-        is_d2m = config.kind is SystemKind.D2M
         collected.append(_run_signals(
-            config, workload, instructions, instructions // 4,
-            label, trace=is_d2m))
+            _stressed(configs[config_name]), workload, instructions,
+            instructions // 4, label))
     collected.extend(directed_signals())
     return collected
 
 
 def coverage_from_signals(signal_sets: List[RunSignals]
                           ) -> CoverageReport:
-    """Map collected signals onto every spec transition."""
+    """Map collected signals onto every spec transition: ``via`` names
+    the first run (in ``signal_sets`` order) that exercised it."""
+    via: Dict[str, str] = {}
+    for signals in signal_sets:
+        for tid, signature in signals.exercised().items():
+            via.setdefault(tid, f"{signals.label} [{signature}]")
     report = CoverageReport(runs=[s.label for s in signal_sets])
     for spec in SPECS.values():
         for transition in spec.transitions:
-            exercised, via = _match_transition(transition, signal_sets)
             report.transitions.append(TransitionCoverage(
                 tid=transition.tid, protocol=spec.name,
-                exercised=exercised, via=via, cold=transition.cold))
+                exercised=transition.tid in via,
+                via=via.get(transition.tid, ""), cold=transition.cold))
     return report
 
 
-def _match_transition(transition: Transition,
-                      signal_sets: List[RunSignals]) -> Tuple[bool, str]:
-    for sig in transition.coverage:
-        for signals in signal_sets:
-            if sig_matches(sig, signals):
-                return True, f"{signals.label} [{sig}]"
-    return False, ""
-
-
-def run_coverage(quick: bool = True) -> CoverageReport:
+def run_coverage() -> CoverageReport:
     """The full pass: run the matrix, map signals, build the report."""
-    return coverage_from_signals(collect_matrix_signals(quick=quick))
+    return coverage_from_signals(collect_matrix_signals())

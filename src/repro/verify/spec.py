@@ -18,10 +18,11 @@ the rest of the verification subsystem:
   model's abstraction grain (metadata caching, NS replication, trace
   plumbing); every ``model=True`` transition must be *reachable* in the
   exhaustive exploration or the checker reports it unreachable.
-* ``coverage`` — runtime signatures (``stat:<key>`` matched against
-  flattened run stats, ``emit:<kind>[:<detail-prefix>]`` matched against
-  tracer events) used by :mod:`repro.verify.coverage` to decide whether
-  the pinned bench matrix ever exercises the transition.  ``cold``
+* ``coverage`` — runtime signatures (``stat:<key>``, a counter keyed
+  relative to the hierarchy's root stat group, and
+  ``emit:<kind>[:<detail-prefix>]``, a tracer event), compiled per spec
+  into one :class:`SignalTable` that :mod:`repro.verify.coverage` (per
+  run) and the slow-tail profiler (per access) classify by.  ``cold``
   carries the justification when a transition is expected to stay
   unexercised by the pinned matrix and its probes.
 """
@@ -29,7 +30,10 @@ the rest of the verification subsystem:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, Iterator, Optional, Tuple
+
+from repro.common.params import SystemKind
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ class ProtocolSpec:
 
     def by_tid(self) -> Dict[str, Transition]:
         return {t.tid: t for t in self.transitions}
+
+    @cached_property
+    def table(self) -> "SignalTable":
+        """The coverage signatures compiled for runtime classification."""
+        return SignalTable.compile(self)
 
 
 def _ev(module: str, qualname: str, *facts: str) -> Evidence:
@@ -745,47 +754,58 @@ WAIVERS: Dict[Tuple[str, str, str], str] = {
 
 
 # ---------------------------------------------------------------------------
-# Read-only coverage indices (consumed by the slow-tail profiler)
+# Runtime classification: observed signals -> transition ids
 # ---------------------------------------------------------------------------
 
-def coverage_event_index(spec_name: str = "d2m"
-                         ) -> Dict[str, Tuple[Tuple[str, str], ...]]:
-    """``emit`` coverage signatures inverted into a lookup table.
+@dataclass(frozen=True)
+class SignalTable:
+    """One spec's coverage signatures compiled for lookup: ``stats``
+    maps a stat key to its ``(tid, signature)`` rows, ``emits`` a tracer
+    event kind to its ``(detail_prefix, tid, signature)`` rows (``""``
+    matches any detail).  Rows sharing a signature fire together."""
 
-    Maps each tracer event kind to ``((detail_prefix, tid), ...)`` —
-    longest prefix first, so an observed ``(kind, detail)`` pair resolves
-    to the most specific transition claiming it (``""`` matches any
-    detail).  Built from the same ``coverage=("emit:<kind>[:<detail>]",)``
-    signatures runtime coverage uses; purely derived, mutates nothing.
-    """
-    spec = SPECS[spec_name]
-    table: Dict[str, list] = {}
-    for transition in spec.transitions:
-        for signature in transition.coverage:
-            if not signature.startswith("emit:"):
-                continue
-            rest = signature[len("emit:"):]
-            kind, _, prefix = rest.partition(":")
-            table.setdefault(kind, []).append((prefix, transition.tid))
-    return {kind: tuple(sorted(entries,
-                               key=lambda item: -len(item[0])))
-            for kind, entries in table.items()}
+    stats: Dict[str, Tuple[Tuple[str, str], ...]]
+    emits: Dict[str, Tuple[Tuple[str, str, str], ...]]
+
+    @classmethod
+    def compile(cls, spec: "ProtocolSpec") -> "SignalTable":
+        stats: Dict[str, list] = {}
+        emits: Dict[str, list] = {}
+        for row in spec.transitions:
+            for signature in row.coverage:
+                scheme, _, rest = signature.partition(":")
+                if scheme == "stat":
+                    stats.setdefault(rest, []).append((row.tid, signature))
+                elif scheme == "emit":
+                    kind, _, prefix = rest.partition(":")
+                    emits.setdefault(kind, []).append(
+                        (prefix, row.tid, signature))
+                else:
+                    raise ValueError(
+                        f"unknown coverage signature {signature!r}")
+        return cls({key: tuple(rows) for key, rows in stats.items()},
+                   {kind: tuple(rows) for kind, rows in emits.items()})
+
+    def classify(self, stats: Iterable[str],
+                 emits: Iterable[Tuple[str, str]]) -> Dict[str, str]:
+        """``{tid: signature}`` for each transition the signals exercise:
+        ``stats`` are stat keys that fired (nonzero over a run, or grown
+        over one access), ``emits`` observed ``(kind, detail)`` pairs.
+        The signature is the first of the row's found firing (stat keys
+        in the order given, then emits)."""
+        fired: Dict[str, str] = {}
+        for key in stats:
+            for tid, signature in self.stats.get(key, ()):
+                fired.setdefault(tid, signature)
+        for kind, detail in emits:
+            for prefix, tid, signature in self.emits.get(kind, ()):
+                if detail.startswith(prefix):
+                    fired.setdefault(tid, signature)
+        return fired
 
 
-def coverage_stat_index(spec_name: str = "d2m", group: str = "events"
-                        ) -> Dict[str, str]:
-    """``stat:<group>.<key>`` coverage signatures as ``{key: tid}``.
-
-    The A/B/C/E/F taxonomy transitions are covered through the protocol's
-    ``events`` :class:`~repro.common.stats.StatGroup` rather than tracer
-    emits; the profiler diffs that group around each slow-tail access and
-    attributes its time through this index.
-    """
-    spec = SPECS[spec_name]
-    needle = f"stat:{group}."
-    out: Dict[str, str] = {}
-    for transition in spec.transitions:
-        for signature in transition.coverage:
-            if signature.startswith(needle):
-                out[signature[len(needle):]] = transition.tid
-    return out
+def spec_for(hierarchy_or_config: object) -> ProtocolSpec:
+    """The spec a hierarchy (or its config) runs: ``d2m`` when it has a
+    D2M protocol, else ``mesi``."""
+    config = getattr(hierarchy_or_config, "config", hierarchy_or_config)
+    return D2M_SPEC if config.kind is SystemKind.D2M else MESI_SPEC

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.common.params import d2m_ns_r
-from repro.common.stats import StatGroup
+from repro.common.params import base_2l, d2m_ns_r
+from repro.core.hierarchy import build_hierarchy
 from repro.obs.profile import (
     PROFILE_KEYS,
     UNCLASSIFIED,
@@ -14,9 +14,12 @@ from repro.obs.profile import (
 )
 
 
-class FakeHierarchy:
-    def __init__(self, events):
-        self.protocol = type("P", (), {"events": events})()
+def bound(config=None):
+    """A profiler bound to a fresh hierarchy (D2M-NS-R by default)."""
+    hierarchy = build_hierarchy(config or d2m_ns_r(2))
+    profiler = AttributionProfiler()
+    profiler.bind(hierarchy, None)
+    return profiler, hierarchy
 
 
 def synthetic_profile():
@@ -31,7 +34,7 @@ def synthetic_profile():
 
 class TestAttribution:
     def test_emit_resolves_through_the_spec_index(self):
-        profiler = AttributionProfiler()
+        profiler, _ = bound()
         profiler.slow_start()
         profiler.emit("md3.classify", detail="D1")
         profiler.slow_done(1000)
@@ -39,7 +42,7 @@ class TestAttribution:
         assert profiler.class_n == {"d2m.D1": 1}
 
     def test_multi_class_access_splits_time_equally(self):
-        profiler = AttributionProfiler()
+        profiler, _ = bound()
         profiler.slow_start()
         profiler.emit("md3.classify", detail="D1")
         profiler.emit("mem.writeback")
@@ -49,18 +52,16 @@ class TestAttribution:
         assert profiler.class_n == {"d2m.D1": 1, "d2m.wb": 1}
 
     def test_unmatched_access_lands_in_unclassified(self):
-        profiler = AttributionProfiler()
+        profiler, _ = bound()
         profiler.slow_start()
         profiler.emit("no.such.kind", detail="x")
         profiler.slow_done(700)
         assert profiler.class_ns == {UNCLASSIFIED: 700.0}
 
     def test_stat_diffs_attribute_the_abc_taxonomy(self):
-        events = StatGroup("events")
-        profiler = AttributionProfiler()
-        profiler.bind(FakeHierarchy(events), None)
+        profiler, hierarchy = bound()
         profiler.slow_start()
-        events.add("B", 1)
+        hierarchy.events.add("B", 1)
         profiler.slow_done(400)
         assert profiler.class_ns == {"d2m.B": 400.0}
         # a counter that does not move between start and done is silent
@@ -69,15 +70,28 @@ class TestAttribution:
         assert profiler.class_ns["d2m.B"] == 400.0
         assert profiler.class_ns[UNCLASSIFIED] == 100.0
 
-    def test_baselines_without_events_group_stay_unclassified(self):
-        profiler = AttributionProfiler()
-        profiler.bind(object(), None)  # no .protocol.events
+    def test_root_counter_with_a_group_named_like_its_prefix(self):
+        # md3.global_evictions is a root counter although an "md3" group
+        # exists; md3.fills (a group counter) names no transition
+        profiler, hierarchy = bound()
         profiler.slow_start()
-        profiler.slow_done(50)
-        assert profiler.class_ns == {UNCLASSIFIED: 50.0}
+        hierarchy.stats.add("md3.global_evictions")
+        hierarchy.md3.stats.add("fills")
+        profiler.slow_done(300)
+        assert profiler.class_ns == {"d2m.global_evict": 300.0}
+
+    def test_mesi_counter_bump_files_the_rows_sharing_its_signature(self):
+        profiler, hierarchy = bound(base_2l(2))
+        profiler.slow_start()
+        hierarchy.stats.add("reads.llc")
+        profiler.slow_done(1000)
+        assert profiler.class_ns == {"mesi.load.miss_llc_shared": 500.0,
+                                     "mesi.load.miss_llc_excl": 500.0}
+        assert profiler.class_n == {"mesi.load.miss_llc_shared": 1,
+                                    "mesi.load.miss_llc_excl": 1}
 
     def test_chunk_split_fast_vs_slow(self):
-        profiler = AttributionProfiler()
+        profiler, _ = bound()
         profiler.slow_start()
         profiler.slow_done(300)
         profiler.chunk_done(1000)
@@ -94,7 +108,7 @@ class TestAttribution:
 
 class TestSummary:
     def test_summary_matches_schema_and_conserves_time(self):
-        profiler = AttributionProfiler()
+        profiler, _ = bound()
         profiler.slow_start()
         profiler.emit("md3.classify", detail="D2")
         profiler.slow_done(1_000_000)
@@ -170,6 +184,20 @@ class TestRealRun:
         assert ranked, "a D2M run must exercise at least one class"
         # the ranking names real spec transition ids
         assert any(tid.startswith("d2m.") for tid, _, _ in ranked)
+
+    @pytest.mark.parametrize("config, limit", [(base_2l(), 0.05),
+                                               (d2m_ns_r(), 0.01)],
+                             ids=["Base-2L", "D2M-NS-R"])
+    def test_every_slow_access_gets_a_spec_class(self, config, limit):
+        from repro.sim.runner import run_workload
+
+        digest = run_workload(config, "tpcc", 4000,
+                              profile=True).profile_summary()
+        family = "mesi." if config.name.startswith("Base") else "d2m."
+        assert any(tid.startswith(family) for tid in digest["classes"])
+        unclassified = digest["classes"].get(UNCLASSIFIED, {"n": 0})["n"]
+        assert unclassified <= limit * digest["slow_accesses"], \
+            (unclassified, digest["slow_accesses"])
 
     def test_profiled_run_keeps_statistics_bit_identical(self):
         from repro.sim.runner import run_workload
