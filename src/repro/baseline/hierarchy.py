@@ -23,7 +23,6 @@ from repro.baseline.directory import Directory
 from repro.energy.model import EnergyAccountant, sram_structure
 from repro.mem.address import AddressMap
 from repro.mem.mainmem import MainMemory
-from repro.mem.replacement import lru_orders
 from repro.mem.sram import SetAssocStore
 from repro.mem.tlb import TwoLevelTLB
 from repro.noc.messages import MessageKind
@@ -60,7 +59,7 @@ class BaselineFastPath:
     line, and the MESI state is valid (writable for stores).
     :meth:`hit` classifies with pure reads; an eligible access replays
     :meth:`BaselineHierarchy.access`'s L1-hit prefix exactly: TLB and L1
-    policy touches, the load's value check, and — for stores —
+    LRU touches, the load's value check, and — for stores —
     :meth:`NodeCaches.write_hit`, so the L1-I shootdown and L2 version
     sync can never drift from the scalar path; its latency is ``l1``.
     The matching TLB ``accesses``/``l1_hits`` and ``l1.{i,d}.accesses``
@@ -72,20 +71,18 @@ class BaselineFastPath:
     """
 
     def __init__(self, hierarchy: "BaselineHierarchy",
-                 tlb_orders: List[List[List[int]]],
-                 l1i_orders: List[List[List[int]]],
-                 l1d_orders: List[List[List[int]]],
                  check_load: Optional[Callable[[int, int], None]]) -> None:
         nodes = hierarchy.nodes
         self.key_bits = hierarchy._page_bits
         self.latency = hierarchy._lat.l1
-        self._tlb_maps = [t.fastpath_view()[0] for t in hierarchy.tlbs]
-        self._tlb_orders = tlb_orders
+        # per-core (where, live LRU orders) views, split by field
+        self._tlb_maps, self._tlb_orders = zip(
+            *(t.fastpath_view() for t in hierarchy.tlbs))
         self._tlb_stats = [t.stats for t in hierarchy.tlbs]
-        self._l1i_maps = [n.l1i.store.fastpath_view()[0] for n in nodes]
-        self._l1d_maps = [n.l1d.store.fastpath_view()[0] for n in nodes]
-        self._l1i_orders = l1i_orders
-        self._l1d_orders = l1d_orders
+        self._l1i_maps, self._l1i_orders = zip(
+            *(n.l1i.store.fastpath_view() for n in nodes))
+        self._l1d_maps, self._l1d_orders = zip(
+            *(n.l1d.store.fastpath_view() for n in nodes))
         self._states = [n.state for n in nodes]
         self._write_hits = [n.write_hit for n in nodes]
         self._check_load = check_load
@@ -225,23 +222,13 @@ class BaselineHierarchy:
     # ------------------------------------------------------------------ access
 
     def fastpath_probe(self, check_load: Optional[Callable[[int, int], None]] = None
-                       ) -> Optional["BaselineFastPath"]:
+                       ) -> "BaselineFastPath":
         """This machine's probe for the batched driver (``sim.batch``).
 
         ``check_load(line, version)`` is the driver's value check for a
-        fast load, None when values are not checked.  Returns None when
-        no fast path is allowed: an L1-TLB or L1 store with a non-LRU
-        policy.
+        fast load, None when values are not checked.
         """
-        tlb_orders = lru_orders(t.fastpath_view()[1] for t in self.tlbs)
-        l1i_orders = lru_orders(n.l1i.store.fastpath_view()[1]
-                                for n in self.nodes)
-        l1d_orders = lru_orders(n.l1d.store.fastpath_view()[1]
-                                for n in self.nodes)
-        if tlb_orders is None or l1i_orders is None or l1d_orders is None:
-            return None
-        return BaselineFastPath(self, tlb_orders, l1i_orders, l1d_orders,
-                                check_load)
+        return BaselineFastPath(self, check_load)
 
     def access(self, acc: Access, paddr: int, store_version: int = 0) -> AccessResult:
         """Run one memory reference through the hierarchy.

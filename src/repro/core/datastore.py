@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.core.li import LI
+from repro.mem.replacement import lru_touch
 
 _SCRAMBLE_SPREAD = 0x9E37  # multiplicative spread for the index scramble
 
@@ -53,7 +54,13 @@ class DataLine:
 
 
 class DataArray:
-    """One tag-less SRAM array addressed by (set, way)."""
+    """One tag-less SRAM array addressed by (set, way).
+
+    Built empty: every row starts as one all-``None`` tuple shared by the
+    array and becomes a list on its first :meth:`put`; a set's LRU order
+    list is created on its first :meth:`touch`.  A never-filled set
+    answers every query as an empty one.
+    """
 
     def __init__(self, name: str, sets: int, ways: int) -> None:
         if sets <= 0 or ways <= 0:
@@ -61,11 +68,12 @@ class DataArray:
         self.name = name
         self.sets = sets
         self.ways = ways
-        self._slots: List[List[Optional[DataLine]]] = [
-            [None] * ways for _ in range(sets)
-        ]
-        # LRU order per set: least recent first.
-        self._lru: List[List[int]] = [list(range(ways)) for _ in range(sets)]
+        # Rows share one all-None tuple until their first put; LRU order
+        # per set (least recent first), None until the set's first touch.
+        # The outer lists are only updated in place: the batched driver's
+        # fast path holds both live.
+        self._slots: List[Sequence[Optional[DataLine]]] = [(None,) * ways] * sets
+        self._lru: List[List[int]] = [None] * sets  # type: ignore[list-item]
         # region -> occupied (set, way) slots, for O(present) forced evictions.
         self._by_region: dict = {}
         self.replacements = 0  # pressure signal for the NS-LLC policy
@@ -82,9 +90,10 @@ class DataArray:
 
         The fast path indexes ``slots[(line ^ scramble * 0x9E37) &
         set_mask][way]`` (the :meth:`set_of`/:meth:`expect` pair) and
-        replays :meth:`touch` by hand on the ``lru`` order lists; any
-        slot/line mismatch must fall back to the full machine, which
-        raises the same invariant violation :meth:`expect` would.
+        replays :meth:`touch` by hand on the live ``lru`` order lists (a
+        set holding a line has one: :meth:`put` touches); any slot/line
+        mismatch must fall back to the full machine, which raises the
+        same invariant violation :meth:`expect` would.
         """
         return self._slots, self._lru, self.sets - 1
 
@@ -104,11 +113,14 @@ class DataArray:
         return slot
 
     def put(self, set_idx: int, way: int, data: DataLine) -> None:
-        if self._slots[set_idx][way] is not None:
+        row = self._slots[set_idx]
+        if row[way] is not None:
             raise InvariantViolation(
                 f"{self.name}[{set_idx}][{way}]: overwriting a valid slot"
             )
-        self._slots[set_idx][way] = data
+        if not isinstance(row, list):
+            row = self._slots[set_idx] = list(row)
+        row[way] = data
         self._by_region.setdefault(data.region, set()).add((set_idx, way))
         self.touch(set_idx, way)
 
@@ -118,7 +130,7 @@ class DataArray:
             raise InvariantViolation(
                 f"{self.name}[{set_idx}][{way}]: clearing an empty slot"
             )
-        self._slots[set_idx][way] = None
+        self._slots[set_idx][way] = None  # type: ignore[index]
         members = self._by_region.get(slot.region)
         if members is not None:
             members.discard((set_idx, way))
@@ -128,10 +140,13 @@ class DataArray:
 
     def touch(self, set_idx: int, way: int) -> None:
         order = self._lru[set_idx]
-        # Re-touching the MRU way (the hot-path common case) is a no-op.
-        if order[-1] != way:
-            order.remove(way)
-            order.append(way)
+        if order is None:
+            order = self._lru[set_idx] = list(range(self.ways))
+        lru_touch(order, way)
+
+    def _order(self, set_idx: int) -> Sequence[int]:
+        """The set's LRU order; a never-touched set reads ``0..ways-1``."""
+        return self._lru[set_idx] or range(self.ways)
 
     # -- victim selection -----------------------------------------------------------
 
@@ -168,14 +183,14 @@ class DataArray:
         return best_way
 
     def mru_way(self, set_idx: int) -> int:
-        return self._lru[set_idx][-1]
+        return self._order(set_idx)[-1]
 
     def is_mru(self, set_idx: int, way: int) -> bool:
-        return self._lru[set_idx][-1] == way
+        return self.mru_way(set_idx) == way
 
     def is_recent(self, set_idx: int, way: int) -> bool:
         """In the most-recent half of the set's recency stack."""
-        order = self._lru[set_idx]
+        order = self._order(set_idx)
         return way in order[len(order) // 2:]
 
     # -- inspection -----------------------------------------------------------

@@ -66,7 +66,6 @@ from repro.core.regions import MD2Entry, MD3Entry
 from repro.energy.model import EnergyAccountant, sram_structure
 from repro.mem.address import AddressMap
 from repro.mem.mainmem import MainMemory
-from repro.mem.replacement import lru_orders
 from repro.mem.sram import SetAssocStore
 from repro.noc.messages import MessageKind
 from repro.noc.network import Network
@@ -99,7 +98,7 @@ class D2MFastPath:
     private and the slot is the master copy.  :meth:`hit` classifies
     with pure reads; an eligible access commits exactly what
     :meth:`D2MProtocol.access` performs on an MD1-hit L1 hit: MD1
-    policy touch, L1 LRU touch, the store's version and dirty bit (or
+    LRU touch, L1 LRU touch, the store's version and dirty bit (or
     the load's value check), a bypass rehit bump and the near-side
     pressure tick; its latency is ``md1 + l1``.  The matching
     ``l1.{i,d}.accesses`` / ``l1.{i,d}.hits`` / ``md.md1_hits`` stats
@@ -110,16 +109,15 @@ class D2MFastPath:
     """
 
     def __init__(self, protocol: "D2MProtocol",
-                 mi_orders: List[List[List[int]]],
-                 md_orders: List[List[List[int]]],
                  check_load: Optional[Callable[[int, int], None]]) -> None:
         nodes = protocol.nodes
         self.key_bits = protocol._region_bits
         self.latency = protocol._lat.md1 + protocol._lat.l1
-        self._mi_maps = [n.md1i.fastpath_view()[0] for n in nodes]
-        self._md_maps = [n.md1d.fastpath_view()[0] for n in nodes]
-        self._mi_orders = mi_orders
-        self._md_orders = md_orders
+        # per-node MD1 (where, live LRU orders) views, split by field
+        self._mi_maps, self._mi_orders = zip(
+            *(n.md1i.fastpath_view() for n in nodes))
+        self._md_maps, self._md_orders = zip(
+            *(n.md1d.fastpath_view() for n in nodes))
         self._l1i = [n.l1i.fastpath_view() for n in nodes]
         self._l1d = [n.l1d.fastpath_view() for n in nodes]
         self._idx_mask = protocol._idx_mask
@@ -290,18 +288,13 @@ class D2MProtocol:
     # ------------------------------------------------------------------ access
 
     def fastpath_probe(self, check_load: Optional[Callable[[int, int], None]] = None
-                       ) -> Optional["D2MFastPath"]:
+                       ) -> "D2MFastPath":
         """This machine's probe for the batched driver (``sim.batch``).
 
         ``check_load(line, version)`` is the driver's value check for a
-        fast load, None when values are not checked.  Returns None when
-        no fast path is allowed: an MD1 store with a non-LRU policy.
+        fast load, None when values are not checked.
         """
-        mi_orders = lru_orders(n.md1i.fastpath_view()[1] for n in self.nodes)
-        md_orders = lru_orders(n.md1d.fastpath_view()[1] for n in self.nodes)
-        if mi_orders is None or md_orders is None:
-            return None
-        return D2MFastPath(self, mi_orders, md_orders, check_load)
+        return D2MFastPath(self, check_load)
 
     def access(self, acc: Access, paddr: int, store_version: int = 0) -> AccessResult:
         """Run one memory reference through the D2M machine."""

@@ -48,8 +48,9 @@ Matrix = Dict[str, Dict[str, RunRecord]]
 #: bump when RunRecord's schema or the simulation semantics change
 #: (9: epoch time-series timeline joined the record; 10: the profiler
 #: classifies MESI slow accesses and every D2M one, so an older profile
-#: that filed them under ``unclassified`` must not serve a new request)
-RUN_FORMAT = 10
+#: that filed them under ``unclassified`` must not serve a new request;
+#: 11: MESI instruction-side L1 hits and L2 hits got their own classes)
+RUN_FORMAT = 11
 
 #: a ``<key>.json.*.tmp`` file older than this is crash litter, not an
 #: in-flight atomic write (writes complete in milliseconds)

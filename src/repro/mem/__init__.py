@@ -2,12 +2,6 @@
 
 from repro.mem.address import AddressMap, AddressSpace
 from repro.mem.sram import SetAssocStore
-from repro.mem.replacement import (
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
 from repro.mem.tlb import TwoLevelTLB
 from repro.mem.mainmem import MainMemory
 
@@ -15,10 +9,6 @@ __all__ = [
     "AddressMap",
     "AddressSpace",
     "SetAssocStore",
-    "LRUPolicy",
-    "PseudoLRUPolicy",
-    "RandomPolicy",
-    "make_policy",
     "TwoLevelTLB",
     "MainMemory",
 ]

@@ -4,7 +4,12 @@
 structure in the package: baseline caches, TLBs, and all three metadata
 stores.  It maps a *key* (whatever the client tags entries with — a line
 number, a page number, a region number) to an arbitrary payload, with
-pluggable indexing and replacement.
+pluggable indexing and true-LRU replacement.
+
+A store is built empty: a set gets its row of ways and its LRU order
+list on its first fill, and a way gets its :class:`Slot` on its first
+fill (reused from then on).  A never-filled set answers every query as
+an empty one, so a hierarchy pays only for the sets a run touches.
 
 D2M's tag-less data arrays do NOT use this class; they are plain
 (set, way)-addressed slots (see ``repro.core.datastore``).
@@ -14,13 +19,13 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
 
-from repro.mem.replacement import LRUPolicy, PolicyFactory
+from repro.mem.replacement import lru_touch, lru_victim
 
 T = TypeVar("T")
 
 
 class Slot(Generic[T]):
-    """One way of one set (slotted; created in bulk per structure)."""
+    """One way of one set (slotted; created on the way's first fill)."""
 
     __slots__ = ("valid", "key", "payload")
 
@@ -41,7 +46,6 @@ class SetAssocStore(Generic[T]):
         sets: number of sets (power of two enforced by callers' configs).
         ways: associativity.
         index_fn: maps a key to a set index; defaults to ``key % sets``.
-        policy_factory: replacement policy constructor per set.
     """
 
     def __init__(
@@ -49,7 +53,6 @@ class SetAssocStore(Generic[T]):
         sets: int,
         ways: int,
         index_fn: Optional[Callable[[int], int]] = None,
-        policy_factory: PolicyFactory = LRUPolicy,
     ) -> None:
         if sets <= 0 or ways <= 0:
             raise ValueError("sets and ways must be positive")
@@ -58,10 +61,12 @@ class SetAssocStore(Generic[T]):
         # None means the modulo default; kept as None (not a closure) so a
         # finished hierarchy stays picklable for cross-process run fan-out.
         self._index_fn = index_fn
-        self._slots: List[List[Slot[T]]] = [
-            [Slot() for _ in range(ways)] for _ in range(sets)
-        ]
-        self._policies = [policy_factory(ways) for _ in range(sets)]
+        # Per-set rows of ways and LRU orders (least recent first), each
+        # None until the set's first fill; a resident key's set has both.
+        # The outer lists are only updated in place: the batched driver's
+        # fast path holds ``_orders`` live.
+        self._slots: List[List[Optional[Slot[T]]]] = [None] * sets  # type: ignore[list-item]
+        self._orders: List[List[int]] = [None] * sets  # type: ignore[list-item]
         # Fast key -> (set, way, slot) map; one location per key by
         # construction.  The slot reference rides along so the hot
         # ``lookup`` path resolves payloads without double indexing.
@@ -81,22 +86,25 @@ class SetAssocStore(Generic[T]):
         if loc is None:
             return None
         if touch:
-            self._policies[loc[0]].touch(loc[1])
+            lru_touch(self._orders[loc[0]], loc[1])
         return loc[2].payload
 
     def contains(self, key: int) -> bool:
         return key in self._where
 
     def fastpath_view(self):
-        """``(where, policies)`` handles for the batched driver's inlined
+        """``(where, orders)`` handles for the batched driver's inlined
         hit path (``repro.sim.batch``).
 
-        ``where`` maps key -> ``(set, way, slot)``; a fast-path hit must
-        replay :meth:`lookup`'s exact effect set: read ``loc[2].payload``
-        and call ``policies[loc[0]].touch(loc[1])``.  Any other outcome
-        must leave both structures untouched and take the full path.
+        ``where`` maps key -> ``(set, way, slot)`` and ``orders`` is the
+        live list of per-set LRU order lists; a resident key's set
+        always has its order list.  A fast-path hit must replay
+        :meth:`lookup`'s exact effect set: read ``loc[2].payload`` and
+        :func:`lru_touch` ``orders[loc[0]]`` with ``loc[1]``.  Any other
+        outcome must leave both structures untouched and take the full
+        path.
         """
-        return self._where, self._policies
+        return self._where, self._orders
 
     def location_of(self, key: int) -> Optional[Tuple[int, int]]:
         """(set, way) of ``key`` if present."""
@@ -104,8 +112,10 @@ class SetAssocStore(Generic[T]):
         return None if loc is None else (loc[0], loc[1])
 
     def peek_way(self, set_idx: int, way: int) -> Slot[T]:
-        """Direct slot access (tests and eviction handlers)."""
-        return self._slots[set_idx][way]
+        """Direct slot access (tests); a never-filled way reads empty."""
+        row = self._slots[set_idx]
+        slot = None if row is None else row[way]
+        return Slot() if slot is None else slot
 
     # -- modification -----------------------------------------------------------
 
@@ -126,36 +136,48 @@ class SetAssocStore(Generic[T]):
         if loc is not None:
             set_idx, way, slot = loc
             slot.payload = payload
-            self._policies[set_idx].touch(way)
+            lru_touch(self._orders[set_idx], way)
             return None
         set_idx = self.index_of(key)
         row = self._slots[set_idx]
+        if row is None:
+            row = self._slots[set_idx] = [None] * self.ways
+            self._orders[set_idx] = list(range(self.ways))
         for way, slot in enumerate(row):
-            if not slot.valid:
+            if slot is None or not slot.valid:
                 self._fill(set_idx, way, key, payload)
                 return None
-        banned = []
-        if protected is not None:
-            banned = [
-                w for w, slot in enumerate(row)
-                if slot.valid and slot.payload is not None
-                and protected(slot.key, slot.payload)
-            ]
-        victim_way = self._policies[set_idx].victim(banned)
+        victim_way = self._victim(set_idx, protected)
         victim = row[victim_way]
+        assert victim is not None and victim.payload is not None
         evicted = (victim.key, victim.payload)
         del self._where[victim.key]
         self._fill(set_idx, victim_way, key, payload)
-        assert evicted[1] is not None
-        return evicted  # type: ignore[return-value]
+        return evicted
 
     def _fill(self, set_idx: int, way: int, key: int, payload: T) -> None:
-        slot = self._slots[set_idx][way]
+        row = self._slots[set_idx]
+        slot = row[way]
+        if slot is None:
+            slot = row[way] = Slot()
         slot.valid = True
         slot.key = key
         slot.payload = payload
         self._where[key] = (set_idx, way, slot)
-        self._policies[set_idx].touch(way)
+        lru_touch(self._orders[set_idx], way)
+
+    def _victim(self, set_idx: int,
+                protected: Optional[Callable[[int, T], bool]]) -> int:
+        """The LRU way of a full set, skipping ``protected`` ways."""
+        row = self._slots[set_idx]
+        banned: List[int] = []
+        if protected is not None:
+            banned = [
+                w for w, slot in enumerate(row)
+                if slot is not None and slot.payload is not None
+                and protected(slot.key, slot.payload)
+            ]
+        return lru_victim(self._orders[set_idx], banned)
 
     def preview_victim(
         self,
@@ -171,19 +193,10 @@ class SetAssocStore(Generic[T]):
         if key in self._where:
             return None
         set_idx = self.index_of(key)
-        row = self._slots[set_idx]
-        if any(not slot.valid for slot in row):
+        if self.set_occupancy(set_idx) < self.ways:
             return None
-        banned = []
-        if protected is not None:
-            banned = [
-                w for w, slot in enumerate(row)
-                if slot.valid and slot.payload is not None
-                and protected(slot.key, slot.payload)
-            ]
-        victim_way = self._policies[set_idx].victim(banned)
-        victim = row[victim_way]
-        assert victim.payload is not None
+        victim = self._slots[set_idx][self._victim(set_idx, protected)]
+        assert victim is not None and victim.payload is not None
         return victim.key, victim.payload
 
     def invalidate(self, key: int) -> Optional[T]:
@@ -200,7 +213,7 @@ class SetAssocStore(Generic[T]):
     def touch(self, key: int) -> None:
         loc = self._where.get(key)
         if loc is not None:
-            self._policies[loc[0]].touch(loc[1])
+            lru_touch(self._orders[loc[0]], loc[1])
 
     # -- iteration / capacity -----------------------------------------------------
 
@@ -214,7 +227,10 @@ class SetAssocStore(Generic[T]):
             yield key, payload
 
     def set_occupancy(self, set_idx: int) -> int:
-        return sum(1 for slot in self._slots[set_idx] if slot.valid)
+        row = self._slots[set_idx]
+        if row is None:
+            return 0
+        return sum(1 for slot in row if slot is not None and slot.valid)
 
     @property
     def capacity(self) -> int:

@@ -52,11 +52,11 @@ class TwoLevelTLB:
         )
 
     def fastpath_view(self):
-        """L1-TLB ``(where, policies)`` for the batched driver.
+        """L1-TLB ``(where, orders)`` for the batched driver.
 
         A fast-path hit replays :meth:`translate`'s L1 case: one
         ``accesses`` + one ``l1_hits`` stat on :attr:`stats` and the L1
-        policy touch; the latency contribution is zero (L1-TLB latency
+        LRU touch; the latency contribution is zero (L1-TLB latency
         is folded into the L1 pipeline stage by the hierarchy).
         """
         return self._l1.fastpath_view()

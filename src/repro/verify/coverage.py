@@ -32,6 +32,7 @@ from repro.verify.spec import SPECS, ProtocolSpec, spec_for
 #: relocations) fire within a small budget
 PROBES: Tuple[Tuple[str, str, str, int], ...] = (
     ("probe:Base-2L", "Base-2L", "mix1", 12_000),
+    ("probe:Base-3L", "Base-3L", "mix1", 12_000),
     ("probe:D2M-FS", "D2M-FS", "mix1", 12_000),
     ("probe:D2M-NS-R", "D2M-NS-R", "mix1", 12_000),
 )

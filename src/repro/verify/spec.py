@@ -115,6 +115,24 @@ MESI_SPEC = ProtocolSpec(
             coverage=("stat:l1.d.hits",),
         ),
         Transition(
+            tid="mesi.ifetch.hit", state="S|E|M", event="ifetch",
+            guard="line valid in local L1-I",
+            actions=("serve locally",), next_state="unchanged",
+            evidence=(_ev(_H, f"{_BH}.access"),),
+            coverage=("stat:l1.i.hits",),
+            model=False,  # the model has no I-side; load.hit stands for it
+        ),
+        Transition(
+            tid="mesi.l2.hit", state="S|E|M", event="load|ifetch|store",
+            guard="L1 miss, line valid in the node's L2 (Base-3L)",
+            actions=("fill the kind-side L1 from L2",
+                     "a store on S upgrades as mesi.store.upgrade"),
+            next_state="unchanged (M for a store)",
+            evidence=(_ev(_H, f"{_BH}.access", "stat:upgrades"),),
+            coverage=("stat:l2.i.hits", "stat:l2.d.hits"),
+            model=False,  # private levels are below the model's node grain
+        ),
+        Transition(
             tid="mesi.store.hit_m", state="M", event="store",
             guard="line Modified locally",
             actions=("write in place",), next_state="M",

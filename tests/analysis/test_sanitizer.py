@@ -17,7 +17,7 @@ from repro.analysis import CoherenceSanitizer, SanitizerViolation, attach_saniti
 from repro.analysis.events import EventRing
 from repro.common.errors import InvariantViolation
 from repro.common.observe import attach
-from repro.common.params import base_2l, d2m_fs
+from repro.common.params import base_2l, d2m_fs, d2m_ns_r
 from repro.core.datastore import LineRole
 from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import (
@@ -280,6 +280,22 @@ class TestEquivalenceAndLifecycle:
         assert restored.accesses == sanitizer.accesses
         assert len(restored.ring) == len(sanitizer.ring)
         restored.run_full_walk()  # the clone is still checkable
+
+    def test_pickled_clone_keeps_running_identically(self):
+        """Sets are created on first fill; a clone's never-filled rows
+        (one shared empty tuple per data array) must fill exactly as the
+        original's do."""
+        hierarchy = build_hierarchy(d2m_ns_r(4))
+        driver = TraceDriver(hierarchy, seed=19)
+        driver.random_burst(2000, cores=4)
+        clone = pickle.loads(pickle.dumps(driver))
+        l1d = clone.hierarchy.protocol.nodes[0].l1d
+        assert len({id(row) for row in l1d._slots
+                    if not isinstance(row, list)}) == 1
+        for each in (driver, clone):
+            each.random_burst(2000, cores=4)
+        assert (clone.hierarchy.stats.flatten()
+                == hierarchy.stats.flatten())
 
 
 class TestForensicReport:

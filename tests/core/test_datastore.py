@@ -88,6 +88,44 @@ class TestVictims:
         assert not arr.is_recent(0, 0)
 
 
+def eager(arr):
+    """``arr`` with every row and LRU list created, as an eager build does."""
+    arr._slots = [[None] * arr.ways for _ in range(arr.sets)]
+    arr._lru = [list(range(arr.ways)) for _ in range(arr.sets)]
+    return arr
+
+
+class TestLazySets:
+    def test_array_is_built_empty(self):
+        arr = DataArray("a", 8, 4)
+        assert arr._lru == [None] * 8
+        assert len({id(row) for row in arr._slots}) == 1
+        arr.put(5, 2, line(1))
+        assert [i for i, order in enumerate(arr._lru) if order] == [5]
+        assert isinstance(arr._slots[5], list)
+        assert not isinstance(arr._slots[4], list)
+
+    def test_untouched_set_answers_as_an_empty_one(self):
+        lazy, made = DataArray("a", 4, 4), eager(DataArray("a", 4, 4))
+        for arr in (lazy, made):
+            arr.put(0, 1, line(7))
+        for set_idx in (1, 2, 3):
+            assert lazy.free_way(set_idx) == made.free_way(set_idx) == 0
+            assert lazy.victim_way(set_idx) == made.victim_way(set_idx) == 0
+            assert lazy.mru_way(set_idx) == made.mru_way(set_idx) == 3
+            for way in range(4):
+                assert lazy.get(set_idx, way) is made.get(set_idx, way) is None
+                assert lazy.is_mru(set_idx, way) == made.is_mru(set_idx, way)
+                assert (lazy.is_recent(set_idx, way)
+                        == made.is_recent(set_idx, way))
+                for arr in (lazy, made):
+                    with pytest.raises(InvariantViolation,
+                                       match="expected line 0x7, found None"):
+                        arr.expect(set_idx, way, 7)
+        assert lazy.replacements == made.replacements == 0
+        assert list(lazy) == list(made)
+
+
 class TestRegionIndex:
     def test_lines_of_region(self):
         arr = DataArray("a", 8, 2)
@@ -110,15 +148,21 @@ class TestRegionIndex:
 @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1),
                           st.integers(0, 255)), max_size=120))
 def test_occupancy_model(ops):
-    """put/clear keeps occupancy and the region index consistent."""
+    """put/clear keeps occupancy and the region index consistent, and an
+    array built empty makes every choice an eagerly built one makes."""
     arr = DataArray("a", 4, 2)
+    twin = eager(DataArray("a", 4, 2))
     model = {}
     for set_idx, way, n in ops:
+        assert arr.victim_way(set_idx) == twin.victim_way(set_idx)
+        assert arr.is_recent(set_idx, way) == twin.is_recent(set_idx, way)
         if (set_idx, way) in model:
             got = arr.clear(set_idx, way)
             assert got.line == model.pop((set_idx, way))
+            twin.clear(set_idx, way)
         else:
             arr.put(set_idx, way, line(n))
+            twin.put(set_idx, way, line(n))
             model[(set_idx, way)] = n
     assert arr.occupancy() == len(model)
     regions = {}

@@ -1,96 +1,45 @@
-"""Unit + property tests for the replacement policies."""
+"""Unit + property tests for the shared true-LRU order lists."""
 
 from hypothesis import given, strategies as st
 import pytest
 
-from repro.mem.replacement import (
-    LRUPolicy,
-    PseudoLRUPolicy,
-    RandomPolicy,
-    make_policy,
-)
+from repro.core.datastore import DataArray
+from repro.mem.replacement import lru_touch, lru_victim
+
+
+def touched(ways, touches):
+    order = list(range(ways))
+    for way in touches:
+        lru_touch(order, way)
+    return order
 
 
 class TestLRU:
     def test_initial_victim_is_way_zero(self):
-        assert LRUPolicy(4).victim() == 0
+        assert lru_victim(list(range(4))) == 0
 
     def test_victim_is_least_recent(self):
-        p = LRUPolicy(4)
-        for way in (0, 1, 2, 3, 0, 1):
-            p.touch(way)
-        assert p.victim() == 2
+        assert lru_victim(touched(4, (0, 1, 2, 3, 0, 1))) == 2
 
     def test_protected_skipped(self):
-        p = LRUPolicy(4)
-        for way in range(4):
-            p.touch(way)
-        assert p.victim(protected=[0]) == 1
+        assert lru_victim(touched(4, range(4)), banned=[0]) == 1
 
     def test_all_protected_falls_back(self):
-        p = LRUPolicy(2)
-        p.touch(0)
-        p.touch(1)
-        assert p.victim(protected=[0, 1]) == 0
+        assert lru_victim(touched(2, (0, 1)), banned=[0, 1]) == 0
 
     def test_mru_way(self):
-        p = LRUPolicy(4)
-        p.touch(2)
-        assert p.mru_way() == 2
+        arr = DataArray("a", 2, 4)
+        assert arr.mru_way(1) == 3  # a never-touched set reads 0..ways-1
+        arr.touch(1, 2)
+        assert arr.mru_way(1) == 2
+        assert arr.mru_way(0) == 3
 
     def test_rejects_bad_way(self):
         with pytest.raises(ValueError):
-            LRUPolicy(4).touch(4)
+            lru_touch(list(range(4)), 4)
 
     @given(st.lists(st.integers(0, 7), min_size=1, max_size=100))
     def test_victim_never_mru(self, touches):
-        p = LRUPolicy(8)
-        for way in touches:
-            p.touch(way)
-        assert p.victim() != p.mru_way() or len(set(touches)) == 0
-
-
-class TestPseudoLRU:
-    def test_requires_pow2(self):
-        with pytest.raises(ValueError):
-            PseudoLRUPolicy(6)
-
-    def test_victim_avoids_just_touched(self):
-        p = PseudoLRUPolicy(8)
-        p.touch(3)
-        assert p.victim() != 3
-
-    @given(st.lists(st.integers(0, 7), min_size=1, max_size=64))
-    def test_victim_in_range(self, touches):
-        p = PseudoLRUPolicy(8)
-        for way in touches:
-            p.touch(way)
-        assert 0 <= p.victim() < 8
-
-    def test_protected_respected_when_possible(self):
-        p = PseudoLRUPolicy(4)
-        victim = p.victim(protected=[p._walk()])
-        assert victim not in (p._walk(),) or victim in range(4)
-
-
-class TestRandom:
-    def test_deterministic_per_seed(self):
-        a = [RandomPolicy(8, seed=5).victim() for _ in range(10)]
-        b = [RandomPolicy(8, seed=5).victim() for _ in range(10)]
-        assert a == b
-
-    def test_protected_avoided(self):
-        p = RandomPolicy(4, seed=1)
-        for _ in range(50):
-            assert p.victim(protected=[1, 2, 3]) == 0
-
-
-class TestFactory:
-    def test_known_policies(self):
-        assert isinstance(make_policy("lru")(4), LRUPolicy)
-        assert isinstance(make_policy("plru")(4), PseudoLRUPolicy)
-        assert isinstance(make_policy("random")(4), RandomPolicy)
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError):
-            make_policy("fifo")
+        order = touched(8, touches)
+        assert sorted(order) == list(range(8))
+        assert lru_victim(order) != order[-1] == touches[-1]

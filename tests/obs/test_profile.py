@@ -185,7 +185,7 @@ class TestRealRun:
         # the ranking names real spec transition ids
         assert any(tid.startswith("d2m.") for tid, _, _ in ranked)
 
-    @pytest.mark.parametrize("config, limit", [(base_2l(), 0.05),
+    @pytest.mark.parametrize("config, limit", [(base_2l(), 0.0),
                                                (d2m_ns_r(), 0.01)],
                              ids=["Base-2L", "D2M-NS-R"])
     def test_every_slow_access_gets_a_spec_class(self, config, limit):

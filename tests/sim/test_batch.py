@@ -11,9 +11,12 @@ import pytest
 
 from repro.analysis.events import EventRing
 from repro.analysis.sanitizer import attach_sanitizer
+from repro.common.errors import InvariantViolation
 from repro.common.observe import DRIVER_HOOKS, Observers
 from repro.common.params import all_configs, base_2l, d2m_ns_r
+from repro.common.types import Access, AccessKind
 from repro.core.hierarchy import build_hierarchy
+from repro.core.li import LI
 from repro.obs.profile import AttributionProfiler
 from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import TimelineSampler
@@ -291,32 +294,40 @@ class TestFallbacks:
         assert snaps[0] == snaps[1]
         assert calls[0] == calls[1] > snaps[0]["accesses"]
 
-    @pytest.mark.parametrize("config_name", ["Base-2L", "D2M-FS"])
-    def test_non_lru_store_means_no_probe(self, config_name):
-        # the probes inline the LRU touch, so one store with another
-        # policy withdraws the probe; the run then goes all-slow and
-        # stays bit-identical to the reference loop
-        from repro.mem.replacement import PseudoLRUPolicy
+    @pytest.mark.parametrize("batched", [False, True])
+    @pytest.mark.parametrize("config_name", ["D2M-FS", "D2M-NS-R"])
+    def test_li_into_an_untouched_set_still_raises(self, config_name,
+                                                   batched):
+        # sets are created on first fill: a corrupted LI aimed at an L1
+        # set nothing was ever filled into reads the shared empty row,
+        # so the probe declines and the full access raises
+        class Loads:
+            """Core 0: one ifetch then one load per address (identity
+            translation)."""
 
-        def pseudo_lru(hierarchy):
-            machine = getattr(hierarchy, "protocol", hierarchy)
-            assert machine.fastpath_probe() is not None
-            store = (machine.tlbs[0] if config_name == "Base-2L"
-                     else machine.nodes[1].md1d)
-            policies = store.fastpath_view()[1]
-            policies[:] = [PseudoLRUPolicy(p.ways) for p in policies]
-            assert machine.fastpath_probe() is None
-            return hierarchy
+            def __init__(self, vaddr):
+                self.vaddr = vaddr
+
+            def generate(self, n_instructions, seed=0):
+                yield Access(0, AccessKind.IFETCH, 0)
+                yield Access(0, AccessKind.LOAD, self.vaddr)
+
+            def translate(self, core, vaddr):
+                return vaddr
 
         config = _config(config_name)
-        snaps = []
-        for batched in (False, True):
-            hierarchy = pseudo_lru(build_hierarchy(config))
-            simulator = Simulator(hierarchy)
-            workload = make_workload("mix1", config.nodes, hierarchy.amap,
-                                     seed=3)
-            result = simulator.run(workload, 600, seed=3, warmup=200,
-                                   batched=batched)
-            perf = PerfModel(config.ooo).summarize(result)
-            snaps.append(result_snapshot(result, perf.cycles))
-        assert snaps[0] == snaps[1]
+        hierarchy = build_hierarchy(config)
+        protocol = hierarchy.protocol
+        simulator = Simulator(hierarchy)
+        amap = hierarchy.amap
+        vaddr = 1 << 30
+        simulator.run(Loads(vaddr), 1, batched=batched)
+        node = protocol.nodes[0]
+        entry = node.md1d.lookup(vaddr >> amap.region_bits, touch=False)
+        first = vaddr >> amap.line_bits
+        line = next(ln for ln in range(first, first + config.region_lines)
+                    if node.l1d._lru[node.l1d.set_of(ln, entry.scramble)]
+                    is None)
+        entry.li[line - first] = LI.in_l1(way=0, instr=False)
+        with pytest.raises(InvariantViolation, match="found None"):
+            simulator.run(Loads(line << amap.line_bits), 1, batched=batched)
