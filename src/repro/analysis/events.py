@@ -9,8 +9,8 @@ instrumented machine stays picklable for parallel sweeps.
 keeps the last few hundred events and, on a violation, filters them by
 the offending region/line and renders the survivors as a readable
 timeline — the forensic report that turns "invariant broken" into "here
-is the event sequence that broke it".  ``repro trace`` keeps the whole
-stream (or a window) and exports it (:mod:`repro.obs.trace`).
+is the event sequence that broke it".  ``repro run --view trace`` keeps
+the whole stream (or a window) and exports it (:mod:`repro.obs.trace`).
 """
 
 from __future__ import annotations

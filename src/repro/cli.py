@@ -3,18 +3,15 @@
 Commands:
 
 * ``list`` — available systems and workloads.
-* ``run`` — simulate one (system, workload) pair and print its summary.
+* ``run`` — select one (system, workload) cell, by flags, a served
+  ``--job`` or a run-record JSON path, and print each ``--view`` of it:
+  ``summary`` (default), ``hist``, ``profile`` and ``timeline`` render
+  from the cell's run record (cached, or simulated once and cached on a
+  miss); ``trace`` captures a live run's protocol event stream as JSONL
+  or Chrome ``trace_event`` JSON (Perfetto-viewable).
 * ``report`` — regenerate a paper artifact (fig5/fig6/fig7/table4/...).
 * ``sweep`` — populate the shared run matrix cache up front (with live
   progress and a machine-readable ``progress.jsonl``).
-* ``trace`` — capture one run's protocol event stream and export it as
-  JSONL or Chrome ``trace_event`` JSON (Perfetto-viewable); ``--job``
-  instead exports a served job's request-lifecycle spans from the
-  daemon's span log.
-* ``timeline`` — view a cached run's epoch time-series (``--timeline``
-  sampling) as terminal sparklines, JSON, or a standalone HTML page;
-  ``--job`` shows a served job's per-cell series including live
-  in-flight epoch streams.
 * ``bench`` — time the simulator itself over a pinned matrix and emit
   a ``BENCH_<date>.json`` perf-tracking report.
 * ``compare`` — diff two bench reports, run records, or sweep matrices
@@ -37,15 +34,16 @@ run logging to any command; ``-`` logs to stderr.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
+from pathlib import Path
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.common.params import SystemConfig, all_configs
 from repro.experiments.records import RunRecord
 from repro.obs import runlog
 from repro.obs.profile import profile_text
-from repro.sim.runner import run_workload
 from repro.workloads.registry import get_spec, workloads_by_category
 
 #: artifact name -> experiment module (lazily imported)
@@ -105,28 +103,6 @@ def _resolve_cell(args: argparse.Namespace) -> Optional[SystemConfig]:
     return config
 
 
-def _cached_record(args: argparse.Namespace, config: SystemConfig,
-                   extra: str) -> Optional[RunRecord]:
-    """The cached record of ``args``' cell on ``config`` that carries
-    ``extra`` (``"hist"`` or ``"timeline"``), looked up as a sweep
-    would (:func:`~repro.experiments.runner.plan_matrix`); None after
-    printing the sweep command that fills the cell."""
-    from repro.experiments.runner import plan_matrix
-
-    plan = plan_matrix([args.workload], [config], args.instructions,
-                       args.seed, fresh=False, telemetry=extra == "hist",
-                       timeline=int(extra == "timeline"))  # any epoch serves
-    if not plan.pending:
-        return plan.matrix[args.workload][config.name]
-    flag = " --timeline" if extra == "timeline" else ""
-    print(f"no cached run record with {extra} data for {args.workload} on "
-          f"{config.name} (instructions={plan.instructions}, "
-          f"seed={args.seed}); run `repro sweep --workloads "
-          f"{args.workload} --instructions {plan.instructions} "
-          f"--seed {args.seed}{flag}` first", file=sys.stderr)
-    return None
-
-
 def _cmd_list(args: argparse.Namespace) -> int:
     del args
     print("systems:")
@@ -139,121 +115,221 @@ def _cmd_list(args: argparse.Namespace) -> int:
     return 0
 
 
+#: ``repro run --view`` name -> the output formats it renders (the first
+#: is its default).  ``hist``, ``profile`` and ``timeline`` are also the
+#: record extras their views read.
+VIEWS: Dict[str, Tuple[str, ...]] = {
+    "summary": ("text",),
+    "hist": ("text",),
+    "profile": ("text",),
+    "timeline": ("text", "json", "html"),
+    "trace": ("jsonl", "chrome"),
+}
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _resolve_cell(args)
-    if config is None:
+    """``repro run``: select one cell, then print each ``--view`` of it."""
+    views = [view.strip() for view in args.view.split(",") if view.strip()]
+    unknown = [view for view in views if view not in VIEWS]
+    if not views or unknown:
+        print(f"run: unknown view(s) {unknown}; pick from {sorted(VIEWS)}",
+              file=sys.stderr)
         return 2
-    outcome = run_workload(config, args.workload,
-                           instructions=args.instructions, seed=args.seed,
-                           check_values=args.check,
-                           sanitize=args.sanitize,
-                           sanitize_every=args.sanitize_every,
-                           check_invariants=args.check_invariants,
-                           telemetry=args.hist,
-                           profile=args.profile_attrib,
-                           timeline=_timeline_epoch(args))
-    result = outcome.result
-    print(f"{args.workload} on {config.name} "
-          f"({result.instructions} instructions)")
-    rows = [
-        ("cycles", f"{outcome.perf.cycles:,.0f}"),
-        ("CPI", f"{outcome.perf.cpi:.2f}"),
-        ("L1-I miss ratio", f"{result.miss_ratio(True):.2%}"),
-        ("L1-D miss ratio", f"{result.miss_ratio(False):.2%}"),
-        ("avg L1-miss latency", f"{outcome.avg_l1_miss_latency:.1f} cyc"),
-        ("NoC messages / KI", f"{outcome.msgs_per_ki:.1f}"),
-        ("  of which D2M-only", f"{outcome.d2m_msgs_per_ki:.1f}"),
-        ("cache energy", f"{outcome.cache_energy_pj / 1e6:.2f} uJ"),
-        ("EDP", f"{outcome.edp:.3e} pJ*cyc"),
-    ]
-    if config.is_d2m:
-        rows.append(("private misses",
-                     f"{outcome.private_miss_fraction:.0%}"))
-        rows.append(("NS hits I/D",
-                     f"{result.ns_hit_ratio(True):.0%} / "
-                     f"{result.ns_hit_ratio(False):.0%}"))
-    if outcome.sanitized:
-        rows.append(("sanitizer", "clean"))
-    if outcome.spec.check_invariants:
-        rows.append(("final invariants",
-                     "ok" if outcome.invariants_ok else "VIOLATED"))
-    for label, value in rows:
-        print(f"  {label:22s}{value}")
-    hists = outcome.hist_summaries()
-    if args.hist and hists:
-        from repro.experiments.report import hist_table
-
-        print()
-        print(hist_table(hists))
-    if args.profile_attrib:
-        print()
-        print(profile_text(outcome.profile_summary()))
-    if args.timeline:
-        from repro.obs.timeline import timeline_text
-
-        print()
-        print(timeline_text(outcome.timeline_summary()))
-    if not outcome.invariants_ok:
-        print(outcome.invariant_error, file=sys.stderr)
+    if "trace" in views and len(views) > 1:
+        print("run: the trace view cannot be combined with other views",
+              file=sys.stderr)
+        return 2
+    fmt = args.format or VIEWS[views[0]][0]
+    for view in views:
+        if fmt not in VIEWS[view]:
+            print(f"run: the {view} view renders {'/'.join(VIEWS[view])}, "
+                  f"not {fmt}", file=sys.stderr)
+            return 2
+    if args.job:
+        if views == ["trace"]:
+            return _trace_job(args)
+        if views == ["timeline"]:
+            return _timeline_job(args, fmt)
+        print("run: --job shows the trace or the timeline view alone",
+              file=sys.stderr)
+        return 2
+    if args.record:
+        if views == ["trace"]:
+            print("run: the trace view simulates a cell; it reads no "
+                  "RECORD", file=sys.stderr)
+            return 2
+        record = _path_record(Path(args.record))
+        if record is None:
+            return 2
+        title = Path(args.record).name
+    else:
+        config = _resolve_cell(args)
+        if config is None:
+            return 2
+        if views == ["trace"]:
+            return _trace_view(args, config, fmt)
+        record = _cell_record(args, config, views)
+        if record is None:
+            return 1
+        title = f"{record.workload} on {record.config}"
+    texts = []
+    for view in views:
+        text = _render_view(view, record, title, fmt, args.epoch)
+        if text is None:
+            return 2
+        texts.append(text)
+    _write_view("\n".join(texts), ",".join(views), fmt, args.out)
+    if not record.invariants_ok:
+        print(record.invariant_error, file=sys.stderr)
         return 1
     return 0
 
 
-def _cmd_report(args: argparse.Namespace) -> int:
-    if args.hist:
-        return _report_hist(args)
-    if not args.artifact:
-        print("report: an artifact name (or --hist) is required; pick from "
-              f"{sorted(ARTIFACTS)}", file=sys.stderr)
-        return 2
-    module_name = ARTIFACTS.get(args.artifact)
-    if module_name is None:
-        print(f"unknown artifact {args.artifact!r}; pick from "
-              f"{sorted(ARTIFACTS)}", file=sys.stderr)
-        return 2
-    import importlib
+def _cell_record(args: argparse.Namespace, config: SystemConfig,
+                 views: Sequence[str]) -> Optional[RunRecord]:
+    """The run record of ``args``' cell carrying the extras ``views``
+    read: the cached one if it serves, else one quiet simulation that
+    writes it.  None after printing why the run failed."""
+    from repro.experiments.runner import execute_plan, plan_matrix
+    from repro.obs.timeline import DEFAULT_EPOCH
 
-    module = importlib.import_module(f"repro.experiments.{module_name}")
-    module.main()
-    return 0
-
-
-def _report_hist(args: argparse.Namespace) -> int:
-    """``repro report --hist``: histogram digests from the run cache."""
-    config = _resolve_cell(args)
-    if config is None:
-        return 2
-    record = _cached_record(args, config, "hist")
-    if record is None:
-        return 2
-    from repro.experiments.report import hist_table
-
-    print(hist_table(record.hists,
-                     title=f"Telemetry histograms: {args.workload} on "
-                           f"{config.name}"))
-    return 0
+    plan = plan_matrix([args.workload], [config], args.instructions,
+                       args.seed, sanitize=args.sanitize,
+                       sanitize_every=args.sanitize_every,
+                       check_invariants=args.check_invariants,
+                       telemetry="hist" in views,
+                       profile="profile" in views,
+                       timeline=((args.epoch or DEFAULT_EPOCH)
+                                 if "timeline" in views else 0),
+                       # a cached record cannot prove the oracle ran
+                       fresh=args.check or None)
+    for item in plan.pending:
+        item.spec.check_values = args.check
+    failures = execute_plan(plan, jobs=1, quiet=True)
+    if failures:
+        print(failures[0], file=sys.stderr)
+        return None
+    return plan.matrix[args.workload][config.name]
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    if args.job:
-        return _trace_job(args)
-    config = _resolve_cell(args)
-    if config is None:
-        return 2
+def _path_record(path: Path) -> Optional[RunRecord]:
+    """The run record in a JSON file; a partial record or a bare
+    timeline summary fills the rest with defaults.  None after printing
+    why the file is unusable."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        print(f"run: {path}: {exc}", file=sys.stderr)
+        return None
+    if not isinstance(payload, dict):
+        print(f"run: {path}: not a JSON object", file=sys.stderr)
+        return None
+    if "series" in payload:
+        payload = {"timeline": payload}
+    try:
+        return RunRecord.from_json({"workload": "", "category": "",
+                                    "config": "", "instructions": 0,
+                                    **payload})
+    except TypeError as exc:
+        print(f"run: {path}: not a run record ({exc})", file=sys.stderr)
+        return None
+
+
+def _render_view(view: str, record: RunRecord, title: str, fmt: str,
+                 epoch: int) -> Optional[str]:
+    """One record view as text; None after printing why it cannot
+    render."""
+    if view == "summary":
+        return _summary_text(record)
+    if view == "hist":
+        from repro.experiments.report import hist_table
+
+        return hist_table(record.hists, title="Telemetry histograms: "
+                          f"{record.workload} on {record.config}") + "\n"
+    if view == "profile":
+        return profile_text(record.profile) + "\n"
+    from repro.obs.timeline import (
+        rebucket_timeline,
+        timeline_text,
+        validate_timeline,
+    )
+
+    timeline = record.timeline
+    if not timeline:
+        print("timeline: the record carries no epoch series; view the "
+              "cell with `repro run --view timeline`", file=sys.stderr)
+        return None
+    problems = validate_timeline(timeline)
+    if problems:
+        for problem in problems:
+            print(f"timeline: schema: {problem}", file=sys.stderr)
+        return None
+    if epoch:
+        timeline = rebucket_timeline(timeline, epoch)
+    if fmt == "json":
+        return json.dumps(timeline, indent=2) + "\n"
+    if fmt == "html":
+        from repro.obs.render import timeline_page
+
+        return timeline_page(timeline, title=f"timeline: {title}")
+    return timeline_text(timeline) + "\n"
+
+
+def _summary_text(record: RunRecord) -> str:
+    config = _configs_by_cli_name().get(record.config.lower())
+    rows = [
+        ("cycles", f"{record.cycles:,.0f}"),
+        ("CPI", f"{record.cpi:.2f}"),
+        ("L1-I miss ratio", f"{record.l1i_miss:.2%}"),
+        ("L1-D miss ratio", f"{record.l1d_miss:.2%}"),
+        ("avg L1-miss latency", f"{record.avg_miss_latency:.1f} cyc"),
+        ("NoC messages / KI", f"{record.msgs_per_ki:.1f}"),
+        ("  of which D2M-only", f"{record.d2m_msgs_per_ki:.1f}"),
+        ("cache energy", f"{record.cache_energy_pj / 1e6:.2f} uJ"),
+        ("EDP", f"{record.edp:.3e} pJ*cyc"),
+    ]
+    if config is not None and config.is_d2m:
+        rows.append(("private misses", f"{record.private_miss_fraction:.0%}"))
+        rows.append(("NS hits I/D",
+                     f"{record.ns_hit_i:.0%} / {record.ns_hit_d:.0%}"))
+    if record.sanitized:
+        rows.append(("sanitizer", "clean"))
+    if record.invariants_checked:
+        rows.append(("final invariants",
+                     "ok" if record.invariants_ok else "VIOLATED"))
+    lines = [f"{record.workload} on {record.config} "
+             f"({record.instructions} instructions)"]
+    lines += [f"  {label:22s}{value}" for label, value in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_view(text: str, label: str, fmt: str, out: str) -> None:
+    """Print ``text``, or write it to ``out`` and say so."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        print(f"{label} ({fmt}) -> {out}")
+    else:
+        print(text, end="")
+
+
+def _trace_view(args: argparse.Namespace, config: SystemConfig,
+                fmt: str) -> int:
+    """The trace view: one live run's protocol event stream (no record
+    carries it) exported as JSONL or Chrome ``trace_event`` JSON."""
     from repro.analysis.events import EventRing
     from repro.obs.trace import write_chrome, write_jsonl
+    from repro.sim.runner import run_workload
 
     recorder = EventRing(window=args.window)
-    instructions = args.instructions
-    if args.quick and not instructions:
-        instructions = 4000
-    outcome = run_workload(config, args.workload, instructions=instructions,
-                           seed=args.seed, observers=[recorder])
-    extension = "jsonl" if args.format == "jsonl" else "json"
+    outcome = run_workload(config, args.workload,
+                           instructions=args.instructions, seed=args.seed,
+                           check_values=args.check, observers=[recorder])
+    extension = "jsonl" if fmt == "jsonl" else "json"
     path = args.out or (f"trace_{config.name.lower()}_{args.workload}"
                         f".{extension}")
     with open(path, "w", encoding="utf-8") as handle:
-        if args.format == "chrome":
+        if fmt == "chrome":
             count = write_chrome(recorder, handle)
         else:
             count = write_jsonl(recorder, handle)
@@ -263,21 +339,24 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     print(f"{args.workload} on {config.name}: "
           f"{outcome.result.instructions} instructions, "
           f"{recorder.recorded} events recorded "
-          f"({count} exported, format {args.format}) -> {path}")
+          f"({count} exported, format {fmt}) -> {path}")
     return 0
 
 
-def _trace_job(args: argparse.Namespace) -> int:
-    """``repro trace --job``: export a served job's lifecycle spans."""
-    import json
-    from pathlib import Path
-
+def _serve_root(args: argparse.Namespace) -> Path:
+    """The serve cache root a ``--job`` selector reads."""
     from repro.experiments.runner import cache_dir
+
+    return Path(args.serve_cache) if args.serve_cache else cache_dir()
+
+
+def _trace_job(args: argparse.Namespace) -> int:
+    """``repro run --job ID --view trace``: export a served job's
+    lifecycle spans."""
     from repro.obs.trace import chrome_span_events
     from repro.serve.telemetry import load_spans
 
-    root = Path(args.serve_cache) if args.serve_cache else cache_dir()
-    spans_dir = root / "queue" / "spans"
+    spans_dir = _serve_root(args) / "queue" / "spans"
     spans = load_spans(spans_dir, args.job)
     if not spans:
         print(f"no spans recorded for job {args.job!r} under {spans_dir}",
@@ -296,96 +375,18 @@ def _trace_job(args: argparse.Namespace) -> int:
     return 0
 
 
-def _timeline_epoch(args: argparse.Namespace) -> int:
-    """Resolve ``--timeline [--epoch N]`` into an epoch length (0 = off)."""
-    if not getattr(args, "timeline", False):
-        return 0
-    if args.epoch:
-        return args.epoch
-    from repro.obs.timeline import DEFAULT_EPOCH
-
-    return DEFAULT_EPOCH
-
-
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    """``repro timeline``: view a cached run's epoch time-series."""
-    import json
-    from pathlib import Path
-
-    from repro.obs.timeline import (
-        rebucket_timeline,
-        timeline_text,
-        validate_timeline,
-    )
-
-    if args.job:
-        return _timeline_job(args)
-    if args.record:
-        path = Path(args.record)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"timeline: {path}: {exc}", file=sys.stderr)
-            return 2
-        if not isinstance(payload, dict):
-            print(f"timeline: {path}: not a JSON object", file=sys.stderr)
-            return 2
-        # Accept both a full run record and a bare timeline summary.
-        timeline = (payload if "series" in payload
-                    else payload.get("timeline", {}))
-        title = path.name
-    else:
-        config = _resolve_cell(args)
-        if config is None:
-            return 2
-        record = _cached_record(args, config, "timeline")
-        if record is None:
-            return 2
-        timeline = record.timeline
-        title = f"{args.workload} on {config.name}"
-    if not isinstance(timeline, dict) or not timeline:
-        print("timeline: the record carries no epoch series; resimulate "
-              "with `repro sweep --timeline`", file=sys.stderr)
-        return 2
-    problems = validate_timeline(timeline)
-    if problems:
-        for problem in problems:
-            print(f"timeline: schema: {problem}", file=sys.stderr)
-        return 2
-    if args.epoch:
-        timeline = rebucket_timeline(timeline, args.epoch)
-    if args.format == "json":
-        text = json.dumps(timeline, indent=2) + "\n"
-    elif args.format == "html":
-        from repro.obs.render import timeline_page
-
-        text = timeline_page(timeline, title=f"timeline: {title}")
-    else:
-        text = timeline_text(timeline) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"timeline ({args.format}) -> {args.out}")
-    else:
-        print(text, end="")
-    return 0
-
-
-def _timeline_job(args: argparse.Namespace) -> int:
-    """``repro timeline --job``: a served job's per-cell epoch series."""
-    import json
-    from pathlib import Path
-
-    from repro.experiments.runner import cache_dir
+def _timeline_job(args: argparse.Namespace, fmt: str) -> int:
+    """``repro run --job ID --view timeline``: a served job's per-cell
+    epoch series."""
     from repro.obs.timeline import rebucket_timeline, timeline_text
     from repro.serve.handlers import timeline_payload
     from repro.serve.queue import read_job
 
-    if args.format == "html":
+    if fmt == "html":
         print("timeline: --format html renders one record; use text or "
               "json with --job", file=sys.stderr)
         return 2
-    root = Path(args.serve_cache) if args.serve_cache else cache_dir()
+    root = _serve_root(args)
     job = read_job(root / "queue", args.job)
     if job is None:
         print(f"no such job {args.job!r} under {root}", file=sys.stderr)
@@ -393,7 +394,7 @@ def _timeline_job(args: argparse.Namespace) -> int:
     payload = timeline_payload(
         job, root / "runs",
         heartbeat_dir=root / "queue" / f"hb-{args.job}")
-    if args.format == "json":
+    if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
         lines = [f"job {job.id} ({job.state})"]
@@ -411,13 +412,32 @@ def _timeline_job(args: argparse.Namespace) -> int:
             lines.append(f"live {stream['stream']}: "
                          f"{len(stream['epochs'])} recent epoch(s)")
         text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        print(f"timeline ({args.format}) -> {args.out}")
-    else:
-        print(text, end="")
+    _write_view(text, "timeline", fmt, args.out)
     return 0
+
+
+def _cmd_report(args: argparse.Namespace) -> int:
+    module_name = ARTIFACTS.get(args.artifact)
+    if module_name is None:
+        print(f"report: unknown artifact {args.artifact!r}; pick from "
+              f"{sorted(ARTIFACTS)}", file=sys.stderr)
+        return 2
+    import importlib
+
+    module = importlib.import_module(f"repro.experiments.{module_name}")
+    module.main()
+    return 0
+
+
+def _timeline_epoch(args: argparse.Namespace) -> int:
+    """Resolve ``--timeline [--epoch N]`` into an epoch length (0 = off)."""
+    if not getattr(args, "timeline", False):
+        return 0
+    if args.epoch:
+        return args.epoch
+    from repro.obs.timeline import DEFAULT_EPOCH
+
+    return DEFAULT_EPOCH
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -491,9 +511,6 @@ def _sweep_matrix(args: argparse.Namespace, **settings: object
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     """The regression sentinel: diff a candidate against a baseline."""
-    import json
-    from pathlib import Path
-
     from repro.experiments.report import comparison_table
     from repro.obs import compare as cmp
 
@@ -610,8 +627,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
                             f"{focus_config.name} ({focus_wl})",
                             side_by_side))
     if args.bench:
-        from pathlib import Path
-
         bench_path = (cmp.newest_bench_path() if args.bench == "auto"
                       else Path(args.bench))
         resolved = cmp.resolve_auto_baseline()
@@ -659,66 +674,52 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list", help="available systems/workloads/artifacts")
 
-    run_p = sub.add_parser("run", help="simulate one system x workload")
+    run_p = sub.add_parser(
+        "run", help="select one system x workload cell and view it")
+    run_p.add_argument("record", nargs="?", default="",
+                       help="view a run-record JSON file (or a bare "
+                            "timeline summary) instead of a cell")
     run_p.add_argument("--config", default="d2m-ns-r",
                        help="system name (e.g. base-2l, d2m-ns-r)")
     run_p.add_argument("--workload", default="tpcc")
     run_p.add_argument("--instructions", type=int, default=0,
                        help="0 = REPRO_INSTRUCTIONS or the default budget")
     run_p.add_argument("--seed", type=int, default=1)
+    run_p.add_argument("--job", default="", metavar="ID",
+                       help="select a served job instead: the trace view "
+                            "exports its request-lifecycle spans, the "
+                            "timeline view its per-cell series")
+    run_p.add_argument("--serve-cache", default="", metavar="DIR",
+                       help="(with --job) serve cache root (default "
+                            "REPRO_CACHE_DIR or ./.repro_cache)")
+    run_p.add_argument("--view", default="summary", metavar="LIST",
+                       help="comma list of views, printed in order: "
+                            "summary, hist, profile, timeline (read from "
+                            "the cell's run record, simulated and cached "
+                            "on a miss) or trace (a live run's protocol "
+                            "events, alone)")
+    run_p.add_argument("--epoch", type=int, default=0, metavar="N",
+                       help="timeline epoch length in accesses when the "
+                            "cell is simulated (default 4096); the display "
+                            "coarsens to >= N")
+    run_p.add_argument("--format", default="",
+                       choices=("text", "json", "html", "jsonl", "chrome"),
+                       help="timeline: text (default), json or html; "
+                            "trace: jsonl (default) or chrome")
+    run_p.add_argument("--out", default="",
+                       help="write to a file instead of stdout (trace "
+                            "default trace_<config>_<workload>.<ext>)")
+    run_p.add_argument("--window", type=int, default=0, metavar="N",
+                       help="(trace) keep only the last N events "
+                            "(0 = all)")
     run_p.add_argument("--check", action="store_true",
-                       help="enable the sequential value oracle (slower)")
-    run_p.add_argument("--hist", action="store_true",
-                       help="collect histogram telemetry and print the "
-                            "percentile digests")
-    _add_profile_flag(run_p)
-    _add_timeline_flags(run_p)
+                       help="simulate afresh with the sequential value "
+                            "oracle (slower)")
     _add_checking_flags(run_p)
 
     report_p = sub.add_parser("report", help="regenerate a paper artifact")
     report_p.add_argument("artifact", nargs="?", default="",
                           help=f"one of {sorted(ARTIFACTS)}")
-    report_p.add_argument("--hist", action="store_true",
-                          help="print the cached run record's histogram "
-                               "digests instead of an artifact")
-    report_p.add_argument("--config", default="d2m-ns-r",
-                          help="(with --hist) system name")
-    report_p.add_argument("--workload", default="tpcc",
-                          help="(with --hist) workload name")
-    report_p.add_argument("--instructions", type=int, default=0,
-                          help="(with --hist) run key instruction budget")
-    report_p.add_argument("--seed", type=int, default=1,
-                          help="(with --hist) run key seed")
-
-    trace_p = sub.add_parser(
-        "trace",
-        help="capture one run's protocol events (JSONL or Chrome JSON)")
-    trace_p.add_argument("--config", default="d2m-ns-r",
-                         help="system name (baselines emit no events)")
-    trace_p.add_argument("--workload", default="tpcc")
-    trace_p.add_argument("--format", choices=("jsonl", "chrome"),
-                         default="jsonl",
-                         help="jsonl: one event per line; chrome: "
-                              "trace_event JSON for Perfetto")
-    trace_p.add_argument("--window", type=int, default=0, metavar="N",
-                         help="keep only the last N events (0 = all)")
-    trace_p.add_argument("--out", default="",
-                         help="output path (default "
-                              "trace_<config>_<workload>.<ext>)")
-    trace_p.add_argument("--instructions", type=int, default=0,
-                         help="0 = REPRO_INSTRUCTIONS or the default budget")
-    trace_p.add_argument("--seed", type=int, default=1)
-    trace_p.add_argument("--quick", action="store_true",
-                         help="small fixed budget (CI smoke mode)")
-    trace_p.add_argument("--job", default="", metavar="ID",
-                         help="export a served job's request-lifecycle "
-                              "spans from the daemon span log instead of "
-                              "simulating (default --out "
-                              "trace_job_<ID>.json)")
-    trace_p.add_argument("--serve-cache", default="", metavar="DIR",
-                         help="(with --job) serve cache root holding "
-                              "queue/spans/ (default REPRO_CACHE_DIR or "
-                              "./.repro_cache)")
 
     sweep_p = sub.add_parser("sweep", help="populate the run-matrix cache")
     sweep_p.add_argument("--workloads", default="",
@@ -826,41 +827,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "comparison section")
     _add_timeline_flags(dash_p)
 
-    timeline_p = sub.add_parser(
-        "timeline",
-        help="view a cached run's epoch time-series (text/json/html)")
-    timeline_p.add_argument("record", nargs="?", default="",
-                            help="a run-record JSON path (or bare timeline "
-                                 "JSON); default: look up the run cache by "
-                                 "--config/--workload")
-    timeline_p.add_argument("--config", default="d2m-ns-r",
-                            help="(cache lookup) system name")
-    timeline_p.add_argument("--workload", default="tpcc",
-                            help="(cache lookup) workload name")
-    timeline_p.add_argument("--instructions", type=int, default=0,
-                            help="(cache lookup) run key instruction "
-                                 "budget")
-    timeline_p.add_argument("--seed", type=int, default=1,
-                            help="(cache lookup) run key seed")
-    timeline_p.add_argument("--epoch", type=int, default=0, metavar="N",
-                            help="coarsen the display so each epoch covers "
-                                 ">= N accesses (merges stored epochs; "
-                                 "display only)")
-    timeline_p.add_argument("--format", choices=("text", "json", "html"),
-                            default="text",
-                            help="text: terminal sparklines; json: the "
-                                 "summary document; html: a standalone "
-                                 "panel page")
-    timeline_p.add_argument("--out", default="",
-                            help="write to a file instead of stdout")
-    timeline_p.add_argument("--job", default="", metavar="ID",
-                            help="show a served job's per-cell series "
-                                 "(cached records + live tl-*.jsonl "
-                                 "tails) instead of one record")
-    timeline_p.add_argument("--serve-cache", default="", metavar="DIR",
-                            help="(with --job) serve cache root (default "
-                                 "REPRO_CACHE_DIR or ./.repro_cache)")
-
     return parser
 
 
@@ -875,7 +841,8 @@ def _add_timeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--timeline", action="store_true",
                         help="sample an epoch time-series of interval "
                              "stat deltas alongside the run (stats stay "
-                             "bit-identical; view with repro timeline)")
+                             "bit-identical; view with repro run --view "
+                             "timeline)")
     parser.add_argument("--epoch", type=int, default=0, metavar="N",
                         help="with --timeline, accesses per epoch "
                              "(default 4096)")
@@ -899,8 +866,6 @@ _HANDLERS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "run": _cmd_run,
     "report": _cmd_report,
     "sweep": _cmd_sweep,
-    "trace": _cmd_trace,
-    "timeline": _cmd_timeline,
     "bench": _cmd_bench,
     "compare": _cmd_compare,
     "verify": _cmd_verify,

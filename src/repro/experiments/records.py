@@ -31,6 +31,7 @@ SCALAR_METRICS = (
     "invalidations",
     "private_miss_fraction",
     "cycles",
+    "cpi",
     "cache_energy_pj",
     "edp",
     "edp_d2m_share",
@@ -74,6 +75,7 @@ class RunRecord:
 
     # energy/performance (Figures 6/7)
     cycles: float = 0.0
+    cpi: float = 0.0              # summed per-core cycles / instructions
     cache_energy_pj: float = 0.0
     edp: float = 0.0
     edp_d2m_share: float = 0.0    # D2M-only structures' share of the EDP bar
@@ -155,6 +157,7 @@ def record_from_outcome(outcome, category: str) -> RunRecord:
         invalidations=outcome.invalidations,
         private_miss_fraction=outcome.private_miss_fraction,
         cycles=outcome.perf.cycles,
+        cpi=outcome.perf.cpi,
         cache_energy_pj=outcome.cache_energy_pj,
         edp=outcome.edp,
         edp_d2m_share=split["d2m-only"] / total_bar if total_bar else 0.0,

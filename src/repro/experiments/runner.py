@@ -49,8 +49,9 @@ Matrix = Dict[str, Dict[str, RunRecord]]
 #: (9: epoch time-series timeline joined the record; 10: the profiler
 #: classifies MESI slow accesses and every D2M one, so an older profile
 #: that filed them under ``unclassified`` must not serve a new request;
-#: 11: MESI instruction-side L1 hits and L2 hits got their own classes)
-RUN_FORMAT = 11
+#: 11: MESI instruction-side L1 hits and L2 hits got their own classes;
+#: 12: the record carries ``cpi``, and profile step rows take no seconds)
+RUN_FORMAT = 12
 
 #: a ``<key>.json.*.tmp`` file older than this is crash litter, not an
 #: in-flight atomic write (writes complete in milliseconds)
@@ -248,17 +249,19 @@ def plan_matrix(workloads: Optional[Iterable[str]] = None,
     serves a request for fewer, and one lacking a requested extra is
     simulated again.
 
-    ``workloads=None`` plans every sweep workload; an empty list plans
-    nothing.  ``fresh=None`` defaults from ``REPRO_FRESH``; ``warmup=None``
-    derives the warm-up budget from ``REPRO_WARMUP`` or the default
-    fraction, while an explicit value pins the cache keys regardless of
-    the environment (the daemon does this per request).  The plan reads
+    ``workloads=None`` plans every sweep workload and ``configs=None``
+    every system; an empty list plans nothing.  ``fresh=None`` defaults
+    from ``REPRO_FRESH``; ``warmup=None`` derives the warm-up budget from
+    ``REPRO_WARMUP`` or the default fraction, while an explicit value
+    pins the cache keys regardless of the environment (the daemon does
+    this per request).  The plan reads
     and writes records under ``cache_root/runs``; ``cache_root=None``
     means :func:`cache_dir`.
     """
     workload_list = (sweep_workloads() if workloads is None
                      else list(workloads))
-    config_list = list(configs) if configs else list(all_configs())
+    config_list = (list(all_configs()) if configs is None
+                   else list(configs))
     budget = instructions or instruction_budget()
     if warmup is None:
         warmup = warmup_budget(budget)

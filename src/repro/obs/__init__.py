@@ -8,10 +8,11 @@ observer call in the driver loop:
 * :mod:`repro.obs.runlog` — structured JSONL run logging
   (``REPRO_LOG`` / ``repro --log-json``);
 * :mod:`repro.obs.trace` — protocol trace export to JSONL and Chrome
-  ``trace_event`` (Perfetto) formats (``repro trace``);
+  ``trace_event`` (Perfetto) formats (``repro run --view trace``);
 * :mod:`repro.obs.histogram` / :mod:`repro.obs.telemetry` — log2-bucket
   latency, residency, hop-count, occupancy, and region-dwell histograms
-  whose percentile digests land in run records (``repro report --hist``);
+  whose percentile digests land in run records (``repro run --view
+  hist``);
 * :mod:`repro.obs.timeline` / :mod:`repro.obs.profile` — per-epoch
   time series and slow-tail wall-time attribution;
 * :mod:`repro.obs.progress` — worker heartbeats and the live sweep

@@ -27,8 +27,11 @@ two read-only signals:
 An access matching several classes splits its time equally among them
 (rows sharing one signature, e.g. ``mesi.load.miss_llc_shared`` and
 ``_excl`` on ``stat:reads.llc``, always do); one matching none lands in
-``unclassified``.  Observation mutates nothing, so profiled runs keep
-the bit-identical-statistics guarantee of the batched driver.
+``unclassified``.  Step rows (``Transition.step``: ``d2m.install``,
+``d2m.md.md1_hit``) fire on most D2M slow accesses without naming a
+behaviour, so they are counted but take seconds only from an access
+that fired nothing else.  Observation mutates nothing, so profiled runs
+keep the bit-identical-statistics guarantee of the batched driver.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class AttributionProfiler:
     #: the slow-tail accesses (same mechanism Telemetry uses)
     fast_path_safe = True
 
-    __slots__ = ("_classify", "_watch", "_before", "_acc_events",
+    __slots__ = ("_classify", "_steps", "_watch", "_before", "_acc_events",
                  "_pending_slow_ns", "class_ns", "class_n", "fast_ns",
                  "slow_ns", "slow_accesses", "chunks", "_chunk_hist",
                  "_slow_hist", "_chunk_t", "started_s")
@@ -99,6 +102,7 @@ class AttributionProfiler:
             for group, name in root.locate(key):
                 watch.setdefault(group, []).append((name, key))
         self._classify = table.classify
+        self._steps = table.steps
         self._watch = tuple((group.read, *zip(*pairs))
                             for group, pairs in watch.items())
         self._chunk_t = time.perf_counter_ns()
@@ -120,7 +124,9 @@ class AttributionProfiler:
 
     def slow_done(self, ns: int) -> None:
         """A fallback access took ``ns``; attribute it to spec classes
-        (counters are only added to, so one that changed grew)."""
+        (counters are only added to, so one that changed grew).  Every
+        class fired counts the access; its seconds split among the
+        non-step classes, or among the step ones if only they fired."""
         grown: List[str] = []
         for (read, names, keys), before in zip(self._watch, self._before):
             after = read(names)
@@ -128,12 +134,15 @@ class AttributionProfiler:
                 grown += compress(keys, map(ne, before, after))
         tids = self._classify(grown, self._acc_events) or (UNCLASSIFIED,)
         self._acc_events.clear()
-        share = ns / len(tids)
+        steps = self._steps
+        timed = [tid for tid in tids if tid not in steps] or list(tids)
+        share = ns / len(timed)
         class_ns = self.class_ns
         class_n = self.class_n
         for tid in tids:
-            class_ns[tid] = class_ns.get(tid, 0.0) + share
             class_n[tid] = class_n.get(tid, 0) + 1
+        for tid in timed:
+            class_ns[tid] = class_ns.get(tid, 0.0) + share
         self.slow_ns += ns
         self.slow_accesses += 1
         self._pending_slow_ns += ns
@@ -161,15 +170,15 @@ class AttributionProfiler:
 
         ``classes`` maps transition id -> ``{"s": seconds, "n": access
         count}``; an access exercising several classes counts once per
-        class but splits its seconds, so ``sum(s) == slow_s`` while
+        class but splits its seconds (step rows aside, see
+        :meth:`slow_done`), so ``sum(s) == slow_s`` while
         ``sum(n) >= slow_accesses``.  Wall time covers the whole run
         including warm-up (this is wall-clock attribution, not ROI
         statistics).
         """
         classes = {
-            tid: {"s": round(self.class_ns[tid] / 1e9, 6),
-                  "n": self.class_n.get(tid, 0)}
-            for tid in self.class_ns
+            tid: {"s": round(self.class_ns.get(tid, 0.0) / 1e9, 6), "n": n}
+            for tid, n in self.class_n.items()
         }
         return {
             "driver": "batched",

@@ -467,8 +467,8 @@ def timeline_page(timeline: Mapping[str, object],
                   title: str = "repro timeline") -> str:
     """A standalone HTML page holding just the timeline panels.
 
-    ``repro timeline --format html`` writes one of these for a single
-    record, without requiring a full sweep for the dashboard.
+    ``repro run --view timeline --format html`` writes one of these for
+    a single record, without requiring a full sweep for the dashboard.
     """
     body = timeline_panels(timeline) or ("<p class=\"note\">the record "
                                          "carries no epoch series.</p>")

@@ -420,7 +420,7 @@ def rebucket_timeline(timeline: Mapping[str, object],
         return out
     current = int(out.get("epoch_accesses", 0) or 1)
     series = out.get("series")
-    if not isinstance(series, Mapping):
+    if current >= epoch_accesses or not isinstance(series, Mapping):
         return out
     merged: Dict[str, List[int]] = {name: list(values)  # type: ignore[arg-type]
                                     for name, values in series.items()}

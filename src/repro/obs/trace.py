@@ -1,6 +1,6 @@
 """Protocol trace export (JSONL + Chrome ``trace_event``).
 
-``repro trace`` records a run's protocol event stream in an
+``repro run --view trace`` records a run's protocol event stream in an
 :class:`~repro.analysis.events.EventRing` (the full stream, or a sliding
 window of the last N events), each event stamped with the access index
 it occurred under (the trace's time axis).  This module exports a ring

@@ -14,7 +14,8 @@ mid-``running`` as ``pending``; their already-simulated cells are
 found in the run cache on re-execution, so nothing is lost and nothing
 runs twice.  A daemon therefore drains the jobs it accepted or
 recovered, not files another process writes later.  Offline readers
-(``repro timeline --job``) parse one file with :func:`read_job`.
+(``repro run --view timeline --job``) parse one file with
+:func:`read_job`.
 
 Jobs drain oldest-first (``created_ts``, then id, so ordering is total
 even within one timestamp tick).

@@ -18,8 +18,8 @@ sixth covers the bare epoch time-series documents the CLI writes:
   time-series (finished cells out of their cached records, running
   cells as tailed live ``tl-*.jsonl`` epoch streams);
 * ``error`` — any non-2xx/304 response: ``{"error": "<message>"}``;
-* ``series`` — a bare timeline (``repro timeline --format json``), as
-  checked by :func:`repro.obs.timeline.validate_timeline`.
+* ``series`` — a bare timeline (``repro run --view timeline --format
+  json``), as checked by :func:`repro.obs.timeline.validate_timeline`.
 
 :func:`validate_payload` is the machine-checkable form of the contract
 (hand-rolled, no jsonschema dependency); ``tools/lint_repro.py

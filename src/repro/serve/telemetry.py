@@ -5,8 +5,9 @@ the daemon: validate → enqueue → (coalesce-wait) → claim → simulate →
 cache-write → respond.  Each completed stage is recorded as a
 :class:`Span` appended to its job's JSONL file under ``queue/spans/``
 (:func:`append_span`).  That file is the one span store: the daemon's
-``GET /runs/<id>/trace`` and the offline ``repro trace --job`` both
-read it through :func:`load_spans`, so traces survive the daemon.
+``GET /runs/<id>/trace`` and the offline ``repro run --view trace
+--job`` both read it through :func:`load_spans`, so traces survive the
+daemon.
 
 Export to Chrome ``trace_event`` JSON goes through
 :func:`repro.obs.trace.chrome_span_events` — the same machinery the

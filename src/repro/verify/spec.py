@@ -24,14 +24,17 @@ the rest of the verification subsystem:
   into one :class:`SignalTable` that :mod:`repro.verify.coverage` (per
   run) and the slow-tail profiler (per access) classify by.  ``cold``
   carries the justification when a transition is expected to stay
-  unexercised by the pinned matrix and its probes.
+  unexercised by the pinned matrix and its probes.  ``step`` marks a
+  row that fires as one step of most accesses (the local install, the
+  MD1 lookup) rather than naming a behaviour: the slow-tail profiler
+  counts such rows but gives them seconds only when nothing else fired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Tuple
 
 from repro.common.params import SystemKind
 
@@ -64,6 +67,7 @@ class Transition:
     coverage: Tuple[str, ...] = ()
     model: bool = True
     cold: Optional[str] = None
+    step: bool = False
 
 
 @dataclass(frozen=True)
@@ -315,7 +319,7 @@ D2M_SPEC = ProtocolSpec(
             evidence=(_ev(_P, f"{_DP}._metadata", "stat:md.md1_hits"),
                       # the batched driver's fast path, counted per chunk
                       _ev(_P, "D2MFastPath.flush", "stat:md.md1_hits")),
-            coverage=("stat:md.md1_hits",), model=False,
+            coverage=("stat:md.md1_hits",), model=False, step=True,
         ),
         Transition(
             tid="d2m.md.md1_cross", state="MD1 has region (cross)",
@@ -708,7 +712,7 @@ D2M_SPEC = ProtocolSpec(
             actions=("write slot", "update LI"),
             next_state="line cached locally",
             evidence=(_ev(_P, f"{_DP}._install_local", "emit:l1.install"),),
-            coverage=("emit:l1.install",), model=False,
+            coverage=("emit:l1.install",), model=False, step=True,
         ),
         Transition(
             tid="d2m.retrack", state="region re-enters LLC tracking",
@@ -780,10 +784,12 @@ class SignalTable:
     """One spec's coverage signatures compiled for lookup: ``stats``
     maps a stat key to its ``(tid, signature)`` rows, ``emits`` a tracer
     event kind to its ``(detail_prefix, tid, signature)`` rows (``""``
-    matches any detail).  Rows sharing a signature fire together."""
+    matches any detail).  Rows sharing a signature fire together.
+    ``steps`` holds the tids of the spec's step rows."""
 
     stats: Dict[str, Tuple[Tuple[str, str], ...]]
     emits: Dict[str, Tuple[Tuple[str, str, str], ...]]
+    steps: FrozenSet[str] = frozenset()
 
     @classmethod
     def compile(cls, spec: "ProtocolSpec") -> "SignalTable":
@@ -802,7 +808,9 @@ class SignalTable:
                     raise ValueError(
                         f"unknown coverage signature {signature!r}")
         return cls({key: tuple(rows) for key, rows in stats.items()},
-                   {kind: tuple(rows) for kind, rows in emits.items()})
+                   {kind: tuple(rows) for kind, rows in emits.items()},
+                   frozenset(row.tid for row in spec.transitions
+                             if row.step))
 
     def classify(self, stats: Iterable[str],
                  emits: Iterable[Tuple[str, str]]) -> Dict[str, str]:

@@ -102,6 +102,14 @@ class TestPlanMatrix:
         assert every.workloads == runner.sweep_workloads()
         assert len(every.pending) == len(every.workloads) > 0
 
+    def test_empty_config_list_plans_nothing(self, cache):
+        # only None means "every system"
+        plan = plan_matrix(workloads=["water"], configs=[], instructions=100)
+        assert plan.configs == [] and plan.total == 0
+        assert plan.pending == [] and plan.matrix == {"water": {}}
+        every = plan_matrix(workloads=["water"], instructions=100)
+        assert len(every.configs) == len(every.pending) == 5
+
     def test_explicit_warmup_pins_keys_against_env(self, cache, monkeypatch):
         pinned = plan_matrix(warmup=123, **self.ARGS)
         monkeypatch.setenv("REPRO_WARMUP", "777")

@@ -90,6 +90,22 @@ class TestAttribution:
         assert profiler.class_n == {"mesi.load.miss_llc_shared": 1,
                                     "mesi.load.miss_llc_excl": 1}
 
+    def test_step_rows_are_counted_not_timed(self):
+        profiler, _ = bound()
+        profiler.slow_start()
+        profiler.emit("l1.install")
+        profiler.emit("md3.classify", detail="D1")
+        profiler.slow_done(1000)
+        assert profiler.class_ns == {"d2m.D1": 1000.0}
+        assert profiler.class_n == {"d2m.install": 1, "d2m.D1": 1}
+        # an access that fired only step rows splits among them
+        profiler.slow_start()
+        profiler.emit("l1.install")
+        profiler.slow_done(600)
+        assert profiler.class_ns == {"d2m.D1": 1000.0,
+                                     "d2m.install": 600.0}
+        assert profiler.class_n == {"d2m.install": 2, "d2m.D1": 1}
+
     def test_chunk_split_fast_vs_slow(self):
         profiler, _ = bound()
         profiler.slow_start()
@@ -198,6 +214,17 @@ class TestRealRun:
         unclassified = digest["classes"].get(UNCLASSIFIED, {"n": 0})["n"]
         assert unclassified <= limit * digest["slow_accesses"], \
             (unclassified, digest["slow_accesses"])
+
+    def test_step_rows_take_no_seconds_on_a_real_run(self):
+        from repro.sim.runner import run_workload
+
+        digest = run_workload(d2m_ns_r(), "canneal", 4000,
+                              profile=True).profile_summary()
+        install = digest["classes"]["d2m.install"]
+        assert install["n"] > 0 and install["s"] == 0
+        class_seconds = sum(entry["s"]
+                            for entry in digest["classes"].values())
+        assert class_seconds == pytest.approx(digest["slow_s"], abs=1e-5)
 
     def test_profiled_run_keeps_statistics_bit_identical(self):
         from repro.sim.runner import run_workload

@@ -8,6 +8,16 @@ import pytest
 from repro.cli import ARTIFACTS, main
 
 
+@pytest.fixture(autouse=True)
+def _isolated_cache(tmp_path, monkeypatch):
+    """``repro run`` writes run records: keep them out of the cwd."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+
+def _record_files(tmp_path):
+    return sorted((tmp_path / "cache" / "runs").glob("*.json"))
+
+
 class TestList:
     def test_lists_everything(self, capsys):
         assert main(["list"]) == 0
@@ -55,9 +65,11 @@ class TestRun:
 
     def test_profile_attrib_prints_the_ranking(self, capsys):
         assert main(["run", "--config", "d2m-ns-r", "--workload", "water",
-                     "--instructions", "1500", "--profile-attrib"]) == 0
+                     "--instructions", "1500",
+                     "--view", "summary,profile"]) == 0
         out = capsys.readouterr().out
-        assert "slow-tail attribution" in out
+        assert out.index("water on D2M-NS-R") < \
+            out.index("slow-tail attribution")
         assert "fallback accesses" in out
 
     def test_unknown_config_rejected(self, capsys):
@@ -66,6 +78,87 @@ class TestRun:
     def test_unknown_workload_rejected(self):
         assert main(["run", "--config", "base-2l",
                      "--workload", "nope"]) == 2
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--view", "summary,nope"], "unknown view"),
+        (["--view", " , "], "unknown view"),
+        (["--view", "trace,summary"], "cannot be combined"),
+        (["--view", "summary", "--format", "json"], "renders text"),
+        (["--view", "trace", "--format", "html"], "renders jsonl/chrome"),
+        (["--job", "j1"], "--job shows"),
+    ], ids=["unknown", "empty", "trace-combined", "summary-json",
+            "trace-html", "job-summary"])
+    def test_bad_view_requests_exit_two(self, argv, message, capsys):
+        assert main(["run", "--workload", "water", *argv]) == 2
+        assert message in capsys.readouterr().err
+
+
+class TestCellLookup:
+    """Every record view takes its cell from one ``plan_matrix`` lookup."""
+
+    ARGV = ["run", "--config", "d2m-fs", "--workload", "water",
+            "--instructions", "1200", "--view", "summary,timeline",
+            "--epoch", "128"]
+
+    def test_miss_simulates_once_then_serves_the_record(
+            self, tmp_path, monkeypatch, capsys):
+        import repro.experiments.runner as runner
+
+        assert main(self.ARGV) == 0
+        first = capsys.readouterr().out
+        assert "epochs x 128 accesses" in first
+        assert len(_record_files(tmp_path)) == 1
+
+        def no_simulation(spec):
+            raise AssertionError(f"simulated {spec.workload} again")
+
+        monkeypatch.setattr(runner, "_simulate_record", no_simulation)
+        assert main(self.ARGV) == 0
+        assert capsys.readouterr().out == first
+        assert len(_record_files(tmp_path)) == 1
+
+    def test_check_simulates_afresh_with_the_oracle(self, tmp_path,
+                                                    monkeypatch, capsys):
+        import repro.experiments.runner as runner
+
+        argv = ["run", "--config", "base-2l", "--workload", "water",
+                "--instructions", "1200"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        checked = []
+        simulate = runner._simulate_record
+
+        def spy(spec):
+            checked.append(spec.check_values)
+            return simulate(spec)
+
+        monkeypatch.setattr(runner, "_simulate_record", spy)
+        assert main([*argv, "--check"]) == 0
+        assert checked == [True]
+        assert capsys.readouterr().out == plain
+
+    def test_summary_renders_the_same_from_a_record_file(self, tmp_path,
+                                                         capsys):
+        argv = ["run", "--config", "d2m-ns-r", "--workload", "water",
+                "--instructions", "1200"]
+        assert main(argv) == 0
+        live = capsys.readouterr().out
+        (path,) = _record_files(tmp_path)
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == live
+
+    def test_failed_run_prints_its_failure_and_exits_one(self, monkeypatch,
+                                                         capsys):
+        import repro.experiments.runner as runner
+
+        def broken(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "_simulate_record", broken)
+        assert main(["run", "--workload", "water",
+                     "--instructions", "1200"]) == 1
+        err = capsys.readouterr().err
+        assert "water on D2M-NS-R (seed 1): RuntimeError: boom" in err
 
 
 class TestReport:
@@ -86,30 +179,25 @@ class TestReport:
 
 class TestSweep:
     def test_sweep_small(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", "water",
                      "--instructions", "1200"]) == 0
         assert "matrix ready" in capsys.readouterr().out
 
     def test_sweep_rejects_typo(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", "watr"]) == 2
         assert "watr" in capsys.readouterr().err
 
     def test_sweep_rejects_empty_selection(self, tmp_path, monkeypatch,
                                            capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", " , "]) == 2
         assert "no workloads" in capsys.readouterr().err
 
     def test_sweep_jobs_flag(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", "water",
                      "--instructions", "1200", "--jobs", "1"]) == 0
         assert "matrix ready" in capsys.readouterr().out
 
     def test_sweep_sanitize_flags(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", "water",
                      "--instructions", "1200", "--jobs", "1",
                      "--sanitize", "--sanitize-every", "300",
@@ -132,37 +220,40 @@ class TestVersion:
 
 
 class TestTrace:
+    QUICK = ["run", "--view", "trace", "--instructions", "4000"]
+
     def test_trace_quick_jsonl(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        assert main(["trace", "--quick", "--out", str(out)]) == 0
+        assert main([*self.QUICK, "--out", str(out)]) == 0
         assert "events recorded" in capsys.readouterr().out
         records = [json.loads(line)
                    for line in out.read_text().splitlines()]
         assert records
         assert all({"seq", "t", "kind"} <= set(r) for r in records)
+        assert _record_files(tmp_path) == []  # no record carries events
 
     def test_trace_chrome_format(self, tmp_path):
         out = tmp_path / "trace.json"
-        assert main(["trace", "--quick", "--format", "chrome",
+        assert main([*self.QUICK, "--format", "chrome",
                      "--workload", "water", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["traceEvents"]
 
     def test_trace_window_bounds_export(self, tmp_path):
         out = tmp_path / "trace.jsonl"
-        assert main(["trace", "--quick", "--window", "50",
+        assert main([*self.QUICK, "--window", "50",
                      "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 50
 
     def test_trace_baseline_warns_empty(self, tmp_path, capsys):
         out = tmp_path / "trace.jsonl"
-        assert main(["trace", "--quick", "--config", "base-2l",
+        assert main([*self.QUICK, "--config", "base-2l",
                      "--out", str(out)]) == 0
         assert "no protocol tracer hooks" in capsys.readouterr().err
         assert out.read_text() == ""
 
     def test_trace_unknown_config(self, tmp_path):
-        assert main(["trace", "--config", "nope"]) == 2
+        assert main(["run", "--view", "trace", "--config", "nope"]) == 2
 
     def test_trace_job_exports_served_spans(self, tmp_path, capsys,
                                             monkeypatch):
@@ -174,7 +265,7 @@ class TestTrace:
                                         job="job42", stage=stage,
                                         ts=50.0 + index, dur_s=0.1))
         monkeypatch.chdir(tmp_path)
-        assert main(["trace", "--job", "job42",
+        assert main(["run", "--view", "trace", "--job", "job42",
                      "--serve-cache", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "3 span(s)" in out and "c0ffee" in out
@@ -185,7 +276,7 @@ class TestTrace:
             ["validate", "enqueue", "claim"]
 
     def test_trace_job_without_spans_exits_two(self, tmp_path, capsys):
-        assert main(["trace", "--job", "nosuchjob",
+        assert main(["run", "--view", "trace", "--job", "nosuchjob",
                      "--serve-cache", str(tmp_path)]) == 2
         assert "no spans" in capsys.readouterr().err
 
@@ -196,27 +287,39 @@ class TestTrace:
                     Span(trace="t" * 16, job="j1", stage="respond",
                          ts=1.0, dur_s=0.0))
         out = tmp_path / "custom.json"
-        assert main(["trace", "--job", "j1", "--serve-cache",
-                     str(tmp_path), "--out", str(out)]) == 0
+        assert main(["run", "--view", "trace", "--job", "j1",
+                     "--serve-cache", str(tmp_path),
+                     "--out", str(out)]) == 0
         assert json.loads(out.read_text())["traceEvents"]
+
+    def test_trace_reads_no_record_file(self, tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text("{}")
+        assert main(["run", str(path), "--view", "trace"]) == 2
+        assert "reads no RECORD" in capsys.readouterr().err
 
 
 class TestReportHist:
     def test_missing_record_exits_two(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["report", "--hist", "--workload", "water",
-                     "--instructions", "1200"]) == 2
-        assert "no cached run record" in capsys.readouterr().err
+        # a RECORD path names a record to read, never a cell to simulate
+        import repro.experiments.runner as runner
+
+        monkeypatch.setattr(runner, "_simulate_record", None)
+        missing = tmp_path / "missing.json"
+        assert main(["run", str(missing), "--view", "hist"]) == 2
+        captured = capsys.readouterr()
+        assert str(missing) in captured.err
+        assert captured.out == ""
+        assert _record_files(tmp_path) == []
 
     def test_hist_after_sweep(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["sweep", "--workloads", "water",
                      "--instructions", "1200", "--jobs", "1"]) == 0
         capsys.readouterr()
-        assert main(["report", "--hist", "--workload", "water",
+        assert main(["run", "--view", "hist", "--workload", "water",
                      "--instructions", "1200"]) == 0
         out = capsys.readouterr().out
-        assert "Telemetry histograms: water on D2M-NS-R" in out
+        assert out.startswith("Telemetry histograms: water on D2M-NS-R")
         assert "latency.L1" in out
         assert "p99" in out
 
@@ -225,15 +328,16 @@ class TestReportHist:
         # the lookup takes the config object: a 4-node system finds the
         # record a 4-node sweep wrote, not an 8-node key
         import repro.cli as cli
+        import repro.experiments.runner as runner
         from repro.common.params import d2m_ns_r
         from repro.experiments.runner import get_matrix
 
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         four = d2m_ns_r(4)
         get_matrix(workloads=["water"], configs=[four], instructions=1200,
                    quiet=True, jobs=1)
         monkeypatch.setattr(cli, "all_configs", lambda: [four])
-        assert main(["report", "--hist", "--workload", "water",
+        monkeypatch.setattr(runner, "_simulate_record", None)  # hit only
+        assert main(["run", "--view", "hist", "--workload", "water",
                      "--config", "d2m-ns-r", "--instructions", "1200"]) == 0
         assert "water on D2M-NS-R" in capsys.readouterr().out
 
@@ -245,7 +349,7 @@ class TestReportHist:
 class TestRunHist:
     def test_run_hist_prints_digests(self, capsys):
         assert main(["run", "--config", "d2m-ns-r", "--workload", "water",
-                     "--instructions", "1500", "--hist"]) == 0
+                     "--instructions", "1500", "--view", "summary,hist"]) == 0
         out = capsys.readouterr().out
         assert "Telemetry histograms" in out
         assert "mshr.residency" in out
@@ -349,7 +453,6 @@ class TestCompare:
 class TestDashboard:
     def test_writes_self_contained_html(self, tmp_path, monkeypatch,
                                         capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         out = tmp_path / "dash.html"
         assert main(["dashboard", "--workloads", "water",
                      "--instructions", "1200", "--out", str(out)]) == 0
@@ -361,18 +464,15 @@ class TestDashboard:
         assert "Side by side" in html  # default d2m-ns-r vs base-2l view
 
     def test_unknown_config_exits_two(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["dashboard", "--config", "nope"]) == 2
 
     def test_unknown_workload_exits_two(self, tmp_path, monkeypatch,
                                         capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["dashboard", "--workloads", "watr"]) == 2
         assert "watr" in capsys.readouterr().err
 
     def test_empty_selection_exits_two(self, tmp_path, monkeypatch,
                                        capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         assert main(["dashboard", "--workloads", " , "]) == 2
         assert "no workloads" in capsys.readouterr().err
 
@@ -397,19 +497,21 @@ class TestRunCheckingFlags:
 class TestTimeline:
     def test_run_with_timeline_prints_sparklines(self, capsys):
         assert main(["run", "--config", "d2m-fs", "--workload", "water",
-                     "--instructions", "1500", "--timeline",
+                     "--instructions", "1500", "--view", "timeline",
                      "--epoch", "128"]) == 0
         out = capsys.readouterr().out
         assert "timeline:" in out and "epochs x 128 accesses" in out
 
     def test_timeline_from_the_run_cache(self, tmp_path, monkeypatch,
                                          capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        import repro.experiments.runner as runner
+
         assert main(["sweep", "--workloads", "water",
                      "--instructions", "1200", "--jobs", "1",
                      "--timeline", "--epoch", "128"]) == 0
         capsys.readouterr()
-        assert main(["timeline", "--workload", "water",
+        monkeypatch.setattr(runner, "_simulate_record", None)  # hit only
+        assert main(["run", "--view", "timeline", "--workload", "water",
                      "--config", "D2M-FS", "--instructions", "1200"]) == 0
         assert "epochs x 128 accesses" in capsys.readouterr().out
 
@@ -419,8 +521,8 @@ class TestTimeline:
                                "accesses": [64, 64, 64, 64]}}
         path = tmp_path / "tl.json"
         path.write_text(json.dumps(timeline))
-        assert main(["timeline", str(path), "--format", "json",
-                     "--epoch", "128"]) == 0
+        assert main(["run", str(path), "--view", "timeline",
+                     "--format", "json", "--epoch", "128"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["epochs"] == 2
         assert payload["series"]["instructions"] == [3, 7]
@@ -433,19 +535,56 @@ class TestTimeline:
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
         out = tmp_path / "tl.html"
-        assert main(["timeline", str(path), "--format", "html",
-                     "--out", str(out)]) == 0
+        assert main(["run", str(path), "--view", "timeline",
+                     "--format", "html", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"timeline (html) -> {out}\n"
         assert "Phase timeline" in out.read_text()
 
     def test_uncached_cell_is_a_clean_error(self, tmp_path, monkeypatch,
                                             capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        assert main(["timeline", "--workload", "water",
-                     "--config", "D2M-FS", "--instructions", "1200"]) == 2
-        assert "repro sweep" in capsys.readouterr().err
+        # an uncached cell is simulated; when that run fails, the view
+        # prints the failure and exits one, with no traceback or record
+        import repro.experiments.runner as runner
+
+        def broken(spec):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(runner, "_simulate_record", broken)
+        assert main(["run", "--view", "timeline", "--workload", "water",
+                     "--config", "D2M-FS", "--instructions", "1200"]) == 1
+        captured = capsys.readouterr()
+        assert "water on D2M-FS (seed 1): RuntimeError: boom" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert _record_files(tmp_path) == []
 
     def test_malformed_timeline_fails_the_schema(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"epochs": 3, "series": {}}))
-        assert main(["timeline", str(path)]) == 2
+        assert main(["run", str(path), "--view", "timeline"]) == 2
         assert capsys.readouterr().err
+
+    def test_record_without_a_timeline_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps({"workload": "water"}))
+        assert main(["run", str(path), "--view", "timeline"]) == 2
+        assert "no epoch series" in capsys.readouterr().err
+
+    def test_unreadable_record_file_exits_two(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "missing.json")]) == 2
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps({"no_such_field": 1}))
+        assert main(["run", str(path)]) == 2
+        assert "not a run record" in capsys.readouterr().err
+
+    def test_job_timeline_rejects_html(self, tmp_path, capsys):
+        assert main(["run", "--view", "timeline", "--job", "j1",
+                     "--serve-cache", str(tmp_path),
+                     "--format", "html"]) == 2
+        assert "html renders one record" in capsys.readouterr().err
+
+    def test_job_timeline_of_an_unknown_job_exits_two(self, tmp_path,
+                                                      capsys):
+        assert main(["run", "--view", "timeline", "--job", "nope",
+                     "--serve-cache", str(tmp_path)]) == 2
+        assert "no such job" in capsys.readouterr().err

@@ -34,7 +34,7 @@ keeps new litter out, this catches litter that was force-added.
 
 ``--schema`` validates machine-readable artifacts, each path a file or
 a directory of them.  A ``*.jsonl`` file is a protocol trace export
-(``repro trace --format jsonl``): every line must satisfy
+(``repro run --view trace``): every line must satisfy
 :data:`repro.obs.trace.TRACE_FIELDS`.  A ``*.json`` file is classified
 by shape with :func:`repro.serve.schema.classify_payload` — a serve
 response (health / job / timeline / error), a cached run record, or a
