@@ -189,7 +189,9 @@ def _cell_record(args: argparse.Namespace, config: SystemConfig,
                  views: Sequence[str]) -> Optional[RunRecord]:
     """The run record of ``args``' cell carrying the extras ``views``
     read: the cached one if it serves, else one quiet simulation that
-    writes it.  None after printing why the run failed."""
+    writes it.  The simulation also collects histogram digests, as a
+    sweep does, so its record serves the next ``repro sweep`` too.
+    None after printing why the run failed."""
     from repro.experiments.runner import execute_plan, plan_matrix
     from repro.obs.timeline import DEFAULT_EPOCH
 
@@ -205,6 +207,7 @@ def _cell_record(args: argparse.Namespace, config: SystemConfig,
                        fresh=args.check or None)
     for item in plan.pending:
         item.spec.check_values = args.check
+        item.spec.telemetry = True
     failures = execute_plan(plan, jobs=1, quiet=True)
     if failures:
         print(failures[0], file=sys.stderr)

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Callable, Iterator, KeysView, List, Optional, Sequence,
+                    Tuple)
 
 from repro.common.errors import InvariantViolation
 from repro.core.li import LI
@@ -216,6 +217,10 @@ class DataArray:
             assert slot is not None and slot.region == region
             out.append((set_idx, way, slot))
         return out
+
+    def regions(self) -> KeysView[int]:
+        """The regions this array holds lines of (a live, read-only view)."""
+        return self._by_region.keys()
 
     def region_line_count(self, region: int) -> int:
         """How many of ``region``'s lines this array holds right now."""

@@ -102,6 +102,10 @@ class BaseLLC:
     def is_recent(self, ref: SlotRef) -> bool:
         return self.array_of(ref.slice_owner).is_recent(ref.set_idx, ref.way)
 
+    def arrays(self) -> List[Tuple[Optional[int], DataArray]]:
+        """``(slice owner, array)`` per bank; the far-side bank's owner is None."""
+        raise NotImplementedError
+
     def lines_of_region(self, region: int) -> Iterator[Tuple[SlotRef, DataLine]]:
         raise NotImplementedError
 
@@ -137,6 +141,9 @@ class FarSideLLC(BaseLLC):
         way = self.array.victim_way(set_idx, cost)
         ref = SlotRef(None, set_idx, way)
         return ref, self.array.get(set_idx, way)
+
+    def arrays(self) -> List[Tuple[Optional[int], DataArray]]:
+        return [(None, self.array)]
 
     def lines_of_region(self, region: int) -> Iterator[Tuple[SlotRef, DataLine]]:
         for set_idx, way, slot in self.array.lines_of_region(region):
@@ -228,6 +235,9 @@ class NearSideLLC(BaseLLC):
         way = array.victim_way(set_idx, cost)
         ref = SlotRef(slice_owner, set_idx, way)
         return ref, array.get(set_idx, way)
+
+    def arrays(self) -> List[Tuple[Optional[int], DataArray]]:
+        return [(owner, array) for owner, array in enumerate(self.slices)]
 
     def lines_of_region(self, region: int) -> Iterator[Tuple[SlotRef, DataLine]]:
         for owner, array in enumerate(self.slices):

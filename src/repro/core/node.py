@@ -18,7 +18,7 @@ Metadata invariants maintained here:
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 from repro.common.errors import InvariantViolation
 from repro.common.params import SystemConfig
@@ -159,6 +159,13 @@ class D2MNode:
         if md2_entry.md1_active:
             holder = self.active_holder(pregion)
             holder.private = private
+
+    def md1_entries(self) -> Iterator[Tuple[ActiveSite, int, MD1Entry]]:
+        """Every MD1 entry as ``(site, vregion, entry)``, MD1-I first."""
+        for store, site in ((self.md1i, ActiveSite.MD1I),
+                            (self.md1d, ActiveSite.MD1D)):
+            for vregion, entry in store:
+                yield site, vregion, entry
 
     def has_region(self, pregion: int) -> bool:
         return self.md2.contains(pregion)

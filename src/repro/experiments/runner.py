@@ -135,7 +135,7 @@ def atomic_write_json(path: Path, payload: dict) -> None:
                                prefix=path.name + ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
-            json.dump(payload, handle)
+            handle.write(json.dumps(payload))
         os.replace(tmp, path)
     except BaseException:
         try:

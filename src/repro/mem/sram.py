@@ -17,7 +17,8 @@ D2M's tag-less data arrays do NOT use this class; they are plain
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Generic, Iterator, List, Optional, Tuple, TypeVar
+from typing import (Callable, Dict, Generic, Iterator, KeysView, List, Optional,
+                    Tuple, TypeVar)
 
 from repro.mem.replacement import lru_touch, lru_victim
 
@@ -219,6 +220,10 @@ class SetAssocStore(Generic[T]):
 
     def __len__(self) -> int:
         return len(self._where)
+
+    def keys(self) -> KeysView[int]:
+        """The resident keys (a live, read-only view)."""
+        return self._where.keys()
 
     def __iter__(self) -> Iterator[Tuple[int, T]]:
         for key, loc in list(self._where.items()):

@@ -147,6 +147,20 @@ class TestCellLookup:
         assert main(["run", str(path)]) == 0
         assert capsys.readouterr().out == live
 
+    def test_run_record_serves_the_next_sweep(self, tmp_path, capsys):
+        """A plain ``repro run`` collects histogram digests like a sweep,
+        so a sweep over the same cell simulates only the other four."""
+        assert main(["run", "--config", "base-2l", "--workload", "water",
+                     "--instructions", "1500"]) == 0
+        assert main(["sweep", "--workloads", "water", "--instructions",
+                     "1500", "--jobs", "1"]) == 0
+        capsys.readouterr()
+        progress = tmp_path / "cache" / "progress.jsonl"
+        events = [json.loads(line)["event"]
+                  for line in progress.read_text().splitlines()]
+        assert events.count("run.done") == 5
+        assert len(_record_files(tmp_path)) == 5
+
     def test_failed_run_prints_its_failure_and_exits_one(self, monkeypatch,
                                                          capsys):
         import repro.experiments.runner as runner
