@@ -280,6 +280,8 @@ def _simulate(spec: RunSpec, observers: Sequence[Any],
                           observers=[*watch.values(), *observers])
     result = simulator.run(workload, spec.instructions, seed=spec.seed,
                            warmup=spec.warmup, batched=do_batched)
+    if sanitizer is not None:
+        sanitizer.check_md1_index()  # MD1 entries installed with no event
     perf = PerfModel(config.ooo).summarize(result)
     elapsed = _time.monotonic() - started
     runlog.emit("run.end", workload=spec.workload, config=config.name,

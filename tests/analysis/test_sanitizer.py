@@ -12,7 +12,7 @@ import pickle
 
 import pytest
 
-from tests.helpers import D2M_FACTORIES, TraceDriver, small_config
+from tests.helpers import D2M_FACTORIES, TraceDriver, llc_slots, small_config
 from repro.analysis import CoherenceSanitizer, SanitizerViolation, attach_sanitizer
 from repro.analysis.events import EventRing
 from repro.common.errors import InvariantViolation
@@ -21,11 +21,10 @@ from repro.common.params import base_2l, d2m_fs, d2m_ns_r
 from repro.core.datastore import LineRole
 from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import (
-    _region_nodes,
     _resolve_li,
     check_invariants,
-    llc_slots,
     machine_regions,
+    region_view,
 )
 from repro.core.li import LI
 from repro.sim.simulator import Simulator
@@ -97,7 +96,7 @@ class TestCorruptionInjection:
         amap = protocol.amap
         found = None
         for pregion in machine_regions(protocol):
-            for node, holder in _region_nodes(protocol, pregion):
+            for node, holder in region_view(protocol, pregion).holders():
                 if not holder.private:
                     continue  # private: node is the region's only holder
                 for idx, li in enumerate(holder.li):
@@ -122,7 +121,7 @@ class TestCorruptionInjection:
         protocol, sanitizer = warmed_machine(seed=7)
         found = None
         for pregion in machine_regions(protocol):
-            for node, holder in _region_nodes(protocol, pregion):
+            for node, holder in region_view(protocol, pregion).holders():
                 if holder.private:
                     found = (pregion, node)
                     break

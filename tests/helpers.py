@@ -34,6 +34,14 @@ def small_config(config: SystemConfig) -> SystemConfig:
     )
 
 
+def llc_slots(protocol):
+    """Every occupied LLC slot of a D2M machine as ``((owner, set, way),
+    slot)``, from an exhaustive scan of every bank."""
+    for owner, array in protocol.llc.arrays():
+        for set_idx, way, slot in array:
+            yield (owner, set_idx, way), slot
+
+
 ALL_FACTORIES = (base_2l, base_3l, d2m_fs, d2m_ns, d2m_ns_r)
 D2M_FACTORIES = (d2m_fs, d2m_ns, d2m_ns_r)
 

@@ -11,17 +11,16 @@ the pairing.
 
 import pytest
 
-from tests.helpers import TraceDriver, small_config
+from tests.helpers import TraceDriver, llc_slots, small_config
 from repro.analysis import SanitizerViolation, attach_sanitizer
 from repro.common.errors import InvariantViolation
 from repro.common.params import d2m_fs
 from repro.core.datastore import LineRole
 from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import (
-    _region_nodes,
     check_invariants,
-    llc_slots,
     machine_regions,
+    region_view,
 )
 from repro.verify.model import LLC, MEM, _d2m_check
 
@@ -84,7 +83,7 @@ class TestCorruptionParity:
         protocol, sanitizer = warmed_machine(seed=12)
         found = None
         for pregion in machine_regions(protocol):
-            for node, holder in _region_nodes(protocol, pregion):
+            for node, holder in region_view(protocol, pregion).holders():
                 if holder.private:
                     found = (pregion, node)
                     break
@@ -110,7 +109,7 @@ class TestCorruptionParity:
         target = None
         for pregion in machine_regions(protocol):
             if (protocol.md3.peek(pregion) is not None
-                    and _region_nodes(protocol, pregion)):
+                    and region_view(protocol, pregion).holders()):
                 target = pregion
                 break
         assert target is not None, "no tracked region with cached data"
