@@ -12,11 +12,8 @@ Commands:
 * ``report`` — regenerate a paper artifact (fig5/fig6/fig7/table4/...).
 * ``sweep`` — populate the shared run matrix cache up front (with live
   progress and a machine-readable ``progress.jsonl``).
-* ``bench`` — time the simulator itself over a pinned matrix and emit
-  a ``BENCH_<date>.json`` perf-tracking report.
-* ``compare`` — diff two bench reports, run records, or sweep matrices
-  (the regression sentinel: exit 3 beyond threshold; ``--baseline auto``
-  resolves the newest committed ``BENCH_*.json``).
+* ``compare`` — diff two run records or sweep matrices (exit 3 beyond
+  threshold).
 * ``dashboard`` — render the sweep matrix, histogram digests, and
   comparison views into one self-contained static HTML file.
 * ``serve`` — run the sweep-as-a-service HTTP daemon: submit run
@@ -25,7 +22,8 @@ Commands:
   dashboard (see ``docs/SERVING.md``).
 * ``verify`` — reconcile both coherence protocols against their
   declarative specs (AST extraction), optionally model-check small
-  configurations exhaustively and gate on runtime transition coverage.
+  configurations exhaustively and gate on runtime transition coverage
+  and on the batched driver matching the reference loop.
 
 ``repro --log-json FILE`` (or ``REPRO_LOG=FILE``) adds structured JSONL
 run logging to any command; ``-`` logs to stderr.
@@ -467,13 +465,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.sim.bench import main as bench_main
-
-    return bench_main(quick=args.quick, out=args.out,
-                      check_equivalence=not args.no_equivalence)
-
-
 def _parse_workloads_arg(raw: str) -> Optional[list]:
     """Validated comma-separated workload subset (None = all)."""
     if not raw:
@@ -513,56 +504,22 @@ def _sweep_matrix(args: argparse.Namespace, **settings: object
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    """The regression sentinel: diff a candidate against a baseline."""
+    """Diff a candidate run record or sweep matrix against a baseline."""
     from repro.experiments.report import comparison_table
     from repro.obs import compare as cmp
 
-    thresholds = cmp.thresholds_from_percent(args.ips_threshold,
-                                             args.metric_threshold)
-    if args.candidate:
-        cand_path = Path(args.candidate)
-    else:
-        found = cmp.newest_bench_path()
-        if found is None:
-            print("compare: no candidate given and no BENCH_*.json in the "
-                  "current directory", file=sys.stderr)
-            return 2
-        cand_path = found
+    thresholds = cmp.thresholds_from_percent(args.metric_threshold)
     try:
-        candidate = cmp.load_payload(cand_path)
-    except cmp.CompareError as exc:
-        print(f"compare: {exc}", file=sys.stderr)
-        return 2
-
-    if args.baseline == "auto":
-        resolved = cmp.resolve_auto_baseline()
-        if resolved is None:
-            print("compare: --baseline auto found no committed (or on-disk) "
-                  "BENCH_*.json", file=sys.stderr)
-            return 2
-        base_label, baseline = resolved
-    else:
-        base_path = Path(args.baseline)
-        try:
-            baseline = cmp.load_payload(base_path)
-        except cmp.CompareError as exc:
-            print(f"compare: {exc}", file=sys.stderr)
-            return 2
-        base_label = str(base_path)
-
-    try:
+        baseline = cmp.load_payload(Path(args.baseline))
+        candidate = cmp.load_payload(Path(args.candidate))
         report = cmp.compare_payloads(baseline, candidate, thresholds,
-                                      baseline_label=base_label,
-                                      candidate_label=str(cand_path))
+                                      baseline_label=args.baseline,
+                                      candidate_label=args.candidate)
     except cmp.CompareError as exc:
         print(f"compare: {exc}", file=sys.stderr)
         return 2
 
-    # Bench comparisons print the full per-cell table; record/matrix
-    # comparisons only the deltas that cleared a threshold.
-    include_ok = report.kind == "bench"
-    print(comparison_table(report, include_ok=include_ok,
-                           limit=0 if include_ok else 60))
+    print(comparison_table(report, limit=60))
     for note in report.notes:
         print(f"note: {note}")
     print(report.summary_line())
@@ -629,25 +586,6 @@ def _cmd_dashboard(args: argparse.Namespace) -> int:
         comparisons.append((f"Side by side: {against.name} vs "
                             f"{focus_config.name} ({focus_wl})",
                             side_by_side))
-    if args.bench:
-        bench_path = (cmp.newest_bench_path() if args.bench == "auto"
-                      else Path(args.bench))
-        resolved = cmp.resolve_auto_baseline()
-        if bench_path is not None and resolved is not None:
-            base_label, bench_baseline = resolved
-            try:
-                bench_candidate = cmp.load_payload(bench_path)
-            except cmp.CompareError as exc:
-                print(f"dashboard: --bench: {exc}", file=sys.stderr)
-                return 2
-            comparisons.append((
-                "Bench vs committed baseline",
-                cmp.compare_bench(bench_baseline, bench_candidate,  # type: ignore[arg-type]
-                                  baseline_label=base_label,
-                                  candidate_label=str(bench_path))))
-        else:
-            print("dashboard: --bench: no bench report/baseline found; "
-                  "section skipped", file=sys.stderr)
 
     html = render_dashboard(matrix, focus=(focus_wl, focus_config.name),
                             comparisons=comparisons,
@@ -736,35 +674,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_timeline_flags(sweep_p)
     _add_checking_flags(sweep_p)
 
-    bench_p = sub.add_parser(
-        "bench",
-        help="benchmark the simulator over a pinned matrix "
-             "(emits BENCH_<date>.json)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="smaller instruction budget, single "
-                              "repetition (CI smoke mode)")
-    bench_p.add_argument("--out", default="",
-                         help="output JSON path (default BENCH_<date>.json "
-                              "in the current directory)")
-    bench_p.add_argument("--no-equivalence", action="store_true",
-                         help="skip the batched-vs-reference stats "
-                              "equivalence gate (timing only)")
-
     compare_p = sub.add_parser(
         "compare",
-        help="diff a candidate bench report / run record / sweep matrix "
-             "against a baseline (exit 3 on regression)")
-    compare_p.add_argument("candidate", nargs="?", default="",
-                           help="candidate payload: a BENCH_*.json, a run "
-                                "record JSON, or a run-record directory "
-                                "(default: newest BENCH_*.json here)")
-    compare_p.add_argument("--baseline", default="auto", metavar="FILE|auto",
-                           help="baseline payload; 'auto' = newest "
-                                "committed BENCH_*.json (content at HEAD)")
-    compare_p.add_argument("--ips-threshold", type=float, default=10.0,
-                           metavar="PCT",
-                           help="bench ips drop that regresses "
-                                "(default 10%%; warns at half)")
+        help="diff a candidate run record / sweep matrix against a "
+             "baseline (exit 3 on regression)")
+    compare_p.add_argument("baseline",
+                           help="baseline: a run record JSON or a "
+                                "run-record directory")
+    compare_p.add_argument("candidate",
+                           help="candidate of the same kind as the "
+                                "baseline")
     compare_p.add_argument("--metric-threshold", type=float, default=20.0,
                            metavar="PCT",
                            help="scalar-metric drift that regresses "
@@ -781,8 +700,11 @@ def build_parser() -> argparse.ArgumentParser:
                                "both protocol models (SWMR, data values, "
                                "MD inclusion, stuck-freedom)")
     verify_p.add_argument("--coverage", action="store_true",
-                          help="run the pinned bench matrix + probes and "
-                               "gate on never-exercised spec transitions")
+                          help="run the pinned matrix + probes on the "
+                               "reference loop and the batched driver; "
+                               "gate on never-exercised spec transitions "
+                               "and on any run whose two drivers' "
+                               "statistics differ")
     verify_p.add_argument("--json-out", default="", metavar="PATH",
                           help="also write the full verification report "
                                "JSON")
@@ -825,9 +747,6 @@ def build_parser() -> argparse.ArgumentParser:
     dash_p.add_argument("--seed", type=int, default=1)
     dash_p.add_argument("--jobs", type=int, default=0,
                         help="parallel sweep workers (0 = REPRO_JOBS/CPUs)")
-    dash_p.add_argument("--bench", default="", metavar="FILE|auto",
-                        help="also include a bench-vs-committed-baseline "
-                             "comparison section")
     _add_timeline_flags(dash_p)
 
     return parser
@@ -869,7 +788,6 @@ _HANDLERS: Dict[str, Callable[[argparse.Namespace], int]] = {
     "run": _cmd_run,
     "report": _cmd_report,
     "sweep": _cmd_sweep,
-    "bench": _cmd_bench,
     "compare": _cmd_compare,
     "verify": _cmd_verify,
     "dashboard": _cmd_dashboard,

@@ -64,7 +64,7 @@ Location = Union[str, Tuple[Optional[int], int, int]]
 
 def location_name(where: Location) -> str:
     """A master location as violation messages print it."""
-    return where if isinstance(where, str) else f"llc{SlotRef(*where)}"
+    return where if isinstance(where, str) else f"llc{tuple(where)}"
 
 
 class RegionView:

@@ -100,18 +100,13 @@ def hist_table(hists: Dict[str, Dict[str, float]],
                          "max"], rows, title=title)
 
 
-def comparison_table(report, include_ok: bool = False,
-                     limit: int = 0) -> str:
-    """Render a ``repro.obs.compare`` :class:`ComparisonReport` as text.
-
-    By default only deltas classified beyond ``ok`` are shown (the diff
-    view); ``include_ok=True`` prints every compared quantity (the
-    per-cell table ``repro compare`` shows for bench reports).
-    """
+def comparison_table(report, limit: int = 0) -> str:
+    """Render a ``repro.obs.compare`` :class:`ComparisonReport` as text:
+    the deltas classified beyond ``ok`` (the diff view)."""
     from repro.obs.compare import NOTE, OK, REGRESSION, WARN
 
     order = {REGRESSION: 0, WARN: 1, NOTE: 2, OK: 3}
-    shown = [d for d in report.deltas if include_ok or d.severity != OK]
+    shown = [d for d in report.deltas if d.severity != OK]
     shown.sort(key=lambda d: (order[d.severity], d.key))
     hidden = len(shown) - limit if limit else 0
     if limit:

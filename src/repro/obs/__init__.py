@@ -18,7 +18,7 @@ observer call in the driver loop:
 * :mod:`repro.obs.progress` — worker heartbeats and the live sweep
   progress line plus machine-readable ``progress.jsonl``;
 * :mod:`repro.obs.compare` / :mod:`repro.obs.render` — the consumption
-  half: structural diffing of runs/benches/matrices into severity-
+  half: structural diffing of runs and sweep matrices into severity-
   classified reports (``repro compare``, exit 3 on regression) and the
   zero-dependency static HTML dashboard (``repro dashboard``).
 

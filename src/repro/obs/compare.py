@@ -1,12 +1,8 @@
-"""Differential observability: diff two runs, benches, or sweep matrices.
+"""Differential observability: diff two runs or sweep matrices.
 
-PR 4 made every run *emit* telemetry (histogram digests in format-v7
-records, ``BENCH_*.json`` perf reports); this module *consumes* it.  It
-structurally diffs two comparable payloads —
+Every run emits telemetry (histogram digests in its run record); this
+module *consumes* it.  It structurally diffs two comparable payloads —
 
-* two ``BENCH_*.json`` reports (per-cell instructions/second, the
-  phase wall times both report, the batched-vs-reference equivalence
-  flags),
 * two run records (every scalar paper metric, per-percentile
   histogram-digest drift, and epoch-timeline phase drift), or
 * two sweep matrices (``{workload: {config: record}}``, e.g. two
@@ -17,25 +13,18 @@ order ``ok < note < warn < regression``; only ``regression`` gates (the
 CLI's ``repro compare`` exits 3, see :meth:`ComparisonReport.exit_code`).
 
 Classification is threshold-driven (:class:`Thresholds`): relative
-instructions/second drops, relative scalar-metric drift with an absolute
-floor, and ratio-based percentile drift for the log2 histogram digests
-(whose buckets quantize at ~2x, so one-bucket noise stays sub-warning).
+scalar-metric drift with an absolute floor, and ratio-based percentile
+drift for the log2 histogram digests (whose buckets quantize at ~2x, so
+one-bucket noise stays sub-warning).
 
-Two comparisons are deliberately *informational only*:
-
-* bench reports of different modes (``--quick`` vs full) or pinned
-  matrices — their ips values are not comparable, so throughput deltas
-  are capped at ``note`` and only the intra-run equivalence gate can
-  still regress (this is what CI's ``bench-compare`` job relies on);
-* ``informational=True`` record comparisons (the dashboard's
-  side-by-side config views), where the two cells are *supposed* to
-  differ.
+``informational=True`` record comparisons (the dashboard's side-by-side
+config views) are informational only: the two cells are *supposed* to
+differ, so every severity is capped at ``note``.
 """
 
 from __future__ import annotations
 
 import json
-import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -63,8 +52,7 @@ class CompareError(ValueError):
 class Thresholds:
     """Regression-classification knobs (relative unless stated).
 
-    ``ips_*`` apply to bench throughput drops, ``metric_*`` to run-record
-    scalar drift (both directions — a reproduction shifting *either* way
+    ``metric_*`` apply to run-record scalar drift (both directions — a reproduction shifting *either* way
     is drift), ``hist_*`` to symmetric percentile-ratio drift of the log2
     digests (``max/min - 1``; one bucket is ~1.0), ``phase_*`` to the
     Kolmogorov-Smirnov distance between two epoch time-series' normalized
@@ -73,8 +61,6 @@ class Thresholds:
     classified at all.
     """
 
-    ips_fail: float = 0.10
-    ips_warn: float = 0.05
     metric_fail: float = 0.20
     metric_warn: float = 0.05
     hist_fail: float = 3.0
@@ -174,115 +160,6 @@ def _cap(severity: str, cap: str) -> str:
     if _SEVERITY_ORDER[severity] > _SEVERITY_ORDER[cap]:
         return cap
     return severity
-
-
-# --------------------------------------------------------------- bench diffs
-
-
-def _cells_by_name(report: Mapping[str, object]) -> Dict[str, Mapping]:
-    cells = report.get("cells", [])
-    out: Dict[str, Mapping] = {}
-    if isinstance(cells, list):
-        for cell in cells:
-            if isinstance(cell, Mapping):
-                out[f"{cell.get('config')}/{cell.get('workload')}"] = cell
-    return out
-
-
-def _ips_severity(baseline: float, candidate: float,
-                  thresholds: Thresholds) -> Tuple[str, str]:
-    if baseline <= 0:
-        return (WARN, "baseline ips is zero") if candidate else (OK, "")
-    rel = (candidate - baseline) / baseline
-    drop = -rel
-    if drop >= thresholds.ips_fail:
-        return REGRESSION, f"ips dropped {drop:.1%}"
-    if drop >= thresholds.ips_warn:
-        return WARN, f"ips dropped {drop:.1%}"
-    if rel >= thresholds.ips_warn:
-        return NOTE, f"ips improved {rel:.1%}"
-    return OK, ""
-
-
-def compare_bench(baseline: Mapping[str, object],
-                  candidate: Mapping[str, object],
-                  thresholds: Thresholds = Thresholds(),
-                  baseline_label: str = "baseline",
-                  candidate_label: str = "candidate") -> ComparisonReport:
-    """Diff two ``BENCH_*.json`` reports cell by cell.
-
-    Throughput deltas gate only when the two reports ran the same mode
-    and pinned matrix; otherwise they are capped at ``note`` (different
-    budgets skew ips) and only equivalence failures can regress.
-    """
-    report = ComparisonReport("bench", baseline_label, candidate_label)
-    comparable = True
-    if baseline.get("mode") != candidate.get("mode"):
-        comparable = False
-        report.note(f"mode mismatch ({baseline.get('mode')} vs "
-                    f"{candidate.get('mode')}): ips deltas are "
-                    "informational only")
-    if baseline.get("matrix") != candidate.get("matrix"):
-        comparable = False
-        report.note("pinned-matrix mismatch: ips deltas are informational "
-                    "only")
-    cap = REGRESSION if comparable else NOTE
-
-    base_cells = _cells_by_name(baseline)
-    cand_cells = _cells_by_name(candidate)
-    for name in list(base_cells) + [n for n in cand_cells
-                                    if n not in base_cells]:
-        base = base_cells.get(name)
-        cand = cand_cells.get(name)
-        if base is None or cand is None:
-            side = "candidate" if base is None else "baseline"
-            report.add(Delta(
-                f"ips.{name}",
-                None if base is None else float(base.get("ips", 0.0)),  # type: ignore[arg-type]
-                None if cand is None else float(cand.get("ips", 0.0)),  # type: ignore[arg-type]
-                WARN, f"cell only in {side}"))
-            continue
-        base_ips = float(base.get("ips", 0.0))  # type: ignore[arg-type]
-        cand_ips = float(cand.get("ips", 0.0))  # type: ignore[arg-type]
-        severity, why = _ips_severity(base_ips, cand_ips, thresholds)
-        report.add(Delta(f"ips.{name}", base_ips, cand_ips,
-                         _cap(severity, cap), why))
-        if "cold_ips" in base and "cold_ips" in cand:
-            # older reports time only the replayed stream
-            base_cold = float(base["cold_ips"])  # type: ignore[arg-type]
-            cand_cold = float(cand["cold_ips"])  # type: ignore[arg-type]
-            severity, why = _ips_severity(base_cold, cand_cold, thresholds)
-            report.add(Delta(f"cold_ips.{name}", base_cold, cand_cold,
-                             _cap(severity, cap), why))
-        base_phases = base.get("phases_s", {})
-        cand_phases = cand.get("phases_s", {})
-        if isinstance(base_phases, Mapping) and isinstance(cand_phases,
-                                                           Mapping):
-            # only phases both reports time (older reports also split
-            # generate/hierarchy)
-            for phase in sorted(set(base_phases) & set(cand_phases)):
-                b = float(base_phases[phase])  # type: ignore[arg-type]
-                c = float(cand_phases[phase])  # type: ignore[arg-type]
-                if b > 0 and abs(c - b) / b >= 0.25:
-                    report.add(Delta(f"phase.{phase}.{name}", b, c, NOTE,
-                                     "phase wall-time shifted"))
-        # The equivalence gate is intra-run (batched driver vs the
-        # reference loop on the *same* machine), so a broken flag
-        # regresses even across modes.
-        if cand.get("equivalent") is False:
-            report.add(Delta(f"equivalence.{name}", 1.0, 0.0, REGRESSION,
-                             "batched driver diverged from the reference "
-                             "loop"))
-    base_geo = float(baseline.get("geomean_ips", 0.0))  # type: ignore[arg-type]
-    cand_geo = float(candidate.get("geomean_ips", 0.0))  # type: ignore[arg-type]
-    severity, why = _ips_severity(base_geo, cand_geo, thresholds)
-    report.add(Delta("geomean_ips", base_geo, cand_geo, _cap(severity, cap),
-                     why))
-    if candidate.get("equivalence_checked") and not candidate.get(
-            "equivalence_ok", True):
-        report.add(Delta("equivalence_ok", 1.0, 0.0, REGRESSION,
-                         "candidate bench failed its equivalence gate"))
-    return report
 
 
 # -------------------------------------------------------------- record diffs
@@ -536,10 +413,8 @@ def compare_matrices(baseline: Mapping[str, Mapping[str, object]],
 
 
 def kind_of(payload: object) -> str:
-    """``bench`` | ``record`` | ``matrix`` for a parsed payload."""
+    """``record`` | ``matrix`` for a parsed payload."""
     if isinstance(payload, Mapping):
-        if "cells" in payload and "geomean_ips" in payload:
-            return "bench"
         if {"workload", "config", "instructions"} <= set(payload):
             return "record"
         if payload and all(
@@ -548,8 +423,8 @@ def kind_of(payload: object) -> str:
                                 and "workload" in rec for rec in row.values())
                 for row in payload.values()):
             return "matrix"
-    raise CompareError("payload is neither a bench report, a run record, "
-                       "nor a sweep matrix")
+    raise CompareError("payload is neither a run record nor a sweep "
+                       "matrix")
 
 
 def load_payload(path: Path) -> object:
@@ -590,9 +465,6 @@ def compare_payloads(baseline: object, candidate: object,
     if base_kind != cand_kind:
         raise CompareError(f"cannot compare a {base_kind} against a "
                            f"{cand_kind}")
-    if base_kind == "bench":
-        return compare_bench(baseline, candidate, thresholds,  # type: ignore[arg-type]
-                             baseline_label, candidate_label)
     if base_kind == "record":
         return compare_records(baseline, candidate, thresholds,
                                baseline_label=baseline_label,
@@ -601,68 +473,12 @@ def compare_payloads(baseline: object, candidate: object,
                             baseline_label, candidate_label)
 
 
-# ------------------------------------------------------- baseline resolution
-
-
-def _bench_names(root: Path) -> List[str]:
-    return sorted(p.name for p in root.glob("BENCH_*.json"))
-
-
-def newest_bench_path(root: Optional[Path] = None) -> Optional[Path]:
-    """Newest ``BENCH_*.json`` in ``root`` (dated names sort lexically)."""
-    root = root or Path.cwd()
-    names = _bench_names(root)
-    return root / names[-1] if names else None
-
-
-def _git(root: Path, *args: str) -> Optional[str]:
-    try:
-        proc = subprocess.run(["git", "-C", str(root), *args],
-                              capture_output=True, text=True, timeout=10)
-    except (OSError, subprocess.SubprocessError):
-        return None
-    return proc.stdout if proc.returncode == 0 else None
-
-
-def resolve_auto_baseline(root: Optional[Path] = None
-                          ) -> Optional[Tuple[str, object]]:
-    """The ``--baseline auto`` payload: newest *committed* ``BENCH_*.json``.
-
-    Reads the file's content at ``HEAD`` (so a locally regenerated bench
-    report still compares against what is committed).  Outside a git
-    checkout — or when git is unavailable — falls back to the newest
-    on-disk ``BENCH_*.json``.  Returns ``(label, payload)`` or None when
-    no bench report exists at all.
-    """
-    root = root or Path.cwd()
-    listed = _git(root, "ls-files", "--", "BENCH_*.json")
-    if listed:
-        names = sorted(name for name in listed.splitlines() if name.strip())
-        if names:
-            name = names[-1]
-            content = _git(root, "show", f"HEAD:{name}")
-            if content:
-                try:
-                    return f"{name}@HEAD", json.loads(content)
-                except ValueError:
-                    pass
-            path = root / name
-            if path.exists():
-                return name, load_payload(path)
-    path = newest_bench_path(root)
-    if path is not None:
-        return path.name, load_payload(path)
-    return None
-
-
-def thresholds_from_percent(ips_fail_pct: float = 10.0,
-                            metric_fail_pct: float = 20.0,
+def thresholds_from_percent(metric_fail_pct: float = 20.0,
                             abs_floor: float = 1e-9) -> Thresholds:
-    """CLI-facing constructor: fail thresholds in percent, warn at half."""
-    ips_fail = max(ips_fail_pct, 0.0) / 100.0
+    """CLI-facing constructor: the fail threshold in percent, warn at a
+    quarter of it."""
     metric_fail = max(metric_fail_pct, 0.0) / 100.0
-    return Thresholds(ips_fail=ips_fail, ips_warn=ips_fail / 2.0,
-                      metric_fail=metric_fail, metric_warn=metric_fail / 4.0,
+    return Thresholds(metric_fail=metric_fail, metric_warn=metric_fail / 4.0,
                       abs_floor=abs_floor)
 
 
@@ -677,9 +493,7 @@ def matrix_to_json(matrix: Mapping[str, Mapping[str, object]]
 __all__: Sequence[str] = [
     "OK", "NOTE", "WARN", "REGRESSION", "REGRESSION_EXIT",
     "CompareError", "ComparisonReport", "Delta", "Thresholds",
-    "compare_bench", "compare_hist_digests", "compare_matrices",
+    "compare_hist_digests", "compare_matrices",
     "compare_payloads", "compare_records", "compare_timelines",
-    "kind_of", "load_payload",
-    "matrix_to_json", "newest_bench_path", "resolve_auto_baseline",
-    "thresholds_from_percent",
+    "kind_of", "load_payload", "matrix_to_json", "thresholds_from_percent",
 ]

@@ -23,7 +23,7 @@ Sections:
   normalized to its own peak, with the warmup/ROI boundary marked;
 * **comparison views** — side-by-side percentile bars plus a
   severity-classified delta table for any :class:`ComparisonReport`
-  (config vs config, or candidate bench vs committed baseline).
+  (e.g. config vs config).
 
 Colors are role-driven CSS custom properties with a selected dark mode;
 severity is never conveyed by color alone (the severity word is always
@@ -541,11 +541,9 @@ def _pair_rows(report: ComparisonReport, key_prefix: str, field: str,
     return rows
 
 
-def delta_table(report: ComparisonReport, include_ok: bool = False,
-                limit: int = 80) -> str:
-    """The severity-classified delta table as HTML."""
-    shown = [d for d in report.deltas
-             if include_ok or d.severity != OK]
+def delta_table(report: ComparisonReport, limit: int = 80) -> str:
+    """The severity-classified delta table as HTML (deltas beyond ``ok``)."""
+    shown = [d for d in report.deltas if d.severity != OK]
     order = {REGRESSION: 0, WARN: 1, NOTE: 2, OK: 3}
     shown.sort(key=lambda d: order[d.severity])
     hidden = len(shown) - limit
@@ -576,8 +574,7 @@ def delta_table(report: ComparisonReport, include_ok: bool = False,
 
 def comparison_section(report: ComparisonReport, title: str,
                        pair_prefix: str = "hist.latency.",
-                       pair_field: str = "p99",
-                       include_ok: bool = False) -> str:
+                       pair_field: str = "p99") -> str:
     """One comparison view: legend, paired bars, and the delta table."""
     parts = [f"<h2>{esc(title)}</h2>",
              f"<p class=\"meta\">{esc(report.summary_line())}</p>"]
@@ -594,7 +591,7 @@ def comparison_section(report: ComparisonReport, title: str,
             f" — {esc(pair_prefix)}*{esc('.' + pair_field)} (log scale)</p>")
         parts.append(svg_pair_bars(rows, report.baseline_label,
                                    report.candidate_label))
-    parts.append(delta_table(report, include_ok=include_ok))
+    parts.append(delta_table(report))
     return "".join(parts)
 
 

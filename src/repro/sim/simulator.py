@@ -138,8 +138,8 @@ class Simulator:
         ``batched=True`` is the production path: the batched driver
         (:func:`repro.sim.batch.run_batched`) precompiles the stream
         into flat chunk arrays and resolves L1 fast paths inline.  Its
-        statistics are bit-identical to this loop's (the ``repro bench``
-        equivalence gate enforces it).
+        statistics are bit-identical to this loop's (``repro verify
+        --coverage`` gates on it over the pinned matrix).
 
         Both drivers call the observers' hooks (:mod:`repro.common.observe`)
         at the same stream positions; only the batched driver has the

@@ -12,8 +12,10 @@ single source of truth for both coherence protocols:
   configurations over the spec with a BFS to fixpoint, checking SWMR,
   data-value consistency, MD-tracking/inclusion, and stuck-freedom.
 * :mod:`repro.verify.coverage` maps runtime tracer/stat streams from the
-  pinned bench matrix (plus stress probes) onto spec transition ids and
-  gates on never-exercised transitions that are not annotated cold.
+  pinned matrix (plus stress probes) onto spec transition ids and
+  gates on never-exercised transitions that are not annotated cold,
+  and on any of those runs whose batched driver diverges from the
+  reference loop.
 
 ``repro verify`` and ``tools/lint_repro.py --protocol`` are the entry
 points; CI's ``verify`` job runs both.

@@ -1,17 +1,21 @@
-"""Runtime transition coverage: does the bench matrix exercise the spec?
+"""Runtime transition coverage and driver equivalence over the pinned matrix.
 
 Every transition in :mod:`repro.verify.spec` carries coverage
 signatures — ``stat:<key>`` (a nonzero counter, keyed relative to the
 hierarchy's root stat group) and ``emit:<kind>[:<detail-prefix>]`` (a
-tracer event).  This pass runs the pinned bench matrix at quick budgets
-plus a set of *stress probes* (shrunken cache/metadata geometries that
-force capacity events: spills, global region evictions, LLC recalls)
-and classifies each run's signals once, through its own family's
+tracer event).  This pass runs the pinned matrix
+(:mod:`repro.sim.bench`) at quick budgets plus a set of *stress
+probes* (shrunken cache/metadata geometries that force capacity
+events: spills, global region evictions, LLC recalls) on the reference
+loop and classifies each run's signals once, through its own family's
 :class:`~repro.verify.spec.SignalTable`; a transition is exercised when
 some run of its protocol fired one of its signatures.
 
 A transition that nothing exercises is a finding unless the spec
-annotates it ``cold`` with a justification — the gate CI keys on.
+annotates it ``cold`` with a justification.  Each matrix cell and
+stress probe is also run through the batched driver, and its
+:func:`~repro.sim.bench.result_snapshot` must equal the reference
+run's; a divergent run is a finding too.  Both are gates CI keys on.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from repro.common.params import (CacheGeometry, MetadataGeometry,
                                  SystemConfig, all_configs)
 from repro.common.stats import StatGroup
 from repro.sim.bench import (BENCH_CONFIGS, BENCH_SEED, BENCH_WORKLOADS,
-                             QUICK_INSTRUCTIONS, QUICK_WARMUP)
+                             QUICK_INSTRUCTIONS, QUICK_WARMUP,
+                             result_snapshot)
 from repro.verify.spec import SPECS, ProtocolSpec, spec_for
 
 #: stress probes: (label, base config name, workload, instructions) —
@@ -80,6 +85,8 @@ class RunSignals:
     spec: ProtocolSpec
     stats: Set[str] = field(default_factory=set)   # relative keys, > 0
     emits: Set[Tuple[str, str]] = field(default_factory=set)
+    #: the batched run matched the reference run (None: not compared)
+    equivalent: Optional[bool] = None
 
     def merge(self, other: "RunSignals") -> None:
         self.stats |= other.stats
@@ -109,10 +116,13 @@ class TransitionCoverage:
 
 @dataclass
 class CoverageReport:
-    """The full pass: which transitions the matrix exercised."""
+    """The full pass: which transitions the matrix exercised, and which
+    runs' batched driver diverged from the reference loop."""
 
     runs: List[str] = field(default_factory=list)
     transitions: List[TransitionCoverage] = field(default_factory=list)
+    compared: List[str] = field(default_factory=list)
+    divergent: List[str] = field(default_factory=list)
 
     @property
     def unexercised(self) -> List[TransitionCoverage]:
@@ -125,11 +135,15 @@ class CoverageReport:
 
     @property
     def ok(self) -> bool:
-        return not self.findings
+        return not self.findings and not self.divergent
 
     def to_json(self) -> Dict[str, object]:
         return {
             "runs": list(self.runs),
+            "equivalence": {
+                "compared": list(self.compared),
+                "divergent": list(self.divergent),
+            },
             "transitions": [
                 {
                     "tid": t.tid,
@@ -332,20 +346,27 @@ def directed_signals() -> List[RunSignals]:
 
 def _run_signals(config: SystemConfig, workload: str, instructions: int,
                  warmup: int, label: str) -> RunSignals:
+    """Signals of one reference-loop run, and whether a batched run of
+    the same cell reports an identical :func:`result_snapshot`."""
     from repro.sim.runner import run_workload
 
     collector = SignalCollector()
-    outcome = run_workload(config, workload, instructions=instructions,
-                           seed=BENCH_SEED, warmup=warmup,
-                           sanitize=False, telemetry=False,
-                           observers=[collector], batched=False)
+    reference = run_workload(config, workload, instructions=instructions,
+                             seed=BENCH_SEED, warmup=warmup,
+                             observers=[collector], batched=False)
+    batched = run_workload(config, workload, instructions=instructions,
+                           seed=BENCH_SEED, warmup=warmup)
+    equivalent = (
+        result_snapshot(batched.result, batched.perf.cycles)
+        == result_snapshot(reference.result, reference.perf.cycles))
     return RunSignals(label, spec_for(config),
-                      fired_stats(outcome.result.stats), collector.emits)
+                      fired_stats(reference.result.stats), collector.emits,
+                      equivalent)
 
 
 def collect_matrix_signals() -> List[RunSignals]:
-    """Run the pinned bench matrix at its quick budgets plus the stress
-    and directed probes, collecting signals."""
+    """Run the pinned matrix at its quick budgets plus the stress and
+    directed probes, collecting signals."""
     configs = {c.name: c for c in all_configs()}
     collected: List[RunSignals] = []
     for config_name in BENCH_CONFIGS:
@@ -369,7 +390,10 @@ def coverage_from_signals(signal_sets: List[RunSignals]
     for signals in signal_sets:
         for tid, signature in signals.exercised().items():
             via.setdefault(tid, f"{signals.label} [{signature}]")
-    report = CoverageReport(runs=[s.label for s in signal_sets])
+    report = CoverageReport(
+        runs=[s.label for s in signal_sets],
+        compared=[s.label for s in signal_sets if s.equivalent is not None],
+        divergent=[s.label for s in signal_sets if s.equivalent is False])
     for spec in SPECS.values():
         for transition in spec.transitions:
             report.transitions.append(TransitionCoverage(

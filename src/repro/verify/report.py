@@ -129,6 +129,13 @@ class VerificationReport:
             for t in self.coverage.findings:
                 lines.append(f"  NEVER EXERCISED: {t.tid} ({t.protocol}) — "
                              f"add a workload/probe or annotate cold")
+            compared = len(self.coverage.compared)
+            lines.append(
+                f"equivalence: {compared - len(self.coverage.divergent)}/"
+                f"{compared} run(s) batched driver == reference loop")
+            for label in self.coverage.divergent:
+                lines.append(f"  DIVERGED: {label} — the batched driver's "
+                             "statistics differ from the reference loop's")
         lines.append("verify: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines)
 

@@ -82,12 +82,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_reset_replay_lock)
 
 
-def forget_replays() -> None:
-    """Empty this process's replay cache: the next drain generates."""
-    with _replay_lock:
-        _replays.clear()
-
-
 def _store(key: Tuple[int, ...], recording: _Recording) -> None:
     with _replay_lock:
         _replays[key] = recording

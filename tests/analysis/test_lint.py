@@ -5,9 +5,11 @@ from pathlib import Path
 
 from repro.common.stats import STAT_KEYS
 from repro.experiments.records import SCALAR_METRICS
+from tests.serve.test_schema import record_payload
 from tools.lint_repro import (
     REPO_ROOT,
     check_schema,
+    check_tracked_bytecode,
     lint_paths,
     main,
 )
@@ -179,3 +181,26 @@ class TestRegistryContents:
 
     def test_registry_keys_are_strings(self):
         assert all(isinstance(key, str) and key for key in STAT_KEYS)
+
+
+class TestTimelineSchemaLint:
+    def test_records_and_bare_timelines_both_validate(self, tmp_path):
+        (tmp_path / "record.json").write_text(json.dumps(
+            record_payload(timeline={"epochs": 0})))
+        (tmp_path / "bare.json").write_text(json.dumps({"epochs": 0}))
+        assert check_schema([tmp_path]) == []
+
+    def test_malformed_series_fail(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps(
+            record_payload(timeline={"epochs": "3"})))
+        problems = check_schema([tmp_path])
+        assert any("not an int" in p for p in problems)
+
+    def test_empty_match_is_a_problem(self, tmp_path):
+        assert check_schema([tmp_path / "absent"])
+
+
+class TestTrackedBytecode:
+    def test_repo_tracks_no_bytecode(self):
+        # vacuous outside a git checkout; a hard failure inside one
+        assert check_tracked_bytecode() == []

@@ -91,6 +91,26 @@ class TestCorruptionInjection:
             protocol, sanitizer, target_region, target_line)
         assert "masters" in str(violation)
 
+    def test_llc_master_prints_as_its_slot_coordinates(self):
+        # docs/SANITIZER.md documents the form ``llc(owner, set, way)``
+        protocol, sanitizer = warmed_machine(seed=5)
+        llc_of = {slot.line: (where, slot)
+                  for where, slot in llc_slots(protocol)}
+        target = None
+        for node in protocol.nodes:
+            for array in node.arrays():
+                for _s, _w, slot in array:
+                    if slot.line in llc_of:
+                        target = slot
+        assert target is not None, "no line cached in a node and the LLC"
+        where, llc_slot = llc_of[target.line]
+        target.role = llc_slot.role = LineRole.MASTER
+        violation = assert_both_checkers_catch(
+            protocol, sanitizer, target.region, target.line)
+        assert "2 masters" in str(violation)
+        assert f"'llc{where}'" in str(violation)
+        assert "SlotRef" not in str(violation)
+
     def test_stale_mem_li_over_dirty_master(self):
         protocol, sanitizer = warmed_machine(seed=6)
         amap = protocol.amap

@@ -15,7 +15,6 @@ from repro.obs.compare import (
     ComparisonReport,
     Delta,
     Thresholds,
-    compare_bench,
     compare_hist_digests,
     compare_matrices,
     compare_payloads,
@@ -23,35 +22,8 @@ from repro.obs.compare import (
     kind_of,
     load_payload,
     matrix_to_json,
-    newest_bench_path,
-    resolve_auto_baseline,
     thresholds_from_percent,
 )
-
-
-def make_bench(ips_scale=1.0, mode="full", equivalent=True, **overrides):
-    cells = []
-    for config in ("Base-2L", "D2M-NS-R"):
-        for workload in ("tpcc", "mix1"):
-            cells.append({
-                "config": config, "workload": workload,
-                "ips": round(40_000.0 * ips_scale, 1),
-                "phases_s": {"stats": 0.01},
-                "simulate_s": 0.7,
-                "equivalent": equivalent,
-            })
-    report = {
-        "schema": 1, "date": "2026-08-06", "mode": mode,
-        "matrix": {"configs": ["Base-2L", "D2M-NS-R"],
-                   "workloads": ["tpcc", "mix1"], "seed": 1,
-                   "instructions": 20_000, "warmup": 10_000,
-                   "repetitions": 3},
-        "env": {}, "cells": cells,
-        "geomean_ips": round(40_000.0 * ips_scale, 1),
-        "equivalence_checked": True, "equivalence_ok": equivalent,
-    }
-    report.update(overrides)
-    return report
 
 
 def make_record(**overrides):
@@ -81,7 +53,7 @@ class TestDelta:
 
 class TestComparisonReport:
     def test_exit_code_gates_only_on_regression(self):
-        report = ComparisonReport("bench")
+        report = ComparisonReport("record")
         report.add(Delta("a", 1.0, 1.0, OK))
         report.add(Delta("b", 1.0, 2.0, WARN))
         assert report.exit_code() == 0
@@ -98,93 +70,6 @@ class TestComparisonReport:
         broken = ComparisonReport("record")
         broken.add(Delta("a", 1.0, 9.0, REGRESSION))
         assert "REGRESSION" in broken.summary_line()
-
-
-class TestCompareBench:
-    def test_identical_reports_are_clean(self):
-        report = compare_bench(make_bench(), make_bench())
-        assert report.exit_code() == 0
-        assert report.worst == OK
-        assert {d.key for d in report.deltas} >= {
-            "ips.Base-2L/tpcc", "ips.D2M-NS-R/mix1", "geomean_ips"}
-
-    def test_ten_percent_drop_regresses_per_cell(self):
-        report = compare_bench(make_bench(), make_bench(ips_scale=0.85))
-        cells = [d for d in report.deltas if d.key.startswith("ips.")]
-        assert cells and all(d.severity == REGRESSION for d in cells)
-        assert report.exit_code() == REGRESSION_EXIT
-        assert "dropped 15.0%" in cells[0].note
-
-    def test_five_percent_drop_warns(self):
-        report = compare_bench(make_bench(), make_bench(ips_scale=0.93))
-        cells = [d for d in report.deltas if d.key.startswith("ips.")]
-        assert all(d.severity == WARN for d in cells)
-        assert report.exit_code() == 0
-
-    def test_improvement_is_a_note(self):
-        report = compare_bench(make_bench(), make_bench(ips_scale=1.30))
-        cells = [d for d in report.deltas if d.key.startswith("ips.")]
-        assert all(d.severity == NOTE for d in cells)
-        assert "improved" in cells[0].note
-
-    def test_mode_mismatch_caps_ips_at_note(self):
-        quick = make_bench(ips_scale=0.5, mode="quick")
-        quick["matrix"] = dict(quick["matrix"], instructions=4000)
-        report = compare_bench(make_bench(), quick)
-        assert report.exit_code() == 0
-        ips = [d for d in report.deltas if d.key.startswith("ips.")]
-        assert all(d.severity in (OK, NOTE) for d in ips)
-        assert any("mode mismatch" in note for note in report.notes)
-
-    def test_equivalence_failure_regresses_even_cross_mode(self):
-        quick = make_bench(mode="quick", equivalent=False)
-        report = compare_bench(make_bench(), quick)
-        assert report.exit_code() == REGRESSION_EXIT
-        keys = {d.key for d in report.regressions()}
-        assert "equivalence_ok" in keys
-        assert any(key.startswith("equivalence.") for key in keys)
-
-    def test_missing_cell_warns(self):
-        candidate = make_bench()
-        dropped = candidate["cells"].pop()
-        report = compare_bench(make_bench(), candidate)
-        name = f"{dropped['config']}/{dropped['workload']}"
-        only = [d for d in report.deltas if d.key == f"ips.{name}"]
-        assert only[0].severity == WARN
-        assert "only in baseline" in only[0].note
-
-    def test_cold_ips_drop_regresses(self):
-        baseline, candidate = make_bench(), make_bench()
-        for cell in baseline["cells"]:
-            cell["cold_ips"] = 30_000.0
-        for cell in candidate["cells"]:
-            cell["cold_ips"] = 20_000.0
-        report = compare_bench(baseline, candidate)
-        keys = {d.key for d in report.regressions()}
-        assert keys == {f"cold_ips.{c['config']}/{c['workload']}"
-                        for c in candidate["cells"]}
-        # a report without cold timings compares its ips alone
-        report = compare_bench(make_bench(), candidate)
-        assert not [d for d in report.deltas if d.key.startswith("cold_")]
-        assert report.worst == OK
-
-    def test_phase_shift_is_noted(self):
-        candidate = make_bench()
-        candidate["cells"][0]["phases_s"] = {"stats": 0.04}
-        report = compare_bench(make_bench(), candidate)
-        shifted = [d for d in report.deltas
-                   if d.key.startswith("phase.stats.")]
-        assert shifted and shifted[0].severity == NOTE
-
-    def test_phases_one_report_lacks_are_skipped(self):
-        # an older report also split generate/hierarchy; only the
-        # phases both reports time are compared
-        baseline = make_bench()
-        for cell in baseline["cells"]:
-            cell["phases_s"] = {"generate": 0.2, "hierarchy": 0.5,
-                                "stats": 0.01}
-        report = compare_bench(baseline, make_bench())
-        assert not [d for d in report.deltas if d.key.startswith("phase.")]
 
 
 class TestCompareRecords:
@@ -290,24 +175,28 @@ class TestCompareMatrices:
 
 class TestKindsAndLoading:
     def test_kind_of(self):
-        assert kind_of(make_bench()) == "bench"
         assert kind_of(make_record().to_json()) == "record"
         assert kind_of({"water": {"Base-2L": make_record().to_json()}}) \
             == "matrix"
         with pytest.raises(CompareError):
             kind_of({"unrelated": 1})
+        with pytest.raises(CompareError):  # a BENCH_*.json report
+            kind_of({"cells": [], "geomean_ips": 1.0, "mode": "full"})
         with pytest.raises(CompareError):
             kind_of([1, 2])
 
     def test_compare_payloads_dispatch_and_mismatch(self):
-        assert compare_payloads(make_bench(), make_bench()).kind == "bench"
+        record = make_record().to_json()
+        matrix = {"water": {"D2M-NS-R": record}}
+        assert compare_payloads(record, record).kind == "record"
+        assert compare_payloads(matrix, matrix).kind == "matrix"
         with pytest.raises(CompareError):
-            compare_payloads(make_bench(), make_record().to_json())
+            compare_payloads(matrix, record)
 
     def test_load_payload_file_and_errors(self, tmp_path):
-        path = tmp_path / "bench.json"
-        path.write_text(json.dumps(make_bench()))
-        assert kind_of(load_payload(path)) == "bench"
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(make_record().to_json()))
+        assert kind_of(load_payload(path)) == "record"
         with pytest.raises(CompareError):
             load_payload(tmp_path / "missing.json")
         bad = tmp_path / "bad.json"
@@ -329,39 +218,9 @@ class TestKindsAndLoading:
             load_payload(tmp_path / "sub")  # missing dir
 
 
-class TestBaselineResolution:
-    def test_newest_bench_path_orders_lexically(self, tmp_path):
-        assert newest_bench_path(tmp_path) is None
-        (tmp_path / "BENCH_2026-01-05.json").write_text("{}")
-        (tmp_path / "BENCH_2026-08-06.json").write_text("{}")
-        assert newest_bench_path(tmp_path).name == "BENCH_2026-08-06.json"
-
-    def test_auto_outside_git_falls_back_to_disk(self, tmp_path):
-        (tmp_path / "BENCH_2026-08-06.json").write_text(
-            json.dumps(make_bench()))
-        label, payload = resolve_auto_baseline(tmp_path)
-        assert label == "BENCH_2026-08-06.json"
-        assert kind_of(payload) == "bench"
-
-    def test_auto_with_nothing_returns_none(self, tmp_path):
-        assert resolve_auto_baseline(tmp_path) is None
-
-    def test_auto_in_this_repo_reads_head(self):
-        from pathlib import Path
-
-        resolved = resolve_auto_baseline(Path(__file__).parents[2])
-        assert resolved is not None
-        label, payload = resolved
-        assert label.startswith("BENCH_")
-        assert kind_of(payload) == "bench"
-
-
 class TestThresholds:
     def test_from_percent(self):
-        thresholds = thresholds_from_percent(ips_fail_pct=8.0,
-                                             metric_fail_pct=40.0)
-        assert thresholds.ips_fail == pytest.approx(0.08)
-        assert thresholds.ips_warn == pytest.approx(0.04)
+        thresholds = thresholds_from_percent(metric_fail_pct=40.0)
         assert thresholds.metric_fail == pytest.approx(0.40)
         assert thresholds.metric_warn == pytest.approx(0.10)
 

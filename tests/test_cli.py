@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repro.cli import ARTIFACTS, main
+from repro.experiments.records import RunRecord
 
 
 @pytest.fixture(autouse=True)
@@ -388,76 +389,68 @@ class TestLogJson:
         assert events[-1] == "cli.end"
 
 
-def _bench_payload(ips_scale=1.0):
-    cells = [{"config": config, "workload": workload,
-              "ips": round(50_000.0 * ips_scale, 1),
-              "phases_s": {"stats": 0.01},
-              "simulate_s": 0.7, "equivalent": True}
-             for config in ("Base-2L", "D2M-NS-R")
-             for workload in ("tpcc", "mix1")]
-    return {"schema": 1, "date": "2026-08-06", "mode": "full",
-            "matrix": {"configs": ["Base-2L", "D2M-NS-R"],
-                       "workloads": ["tpcc", "mix1"], "seed": 1,
-                       "instructions": 20_000, "warmup": 10_000,
-                       "repetitions": 3},
-            "env": {}, "cells": cells,
-            "geomean_ips": round(50_000.0 * ips_scale, 1),
-            "equivalence_checked": True, "equivalence_ok": True}
+def _record_payload(cycles=10_000.0):
+    return RunRecord("water", "sa", "D2M-NS-R", 1000, cycles=cycles,
+                     msgs_per_ki=50.0, edp=3.0e8).to_json()
+
+
+def _write_pair(tmp_path, candidate):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(json.dumps(_record_payload()))
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(candidate))
+    return str(baseline), str(path)
 
 
 class TestCompare:
     def test_identical_payloads_exit_zero(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_2026-01-01.json"
-        baseline.write_text(json.dumps(_bench_payload()))
-        candidate = tmp_path / "candidate.json"
-        candidate.write_text(json.dumps(_bench_payload()))
-        assert main(["compare", str(candidate),
-                     "--baseline", str(baseline)]) == 0
+        pair = _write_pair(tmp_path, _record_payload())
+        assert main(["compare", *pair]) == 0
         out = capsys.readouterr().out
-        assert "ips.Base-2L/tpcc" in out  # per-cell table, ok rows included
+        assert "(no deltas beyond thresholds)" in out
         assert ": OK (" in out
 
-    def test_ips_drop_exits_three_with_cell_table(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_2026-01-01.json"
-        baseline.write_text(json.dumps(_bench_payload()))
-        candidate = tmp_path / "candidate.json"
-        candidate.write_text(json.dumps(_bench_payload(ips_scale=0.85)))
-        assert main(["compare", str(candidate),
-                     "--baseline", str(baseline)]) == 3
+    def test_metric_drift_exits_three_with_delta_table(self, tmp_path,
+                                                       capsys):
+        pair = _write_pair(tmp_path, _record_payload(cycles=13_000.0))
+        assert main(["compare", *pair]) == 3
         out = capsys.readouterr().out
-        assert "ips.D2M-NS-R/mix1" in out
+        assert "cycles" in out
         assert "REGRESSION" in out
-        assert "-15.0%" in out
+        assert "+30.0%" in out
 
     def test_threshold_flag_relaxes_the_gate(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_2026-01-01.json"
-        baseline.write_text(json.dumps(_bench_payload()))
-        candidate = tmp_path / "candidate.json"
-        candidate.write_text(json.dumps(_bench_payload(ips_scale=0.85)))
-        assert main(["compare", str(candidate),
-                     "--baseline", str(baseline),
-                     "--ips-threshold", "20"]) == 0
+        pair = _write_pair(tmp_path, _record_payload(cycles=13_000.0))
+        assert main(["compare", *pair, "--metric-threshold", "40"]) == 0
 
-    def test_missing_candidate_exits_two(self, tmp_path, monkeypatch,
-                                         capsys):
-        monkeypatch.chdir(tmp_path)  # no BENCH_*.json anywhere in here
-        assert main(["compare", "--baseline", "auto"]) == 2
-        assert "no candidate" in capsys.readouterr().err
+    def test_missing_candidate_exits_two(self, tmp_path, capsys):
+        baseline, _ = _write_pair(tmp_path, _record_payload())
+        with pytest.raises(SystemExit) as exc:
+            main(["compare", baseline])
+        assert exc.value.code == 2
+        assert "candidate" in capsys.readouterr().err
 
     def test_bad_baseline_path_exits_two(self, tmp_path, capsys):
-        candidate = tmp_path / "candidate.json"
-        candidate.write_text(json.dumps(_bench_payload()))
-        assert main(["compare", str(candidate),
-                     "--baseline", str(tmp_path / "nope.json")]) == 2
+        _, candidate = _write_pair(tmp_path, _record_payload())
+        assert main(["compare", str(tmp_path / "nope.json"),
+                     candidate]) == 2
         assert "compare:" in capsys.readouterr().err
 
+    def test_bench_report_exits_two(self, tmp_path, capsys):
+        bench = {"schema": 1, "mode": "full", "env": {},
+                 "cells": [{"config": "Base-2L", "workload": "tpcc",
+                            "ips": 100.0}],
+                 "geomean_ips": 100.0}
+        path = tmp_path / "BENCH_2026-01-01.json"
+        path.write_text(json.dumps(bench))
+        assert main(["compare", str(path), str(path)]) == 2
+        assert ("neither a run record nor a sweep matrix"
+                in capsys.readouterr().err)
+
     def test_json_out_writes_report(self, tmp_path, capsys):
-        baseline = tmp_path / "BENCH_2026-01-01.json"
-        baseline.write_text(json.dumps(_bench_payload()))
-        candidate = tmp_path / "candidate.json"
-        candidate.write_text(json.dumps(_bench_payload(ips_scale=0.85)))
+        pair = _write_pair(tmp_path, _record_payload(cycles=13_000.0))
         report_path = tmp_path / "report.json"
-        assert main(["compare", str(candidate), "--baseline", str(baseline),
+        assert main(["compare", *pair,
                      "--json-out", str(report_path)]) == 3
         doc = json.loads(report_path.read_text())
         assert doc["worst"] == "regression"

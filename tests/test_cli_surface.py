@@ -17,15 +17,14 @@ SURFACE = {
     "report": {"artifact"},
     "sweep": {"--workloads", "--instructions", "--seed", "--jobs",
               "--profile-attrib", "--timeline", "--epoch", *_CHECKING},
-    "bench": {"--quick", "--out", "--no-equivalence"},
-    "compare": {"candidate", "--baseline", "--ips-threshold",
-                "--metric-threshold", "--json-out"},
+    "compare": {"baseline", "candidate", "--metric-threshold",
+                "--json-out"},
     "verify": {"--model-check", "--coverage", "--json-out"},
     "serve": {"--host", "--port", "--workers", "--job-concurrency",
               "--cache-dir", "--metrics-out"},
     "dashboard": {"--out", "--workloads", "--workload", "--config",
                   "--against", "--instructions", "--seed", "--jobs",
-                  "--bench", "--timeline", "--epoch"},
+                  "--timeline", "--epoch"},
 }
 
 

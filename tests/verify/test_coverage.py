@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.params import all_configs
 from repro.common.stats import StatGroup
+from repro.sim.bench import BENCH_CONFIGS, BENCH_WORKLOADS
 from repro.verify.coverage import (
+    PROBES,
     CoverageReport,
     RunSignals,
     TransitionCoverage,
@@ -176,6 +178,12 @@ class TestAcceptanceGate:
         assert report.findings == [], [t.tid for t in report.findings]
         summary = report.to_json()["summary"]
         assert summary["exercised"] == summary["total"]
+
+    def test_batched_driver_matches_every_matrix_run_and_probe(self,
+                                                                report):
+        assert len(report.compared) == (
+            len(BENCH_CONFIGS) * len(BENCH_WORKLOADS) + len(PROBES))
+        assert report.divergent == []
 
     def test_every_via_names_a_run_of_its_own_protocol(self, report):
         families = {c.name: spec_for(c).name for c in all_configs()}

@@ -1,6 +1,9 @@
 """`repro verify` wiring: report assembly, rendering, CLI exit codes."""
 
 import json
+from dataclasses import replace
+
+import pytest
 
 from repro.cli import main
 from repro.verify.coverage import CoverageReport, TransitionCoverage
@@ -109,3 +112,56 @@ class TestCli:
         monkeypatch.setattr(report_mod, "run_verification", broken)
         assert main(["verify"]) == 1
         assert "boom" in capsys.readouterr().out
+
+
+class TestEquivalenceGate:
+    """A batched run that diverges from its reference run fails the
+    coverage pass and names the cell, in the report and at the CLI."""
+
+    @pytest.fixture
+    def drifting(self, monkeypatch):
+        from repro.sim import runner
+        from repro.verify import coverage
+
+        # one small cell, no probes, and no spec transitions to cover,
+        # so only the equivalence gate can decide the verdict
+        monkeypatch.setattr(coverage, "BENCH_CONFIGS", ("Base-2L",))
+        monkeypatch.setattr(coverage, "BENCH_WORKLOADS", ("tpcc",))
+        monkeypatch.setattr(coverage, "QUICK_INSTRUCTIONS", 400)
+        monkeypatch.setattr(coverage, "QUICK_WARMUP", 200)
+        monkeypatch.setattr(coverage, "PROBES", ())
+        monkeypatch.setattr(coverage, "directed_signals", lambda: [])
+        monkeypatch.setattr(coverage, "SPECS", {})
+        real = runner.run_workload
+        drift = {"cycles": 0}
+
+        def run_workload(*args, batched=True, **kwargs):
+            outcome = real(*args, batched=batched, **kwargs)
+            if batched:
+                perf = replace(outcome.perf,
+                               cycles=outcome.perf.cycles + drift["cycles"])
+                outcome = replace(outcome, perf=perf)
+            return outcome
+
+        monkeypatch.setattr(runner, "run_workload", run_workload)
+        return drift
+
+    def test_matching_drivers_pass(self, drifting):
+        report = run_verification(coverage=True)
+        assert report.coverage.compared == ["Base-2L/tpcc"]
+        assert report.coverage.divergent == []
+        assert report.ok
+        assert "equivalence: 1/1 run(s)" in report.render()
+
+    def test_divergence_fails_the_gate(self, drifting, capsys):
+        drifting["cycles"] = 1
+        report = run_verification(coverage=True)
+        assert not report.ok
+        assert report.coverage.divergent == ["Base-2L/tpcc"]
+        assert "DIVERGED: Base-2L/tpcc" in report.render()
+        doc = report.to_json()
+        assert doc["ok"] is False
+        assert doc["coverage"]["equivalence"]["divergent"] == [
+            "Base-2L/tpcc"]
+        assert main(["verify", "--coverage"]) == 1
+        assert "DIVERGED: Base-2L/tpcc" in capsys.readouterr().out

@@ -192,13 +192,6 @@ class TestKey:
         stream.close()
         assert not base._replays
 
-    def test_forget_replays_makes_the_next_drain_generate(self, draws):
-        expected = _chunks(make_workload("water", 4, seed=3), 500)
-        base.forget_replays()
-        assert not base._replays
-        assert _chunks(make_workload("water", 4, seed=3), 500) == expected
-        assert len(draws) == 2
-
     def test_translate_between_chunks_changes_nothing(self):
         # a translate between chunks changes neither the stream nor
         # what is stored
