@@ -53,9 +53,9 @@ from repro.core.invariants import (
     RegionMD1,
     RegionView,
     check_region_invariants,
+    fingerprint_view,
     machine_regions,
     md1_index,
-    region_view,
 )
 from repro.core.protocol import D2MProtocol
 from repro.core.regions import ActiveSite
@@ -267,7 +267,12 @@ class CoherenceSanitizer:
         self._snapshot(view)
 
     def _rotate(self, exclude: Set[int]) -> None:
-        """Re-fingerprint a few untouched regions (round-robin)."""
+        """Re-fingerprint a few untouched regions (round-robin).
+
+        Reads each region through :func:`fingerprint_view` — only the
+        state a fingerprint covers, not the masters map or MD1 entries
+        a region check needs.
+        """
         budget = ROTATION
         seen: Set[int] = set()
         while budget > 0:
@@ -285,8 +290,8 @@ class CoherenceSanitizer:
             self.rotation_checks += 1
             old, last_seq = self._shadow[pregion]
             try:
-                new = self._fingerprint(region_view(
-                    self.protocol, pregion, self._indexed_md1(pregion)))
+                new = self._fingerprint(
+                    fingerprint_view(self.protocol, pregion))
             except InvariantViolation as exc:
                 raise self._violation(
                     f"rotation check of region {pregion:#x} found broken "

@@ -210,9 +210,16 @@ class DataArray:
         return self.sets * self.ways
 
     def lines_of_region(self, region: int) -> List[Tuple[int, int, DataLine]]:
-        """All slots holding lines of ``region`` (forced-eviction helper)."""
+        """All slots holding lines of ``region`` (forced-eviction helper).
+
+        One region-index lookup answers an array holding none, so the
+        empty result doubles as the membership test.
+        """
+        members = self._by_region.get(region)
+        if not members:
+            return []
         out = []
-        for set_idx, way in sorted(self._by_region.get(region, ())):
+        for set_idx, way in sorted(members):
             slot = self._slots[set_idx][way]
             assert slot is not None and slot.region == region
             out.append((set_idx, way, slot))

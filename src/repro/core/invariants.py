@@ -159,28 +159,66 @@ def region_view(protocol: D2MProtocol, pregion: int,
         if md2_entry is not None:
             nodes[node.node] = (node, md2_entry,
                                 _active_holder(node, pregion, md2_entry))
-        held = []
-        for array in node.arrays():
-            if pregion in array.regions():
-                rows = array.lines_of_region(pregion)
-                held.append((array, rows))
+        held = _held_rows(node, pregion)
+        if held:
+            cached[node.node] = held
+            for array, rows in held:
                 for _s, _w, slot in rows:
                     if slot.role is master:
                         masters[slot.line].append((array.name, slot))
-        if held:
-            cached[node.node] = held
-    llc: List[Tuple[Optional[int], Rows]] = []
-    for owner, array in protocol.llc.arrays():
-        if pregion in array.regions():
-            rows = array.lines_of_region(pregion)
-            llc.append((owner, rows))
-            for set_idx, way, slot in rows:
-                if slot.role is master:
-                    masters[slot.line].append(((owner, set_idx, way), slot))
+    llc = _llc_rows(protocol, pregion)
+    for owner, rows in llc:
+        for set_idx, way, slot in rows:
+            if slot.role is master:
+                masters[slot.line].append(((owner, set_idx, way), slot))
     if md1 is None:
         md1 = md1_index(protocol).get(pregion, {})
     return RegionView(pregion, protocol.md3.peek(pregion), nodes, md1,
                       cached, llc, masters)
+
+
+def fingerprint_view(protocol: D2MProtocol, pregion: int) -> RegionView:
+    """The part of the region's view a state fingerprint reads.
+
+    The nodes with metadata for the region (a dangling tracking pointer
+    kept as None, as in :func:`region_view`), only those nodes' cached
+    rows, the LLC rows and the MD3 entry.  No masters map and no MD1
+    entries: a view for comparing snapshots, not for the checks.
+    """
+    nodes: Dict[int, Tuple[D2MNode, MD2Entry, Optional[Holder]]] = {}
+    cached: Dict[int, List[Tuple[DataArray, Rows]]] = {}
+    for node in protocol.nodes:
+        md2_entry = node.md2.lookup(pregion, touch=False)
+        if md2_entry is None:
+            continue
+        nodes[node.node] = (node, md2_entry,
+                            _active_holder(node, pregion, md2_entry))
+        held = _held_rows(node, pregion)
+        if held:
+            cached[node.node] = held
+    return RegionView(pregion, protocol.md3.peek(pregion), nodes, {},
+                      cached, _llc_rows(protocol, pregion), {})
+
+
+def _held_rows(node: D2MNode, pregion: int) -> List[Tuple[DataArray, Rows]]:
+    """``(array, rows)`` over the node's arrays holding the region."""
+    held = []
+    for array in node.arrays():
+        rows = array.lines_of_region(pregion)
+        if rows:
+            held.append((array, rows))
+    return held
+
+
+def _llc_rows(protocol: D2MProtocol,
+              pregion: int) -> List[Tuple[Optional[int], Rows]]:
+    """``(slice owner, rows)`` over the LLC banks holding the region."""
+    llc = []
+    for owner, array in protocol.llc.arrays():
+        rows = array.lines_of_region(pregion)
+        if rows:
+            llc.append((owner, rows))
+    return llc
 
 
 def _active_holder(node: D2MNode, pregion: int,

@@ -2,14 +2,17 @@
 
 Stdlib only: a hand-rolled HTTP/1.1 server on ``asyncio.start_server``
 (``Connection: close`` per request — the clients are sweep scripts and
-CI curls, not browsers hammering keep-alive).  Simulation never runs on
-the event loop: jobs drain through a small number of concurrent job
+CI curls, not browsers hammering keep-alive).  A submission whose every
+cell is already in the run cache is answered inside ``POST /runs``: it
+is born ``done`` and never queued.  Simulation never runs on the event
+loop: every other job drains through a small number of concurrent job
 tasks, each of which claims its cells in the
 :class:`~repro.serve.coalesce.Coalescer`, looks them up in the run
 cache once, and executes the owned cells still missing via
 :func:`~repro.experiments.runner.execute_plan` (and thus the
-:mod:`repro.sim.parallel` process pool) inside a thread executor.  Results land on disk first (atomic run records), then fan
-out to coalesced waiters via ``call_soon_threadsafe``.
+:mod:`repro.sim.parallel` process pool) inside a thread executor.
+Results land on disk first (atomic run records), then fan out to
+coalesced waiters via ``call_soon_threadsafe``.
 
 The serving layer sits entirely *beside* the simulation hot path: a
 run simulated through the daemon executes exactly the code path
@@ -26,6 +29,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.common.params import SystemConfig
 from repro.experiments.runner import (
     PendingRun,
     RunRecord,
@@ -108,7 +112,8 @@ class ServeApp:
         """Recover the queue, start drainers, bind the HTTP server.
 
         ``drain=False`` accepts and persists submissions without
-        executing them (tests use it to stage a queue for a restart).
+        executing them (tests use it to stage a queue for a restart); a
+        fully cached submission is still answered at admission.
         """
         reap_orphan_tmp(self.runs_dir)
         self.recovered_jobs = self.queue.recover()
@@ -190,6 +195,40 @@ class ServeApp:
                                          meta=dict(meta)))
         self.metrics.observe("repro_stage_ns", int(dur_s * 1e9), stage=stage)
 
+    def _lookup(self, request: Dict[str, object],
+                configs: List[SystemConfig]) -> SweepPlan:
+        """The job's one run-cache lookup (blocking: run it in an
+        executor, never on the loop — a job may have
+        :data:`~repro.serve.handlers.MAX_CELLS_PER_JOB` cells).
+
+        :func:`plan_matrix` over the job's matrix with the extras it
+        accepts (:func:`handlers.job_extras`): a cell is pending unless
+        its record carries every requested extra.
+        """
+        return plan_matrix(
+            workloads=request["workloads"],  # type: ignore[arg-type]
+            configs=configs,
+            instructions=int(request["instructions"]),  # type: ignore[arg-type]
+            seed=int(request["seed"]),  # type: ignore[arg-type]
+            warmup=int(request["warmup"]),  # type: ignore[arg-type]
+            timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
+            cache_root=self.cache_root)
+
+    def _admission_lookup(self, job: Job,
+                          configs: List[SystemConfig]) -> Optional[SweepPlan]:
+        """:meth:`_lookup` at admission, or None when a cell's record
+        file is absent (blocking, like the lookup).
+
+        An absent file is a miss whatever the lookup would read, so a
+        submission with one new cell costs a few ``stat`` calls here,
+        not a parse of every record the drain lane parses again under
+        its claims.
+        """
+        if not all((self.runs_dir / f"{cell.key}.json").is_file()
+                   for cell in job.cells):
+            return None
+        return self._lookup(job.request, configs)
+
     async def _run_job(self, job: Job) -> None:
         loop = asyncio.get_running_loop()
         request = job.request
@@ -207,15 +246,8 @@ class ServeApp:
         try:
             # One lookup, under the claims: no run of an owned key can
             # land between the lookup and the claim.
-            plan: SweepPlan = await loop.run_in_executor(
-                None, lambda: plan_matrix(
-                    workloads=request["workloads"],  # type: ignore[arg-type]
-                    configs=configs,
-                    instructions=int(request["instructions"]),  # type: ignore[arg-type]
-                    seed=int(request["seed"]),  # type: ignore[arg-type]
-                    warmup=int(request["warmup"]),  # type: ignore[arg-type]
-                    timeline=int(request.get("timeline", 0) or 0),  # type: ignore[arg-type]
-                    cache_root=self.cache_root))
+            plan = await loop.run_in_executor(None, self._lookup,
+                                              request, configs)
             missing = {item.key for item in plan.pending}
             for cell in job.cells:
                 if cell.key not in missing:  # served from disk
@@ -238,7 +270,8 @@ class ServeApp:
                                  len(cells) - len(missing))
             if missing:
                 self.metrics.inc("repro_cache_misses_total", len(missing))
-            self.queue.save(job)
+            if runs or waited:  # else the terminal save follows at once
+                self.queue.save(job)
             if runs:
                 sub_plan = replace(plan, pending=runs)  # shares plan.matrix
                 hb_dir = self.heartbeat_dir_for(job.id)
@@ -303,16 +336,21 @@ class ServeApp:
                 for key, message in sorted(failures_by_key.items()))
         else:
             job.state = "done"
+        self._finish(job)
+        self._wake.set()
+
+    def _finish(self, job: Job) -> None:
+        """Journal a job that reached its terminal state, and count it."""
         with StageTimer() as respond_t:
             self.queue.save(job)
         self._span(job, "respond", respond_t.ts, respond_t.dur_s,
                    state=job.state)
         self.metrics.inc("repro_jobs_total", outcome=job.state)
+        log_extra = {"trace": job.trace} if job.trace else {}
         runlog.emit("serve.job_end", job=job.id, state=job.state,
                     simulated=sum(1 for cell in job.cells
                                   if cell.state == "simulated"),
                     **log_extra)
-        self._wake.set()
 
     def _record_landed(self, job: Job, cells: Dict[str, JobCell],
                        key: str, record: RunRecord) -> None:
@@ -364,7 +402,7 @@ class ServeApp:
             return 200, self.metrics_text().encode("utf-8"), {
                 "Content-Type": "text/plain; version=0.0.4; charset=utf-8"}
         if path == "/runs" and method == "POST":
-            return self._submit(body)
+            return await self._submit(body)
         if path.startswith("/runs/") and method == "GET":
             rest = path[len("/runs/"):]
             if rest.endswith("/trace"):
@@ -449,7 +487,18 @@ class ServeApp:
             "uptime_s": round(time.time() - self.metrics.started_ts, 3),
         }
 
-    def _submit(self, body: bytes) -> Tuple[int, object, Dict[str, str]]:
+    async def _submit(self, body: bytes
+                      ) -> Tuple[int, object, Dict[str, str]]:
+        """``POST /runs``: validate, then answer from the run cache or
+        queue the job.
+
+        A job whose every cell the lookup finds is born ``done`` and
+        journalled once; no drain lane sees it.  Admission claims
+        nothing: a record on disk whose extras cover the request is a
+        correct answer whoever may be simulating its key.  Any other
+        job, also one whose lookup raised, is queued, and its drain
+        lane claims its cells and looks them up again under the claims.
+        """
         trace = new_trace_id()
         with StageTimer() as validate_t:
             try:
@@ -464,12 +513,27 @@ class ServeApp:
         job = make_job(request, cells, trace=trace)
         self._span(job, "validate", validate_t.ts, validate_t.dur_s,
                    cells=len(cells))
-        with StageTimer() as enqueue_t:
-            self.queue.save(job)
-        self._span(job, "enqueue", enqueue_t.ts, enqueue_t.dur_s)
-        self._wake.set()
+        try:
+            plan = await asyncio.get_running_loop().run_in_executor(
+                None, self._admission_lookup, job, configs)
+        except Exception as exc:  # the drain lane looks up again
+            runlog.warn(f"repro serve: admission lookup of job {job.id} "
+                        f"raised {type(exc).__name__}: {exc}; queued",
+                        job=job.id)
+            plan = None
         runlog.emit("serve.submit", job=job.id, cells=len(job.cells),
                     trace=trace)
+        if plan is not None and not plan.pending:
+            for cell in job.cells:
+                cell.state = "cached"
+            job.state = "done"
+            self.metrics.inc("repro_cache_hits_total", len(job.cells))
+            self._finish(job)
+        else:
+            with StageTimer() as enqueue_t:
+                self.queue.save(job)
+            self._span(job, "enqueue", enqueue_t.ts, enqueue_t.dur_s)
+            self._wake.set()
         return 201, handlers.job_payload(job), {
             "Location": f"/runs/{job.id}",
             "X-Trace-Id": trace}

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import time
 import uuid
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -72,10 +72,22 @@ class Job:
                    if cell.state in ("cached", "simulated", "coalesced"))
 
     def to_json(self) -> dict:
-        payload = asdict(self)
-        payload["done_cells"] = self.done_cells
-        payload["total_cells"] = len(self.cells)
-        return payload
+        # Built by hand: ``dataclasses.asdict`` deep-copies every field
+        # and dominated the cost of a journal write.  Same keys, same
+        # order.
+        return {
+            "id": self.id,
+            "state": self.state,
+            "created_ts": self.created_ts,
+            "request": dict(self.request),
+            "cells": [{"workload": cell.workload, "config": cell.config,
+                       "key": cell.key, "state": cell.state}
+                      for cell in self.cells],
+            "error": self.error,
+            "trace": self.trace,
+            "done_cells": self.done_cells,
+            "total_cells": len(self.cells),
+        }
 
     @staticmethod
     def from_json(data: dict) -> "Job":

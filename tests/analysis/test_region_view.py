@@ -11,7 +11,11 @@ caught by the full walk.
 import pytest
 
 from tests.helpers import D2M_FACTORIES, TraceDriver, llc_slots, small_config
-from repro.analysis import SanitizerViolation, attach_sanitizer
+from repro.analysis import (
+    CoherenceSanitizer,
+    SanitizerViolation,
+    attach_sanitizer,
+)
 from repro.common.errors import InvariantViolation
 from repro.common.params import d2m_fs, d2m_ns, d2m_ns_r
 from repro.core.datastore import DataLine, LineRole
@@ -19,6 +23,7 @@ from repro.core.hierarchy import build_hierarchy
 from repro.core.invariants import (
     check_invariants,
     check_region_invariants,
+    fingerprint_view,
     machine_regions,
     md1_index,
     region_view,
@@ -114,6 +119,50 @@ class TestRegionView:
                 if slot.role is LineRole.MASTER:
                     masters.setdefault(slot.line, []).append((key, slot))
             assert dict(view.masters) == masters
+
+
+class TestFingerprintView:
+    """The sanitizer's rotation fingerprints a lean view: the nodes with
+    metadata, their rows, the LLC rows and MD3."""
+
+    @pytest.mark.parametrize("factory", D2M_FACTORIES)
+    def test_lean_view_fingerprints_like_the_full_view(self, factory):
+        hierarchy = build_hierarchy(small_config(factory(4)))
+        sanitizer = attach_sanitizer(hierarchy)
+        driver = TraceDriver(hierarchy, seed=41)
+        protocol = hierarchy.protocol
+        fingerprint = CoherenceSanitizer._fingerprint
+        compared = 0
+        for _burst in range(6):
+            driver.random_burst(250, cores=4)
+            for pregion in machine_regions(protocol):
+                full = region_view(protocol, pregion)
+                lean = fingerprint_view(protocol, pregion)
+                assert lean.nodes == full.nodes
+                assert lean.md3 is full.md3 and lean.llc == full.llc
+                assert fingerprint(lean) == fingerprint(full)
+                compared += 1
+        assert compared > 100 and sanitizer.rotation_checks > 0
+
+    def test_dangling_tracking_pointer_fails_the_rotation(self):
+        hierarchy, sanitizer = warmed(d2m_fs, seed=42)
+        protocol = hierarchy.protocol
+        sanitizer.run_full_walk()  # fingerprint every region
+        node, pregion, md2_entry = next(
+            (node, pregion, entry)
+            for pregion in sorted(sanitizer._shadow)
+            for node in protocol.nodes
+            for entry in [node.md2.lookup(pregion, touch=False)]
+            if entry is not None and entry.active_in is not ActiveSite.MD2)
+        store = node.md1i if md2_entry.active_in is ActiveSite.MD1I \
+            else node.md1d
+        md2_entry.tp_vregion = free_md1_key(store)
+        sanitizer._rotation_queue = [pregion]
+        with pytest.raises(SanitizerViolation) as excinfo:
+            sanitizer._rotate(exclude=set())
+        assert f"rotation check of region {pregion:#x}" in \
+            str(excinfo.value)
+        assert excinfo.value.region == pregion
 
 
 class TestIncrementalParity:

@@ -174,6 +174,122 @@ class TestLifecycle:
             assert health["simulations"] == 1  # nothing re-ran
 
 
+class TestAdmission:
+    """A submission whose every cell is cached is answered inside
+    ``POST /runs``; any other is queued and drained as before."""
+
+    TWO = dict(MATRIX, configs=["Base-2L", "D2M-FS"])
+
+    @staticmethod
+    def _count_saves(daemon):
+        saves = []
+        real = daemon.app.queue.save
+
+        def save(job):
+            saves.append((job.id, job.state))
+            real(job)
+
+        daemon.app.queue.save = save
+        return saves
+
+    def test_fully_cached_submission_is_born_done(self, cache, monkeypatch):
+        from repro.obs import runlog
+
+        with Daemon(cache, workers=1) as daemon:
+            first = daemon.wait_done(daemon.submit(self.TWO)[0])
+            assert first["state"] == "done", first["error"]
+            saves = self._count_saves(daemon)
+            events = []
+            monkeypatch.setattr(runlog, "emit", lambda event, **fields:
+                                events.append((event, fields)))
+            hits = daemon.app.metrics.value("repro_cache_hits_total")
+            done = daemon.app.metrics.value("repro_jobs_total",
+                                            outcome="done")
+
+            job_id, created = daemon.submit(self.TWO)
+            assert created["state"] == "done"
+            assert [c["state"] for c in created["cells"]] == ["cached"] * 2
+            assert created["done_cells"] == created["total_cells"] == 2
+            assert saves == [(job_id, "done")]  # journalled once
+            metrics = daemon.app.metrics
+            assert metrics.value("repro_cache_hits_total") == hits + 2
+            assert metrics.value("repro_jobs_total", outcome="done") \
+                == done + 1
+            assert daemon.app.simulations == 2
+            assert [(event, fields.get("job")) for event, fields in events
+                    if event.startswith("serve.")] == [
+                ("serve.submit", job_id), ("serve.job_end", job_id)]
+            assert events[-1][1]["simulated"] == 0
+
+            status, _, raw = daemon.http("GET", f"/runs/{job_id}/trace")
+            assert status == 200
+            stages = [event["name"] for event in json.loads(raw)
+                      ["traceEvents"] if event["ph"] == "X"]
+            assert stages == ["validate", "respond"]
+            polled = daemon.wait_done(job_id)
+            del polled["progress"]
+            assert polled == created  # the 201 body is the finished job
+
+        with Daemon(cache, workers=1) as restarted:
+            assert restarted.app.recovered_jobs == []
+            status, _, job = restarted.json("GET", f"/runs/{job_id}")
+            assert status == 200 and job["state"] == "done"
+            assert [c["state"] for c in job["cells"]] == ["cached"] * 2
+
+    def test_partly_cached_submission_is_queued(self, cache):
+        with Daemon(cache, workers=1) as daemon:
+            daemon.wait_done(daemon.submit(MATRIX)[0])
+            job_id, created = daemon.submit(self.TWO)
+            assert created["state"] == "pending"
+            settled = daemon.wait_done(job_id)
+            assert settled["state"] == "done", settled["error"]
+            assert {c["config"]: c["state"] for c in settled["cells"]} \
+                == {"Base-2L": "cached", "D2M-FS": "simulated"}
+            assert daemon.app.simulations == 2
+
+    def test_timeline_request_over_plain_records_is_queued(self, cache):
+        with Daemon(cache, workers=1) as daemon:
+            daemon.wait_done(daemon.submit(MATRIX)[0])
+            job_id, created = daemon.submit(dict(MATRIX, timeline=256))
+            assert created["state"] == "pending"
+            settled = daemon.wait_done(job_id)
+            assert [c["state"] for c in settled["cells"]] == ["simulated"]
+            assert daemon.app.simulations == 2
+
+    def test_fresh_daemon_simulates_again(self, cache, monkeypatch):
+        with Daemon(cache, workers=1) as daemon:
+            daemon.wait_done(daemon.submit(MATRIX)[0])
+            monkeypatch.setenv("REPRO_FRESH", "1")
+            job_id, created = daemon.submit(MATRIX)
+            assert created["state"] == "pending"
+            settled = daemon.wait_done(job_id)
+            assert [c["state"] for c in settled["cells"]] == ["simulated"]
+            assert daemon.app.simulations == 2
+
+    def test_failed_admission_lookup_queues_the_job(self, cache,
+                                                    monkeypatch):
+        import repro.serve.app as app_module
+
+        with Daemon(cache, workers=1) as daemon:
+            daemon.wait_done(daemon.submit(MATRIX)[0])
+            real = app_module.plan_matrix
+            calls = []
+
+            def flaky(**kwargs):
+                calls.append(kwargs)
+                if len(calls) == 1:
+                    raise OSError("cache unreadable")
+                return real(**kwargs)
+
+            monkeypatch.setattr(app_module, "plan_matrix", flaky)
+            job_id, created = daemon.submit(MATRIX)
+            assert created["state"] == "pending"
+            settled = daemon.wait_done(job_id)
+            assert settled["state"] == "done", settled["error"]
+            assert [c["state"] for c in settled["cells"]] == ["cached"]
+            assert len(calls) == 2 and daemon.app.simulations == 1
+
+
 class TestValidationAndRouting:
     def test_error_responses(self, cache):
         with Daemon(cache, drain=False) as daemon:

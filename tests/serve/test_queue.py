@@ -37,6 +37,28 @@ class TestJobDocument:
         assert loaded is not None
         assert loaded.to_json() == original.to_json()
 
+    def test_to_json_matches_the_dataclass_fields(self):
+        """The hand-built payload is ``asdict`` plus the two counts:
+        same keys, same order, same values."""
+        from dataclasses import asdict
+
+        document = make_job(
+            {"workloads": ["water", "lu"], "configs": ["Base-2L"],
+             "instructions": 800, "seed": 5, "warmup": 400, "nodes": 8,
+             "timeline": 0},
+            [cell(state="cached"), cell(config="D2M-FS", key="m" * 24)],
+            trace="t" * 16)
+        document.error = "lu on D2M-FS: boom"
+        expected = asdict(document)
+        expected["done_cells"] = 1
+        expected["total_cells"] = 2
+        payload = document.to_json()
+        assert payload == expected
+        assert list(payload) == list(expected)
+        assert [list(entry) for entry in payload["cells"]] == \
+            [list(entry) for entry in expected["cells"]]
+        assert list(payload["request"]) == list(expected["request"])
+
     def test_done_cells_counts_terminal_successes(self):
         item = Job(id="j1", state="running", created_ts=1.0, request={},
                    cells=[cell(state="cached"), cell(state="simulated"),
